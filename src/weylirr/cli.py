@@ -2,7 +2,8 @@
 
 Every subcommand prints a short human-readable report by default and a
 deterministic JSON document with --json.  Exit codes: 0 success, 1 internal
-check failure, 2 invalid input.
+check failure or any other internal error, 2 invalid input.  Failures print
+one line to stderr, never a traceback.
 """
 
 from __future__ import annotations
@@ -393,6 +394,11 @@ def main(argv=None) -> int:
         return 2
     except (InternalCheckError, ArithmeticError) as exc:
         print(f"internal check failure: {exc}", file=sys.stderr)
+        return 1
+    except Exception as exc:
+        # any other failure is a defect; report it in one line, never a
+        # traceback, so every input ends with exit 0, 1 or 2
+        print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 1
 
 

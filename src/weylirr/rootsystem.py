@@ -5,6 +5,13 @@ highest short root, dominance order, the single affine dot-reflection used
 by the classifier, Weyl dimensions, minuscule weights, and the
 decomposition of induced subdiagrams into relabeled irreducible pieces.
 
+Construction computes only what the classifier reads: the diagram, the
+Cartan matrix, the symmetrizers, the minuscule nodes, and the highest short
+root with its weight and the Coxeter number.  The highest short root is
+found by a walk to dominance, not by enumerating roots.  The positive-root
+closure and the inverse Cartan matrix are computed on first use, by Weyl
+dimensions and dominance tests, and cached on the instance.
+
 Weights are plain integer tuples in the fundamental-weight basis.  Roots
 carry their simple-root coordinates.  Short roots are normalized to squared
 length 2, so in simply-laced systems every root counts as short.
@@ -15,7 +22,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 from .qarith import InternalCheckError
 
@@ -109,12 +116,16 @@ class LeviComponent:
 
 
 class RootSystem:
-    """Immutable root-system data built by :func:`build`."""
+    """Immutable root-system data built by :func:`build`.
+
+    The slots are set by the constructor.  `positive_roots` and the inverse
+    Cartan matrix are cached on first use, in the instance `__dict__`.
+    """
 
     __slots__ = (
-        "kind", "rank", "cartan", "symm", "edges", "positive_roots",
+        "kind", "rank", "cartan", "symm", "edges",
         "alpha0", "alpha0_weight", "coxeter", "minuscule_nodes",
-        "_neighbors", "_inv_cartan",
+        "_neighbors", "__dict__",
     )
 
     def __init__(self, kind: str, rank: int):
@@ -131,15 +142,11 @@ class RootSystem:
             nbrs[b].append(a)
         self._neighbors = {i: tuple(sorted(v)) for i, v in nbrs.items()}
         self.cartan = self._build_cartan()
-        self.positive_roots = self._close_roots()
         self.alpha0 = self._find_alpha0()
         self.alpha0_weight = self.omega_coords(self.alpha0)
         self.coxeter = 1 + sum(
             b * d for b, d in zip(self.alpha0.coords, self.symm))
-        self._inv_cartan = self._invert_cartan()
         self.minuscule_nodes = frozenset(_MINUSCULE_NODES[kind](rank))
-        if rank <= 8:
-            self._check_minuscule_table()
 
     # -- construction -------------------------------------------------
 
@@ -161,9 +168,17 @@ class RootSystem:
     def root_pairing(self, coords, i: int) -> int:
         """<beta, alpha_i^vee> for beta given in simple-root coordinates."""
         row = self.cartan[i - 1]
-        return sum(row[j] * coords[j] for j in range(self.rank))
+        return 2 * coords[i - 1] + sum(
+            row[j - 1] * coords[j - 1] for j in self._neighbors[i])
 
-    def _close_roots(self):
+    def _root_norm(self, coords) -> int:
+        """Squared length of a root, with short roots at 2."""
+        return sum(c * d * self.root_pairing(coords, j + 1)
+                   for j, (c, d) in enumerate(zip(coords, self.symm)) if c)
+
+    @cached_property
+    def positive_roots(self):
+        """Every positive root, sorted by height, simple roots first."""
         n = self.rank
         simple = [tuple(int(j == i) for j in range(n)) for i in range(n)]
         found = set(simple)
@@ -189,9 +204,7 @@ class RootSystem:
             layer = nxt
         roots = []
         for coords in sorted(found, key=lambda c: (sum(c), c)):
-            norm = sum(
-                c * d * self.root_pairing(coords, j + 1)
-                for j, (c, d) in enumerate(zip(coords, self.symm)))
+            norm = self._root_norm(coords)
             if norm % 2 or norm // 2 not in (1, 2, 3):
                 raise InternalCheckError(
                     f"{self.name}: root norm {norm} out of range")
@@ -199,19 +212,27 @@ class RootSystem:
         return tuple(roots)
 
     def _find_alpha0(self) -> Root:
-        shorts = [r for r in self.positive_roots if r.is_short]
-        top = max(r.height for r in shorts)
-        peak = [r for r in shorts if r.height == top]
-        if len(peak) != 1:
+        # the highest short root is the one dominant root in the W-orbit of
+        # a short simple root; reflecting by any s_i with a negative pairing
+        # raises the height, and only the pairings at i and its neighbours
+        # change, so only those go back on the worklist
+        start = self.short_simple_nodes[0]
+        coords = [0] * self.rank
+        coords[start - 1] = 1
+        todo = list(self._neighbors[start])
+        while todo:
+            i = todo.pop()
+            p = self.root_pairing(coords, i)
+            if p < 0:
+                coords[i - 1] -= p
+                todo.extend(self._neighbors[i])
+        if self._root_norm(coords) != 2:
             raise InternalCheckError(
-                f"{self.name}: highest short root not unique")
-        a0 = peak[0]
-        if any(self.root_pairing(a0.coords, i + 1) < 0 for i in range(self.rank)):
-            raise InternalCheckError(
-                f"{self.name}: highest short root not dominant")
-        return a0
+                f"{self.name}: dominant root {coords} is not short")
+        return Root(tuple(coords), 1)
 
-    def _invert_cartan(self):
+    @cached_property
+    def _inv_cartan(self):
         n = self.rank
         aug = [[Fraction(self.cartan[i][j]) for j in range(n)]
                + [Fraction(int(i == j)) for j in range(n)] for i in range(n)]
@@ -225,15 +246,6 @@ class RootSystem:
                     factor = aug[r][col]
                     aug[r] = [x - factor * y for x, y in zip(aug[r], aug[col])]
         return tuple(tuple(row[n:]) for row in aug)
-
-    def _check_minuscule_table(self):
-        # no dominant weight may sit strictly below a claimed-minuscule one
-        for i in self.minuscule_nodes:
-            mu = self.fundamental(i)
-            for nu in self._dominant_weights_below(mu):
-                if nu != mu and self.dominance_leq(nu, mu):
-                    raise InternalCheckError(
-                        f"{self.name}: w{i} is not dominance-minimal")
 
     def _dominant_weights_below(self, mu: Weight):
         """Dominant nu with nu <= mu, by box enumeration of mu - nu."""

@@ -1,9 +1,11 @@
 """Witness search, trace replay, and the global decision path."""
 
 import dataclasses
+from functools import lru_cache
 
 import pytest
 
+from weylirr import rootsystem
 from weylirr.classifier import (
     AdjointShortRoot,
     EndNode,
@@ -21,7 +23,7 @@ from weylirr.classifier import (
     verify_witness,
     witness_ell,
 )
-from weylirr.rootsystem import build
+from weylirr.rootsystem import RootSystem, build, parse_type, parse_weight
 
 
 class TestFindWitness:
@@ -289,3 +291,29 @@ class TestTraceJson:
         trace = find_witness(rs, lam)
         cites = trace_citations(trace)
         assert len(cites) == len(set(cites)) == 2
+
+
+class TestLaziness:
+    @pytest.mark.parametrize("type_text,weight", [
+        ("D40", "w20"), ("B100", "w50"), ("A150", "w1+w75")])
+    def test_classify_leaves_the_closure_unbuilt(self, monkeypatch,
+                                                 type_text, weight):
+        # a private build cache, so systems earlier tests touched are not
+        # seen; every Levi child is built through it as well
+        built = []
+
+        def fresh(kind, rank):
+            built.append(RootSystem(kind, rank))
+            return built[-1]
+
+        monkeypatch.setattr(rootsystem, "build", lru_cache(maxsize=None)(fresh))
+        rs = parse_type(type_text)
+        lam = parse_weight(weight, rs.rank)
+        decision = classify_global(rs, lam)
+        trace_json(rs, lam, decision.trace)
+        trace_citations(decision.trace)
+        assert decision.verdict == "reducible"
+        assert len(built) > 1
+        for system in built:
+            assert "positive_roots" not in vars(system), system.name
+            assert "_inv_cartan" not in vars(system), system.name

@@ -3,10 +3,17 @@
 import json
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
+from weylirr import cli
 from weylirr.cli import main
+
+# classify output on large systems, recorded from the eager root-system
+# construction that enumerated every positive root
+GOLDEN = json.loads(
+    (Path(__file__).parent / "golden" / "classify_cli.json").read_text())
 
 
 def run(capsys, *argv):
@@ -77,6 +84,15 @@ class TestClassify:
         assert "no reduction witness" in out
 
 
+class TestGolden:
+    @pytest.mark.parametrize("case", GOLDEN,
+                             ids=[" ".join(c["argv"][2:]) for c in GOLDEN])
+    def test_large_systems_match_golden_output(self, capsys, case):
+        code, out, _ = run(capsys, *case["argv"])
+        assert code == case["exit"]
+        assert out == case["stdout"]
+
+
 class TestInputErrors:
     @pytest.mark.parametrize("argv,field", [
         (["classify", "--type", "H3", "--weight", "0"], "type"),
@@ -103,6 +119,24 @@ class TestInputErrors:
 
     def test_unknown_command_exits_two(self, capsys):
         assert run(capsys, "frobnicate")[0] == 2
+
+
+class TestInternalErrors:
+    @pytest.mark.parametrize("exc,line", [
+        (KeyError("boom"), "internal error: KeyError: 'boom'"),
+        (RecursionError("maximum recursion depth exceeded"),
+         "internal error: RecursionError: maximum recursion depth exceeded"),
+    ])
+    def test_one_line_and_exit_one(self, capsys, monkeypatch, exc, line):
+        def fail(args):
+            raise exc
+
+        monkeypatch.setitem(cli._DISPATCH, "classify", fail)
+        code, out, err = run(capsys, "classify", "--type", "A2",
+                             "--weight", "w1")
+        assert code == 1
+        assert out == ""
+        assert err == line + "\n"
 
 
 class TestDetShort:

@@ -11,16 +11,14 @@ from weylirr.rootsystem import (
     parse_weight,
 )
 
-ALL_TYPES = ([("A", n) for n in range(1, 13)]
-             + [("B", n) for n in range(2, 13)]
-             + [("C", n) for n in range(3, 13)]
-             + [("D", n) for n in range(4, 13)]
-             + [("E", n) for n in (6, 7, 8)]
-             + [("F", 4), ("G", 2)])
-
-
-def systems():
-    return [build(kind, rank) for kind, rank in ALL_TYPES]
+def systems(max_rank=12):
+    lowest = {"A": 1, "B": 2, "C": 3, "D": 4}
+    out = [build(kind, n) for kind, lo in lowest.items()
+           for n in range(lo, max_rank + 1)]
+    out += [build(kind, n) for kind, n in (("E", 6), ("E", 7), ("E", 8),
+                                           ("F", 4), ("G", 2))
+            if n <= max_rank]
+    return out
 
 
 class TestConstruction:
@@ -98,6 +96,20 @@ class TestConstruction:
             for i in range(rs.rank):
                 assert rs.pairing(rho, rs.positive_roots[i]) == 1
 
+    def test_alpha0_matches_the_root_closure(self):
+        # the walk to dominance against the highest short root of the
+        # full closure, which must be unique and dominant
+        for rs in systems(24):
+            shorts = [r for r in rs.positive_roots if r.is_short]
+            top = max(r.height for r in shorts)
+            peak, = [r for r in shorts if r.height == top]
+            assert rs.alpha0 == peak, rs.name
+            assert all(rs.root_pairing(peak.coords, i) >= 0
+                       for i in range(1, rs.rank + 1)), rs.name
+            assert rs.alpha0_weight == rs.omega_coords(peak), rs.name
+            assert rs.coxeter == 1 + sum(
+                b * d for b, d in zip(peak.coords, rs.symm)), rs.name
+
     def test_pairing_with_alpha0(self):
         for rs in systems():
             assert rs.pairing(rs.alpha0_weight, rs.alpha0) == 2
@@ -171,6 +183,15 @@ class TestWeights:
             for i in range(1, rank + 1):
                 assert rs.is_minuscule(rs.fundamental(i)) == (i in nodes)
             assert not rs.is_minuscule(rs.alpha0_weight) or kind == "X"
+
+    def test_minuscule_nodes_are_dominance_minimal(self):
+        # no dominant weight may sit strictly below a claimed-minuscule one
+        for rs in systems(8):
+            for i in rs.minuscule_nodes:
+                mu = rs.fundamental(i)
+                for nu in rs._dominant_weights_below(mu):
+                    assert nu == mu or not rs.dominance_leq(nu, mu), \
+                        f"{rs.name}: w{i} is not dominance-minimal"
 
     def test_minuscule_weights_listing(self):
         a3 = build("A", 3)
