@@ -28,18 +28,10 @@ from .rootsystem import (
     Root,
     RootSystem,
     build,
-    coxeter_number,
-    dominance_leq,
-    dot_reflect_alpha0,
     format_weight,
-    highest_short_root,
-    in_bottom_alcove_closure,
-    levi_subsystem,
-    minuscule_weights,
-    pairing,
     parse_type,
     parse_weight,
-    weyl_dimension,
+    systems,
 )
 from .weylmods import (
     E8Certificate,
@@ -54,11 +46,9 @@ from .weylmods import (
     sl2_maximal_vector_oracle,
 )
 from .classifier import (
-    AdjointShortRoot,
     Decision,
     EndNode,
     FundWeight,
-    G2Omega2,
     LeviDescent,
     Sl2Node,
     TraceError,
@@ -75,13 +65,11 @@ from .classifier import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "AdjointShortRoot",
     "Decision",
     "E8Certificate",
     "EndNode",
     "ExactDivisionError",
     "FundWeight",
-    "G2Omega2",
     "InternalCheckError",
     "LaurentPoly",
     "LeviComponent",
@@ -96,11 +84,8 @@ __all__ = [
     "build",
     "classify_global",
     "closed_form_detD",
-    "coxeter_number",
     "cyclotomic",
     "det_short_matrix",
-    "dominance_leq",
-    "dot_reflect_alpha0",
     "e8_certificate",
     "endnode_witness",
     "euler_phi",
@@ -108,11 +93,6 @@ __all__ = [
     "format_weight",
     "fundamental_weight_witness",
     "g2_omega2_reducible_at",
-    "highest_short_root",
-    "in_bottom_alcove_closure",
-    "levi_subsystem",
-    "minuscule_weights",
-    "pairing",
     "parse_type",
     "parse_weight",
     "qbinom",
@@ -124,10 +104,10 @@ __all__ = [
     "short_root_matrix",
     "sl2_irreducible",
     "sl2_maximal_vector_oracle",
+    "systems",
     "trace_citations",
     "trace_json",
     "vanishes_at",
     "verify_witness",
-    "weyl_dimension",
     "witness_ell",
 ]

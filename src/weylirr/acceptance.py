@@ -23,7 +23,7 @@ from .qarith import (
     s_value,
     vanishes_at,
 )
-from .rootsystem import build
+from .rootsystem import build, systems
 from .weylmods import (
     adjoint_short_reducible_at,
     closed_form_detD,
@@ -47,26 +47,6 @@ class CheckResult:
     detail: str
 
 
-def _all_systems(max_rank: int):
-    out = []
-    for n in range(1, max_rank + 1):
-        out.append(build("A", n))
-    for n in range(2, max_rank + 1):
-        out.append(build("B", n))
-    for n in range(3, max_rank + 1):
-        out.append(build("C", n))
-    for n in range(4, max_rank + 1):
-        out.append(build("D", n))
-    for n in (6, 7, 8):
-        if n <= max_rank:
-            out.append(build("E", n))
-    if max_rank >= 4:
-        out.append(build("F", 4))
-    if max_rank >= 2:
-        out.append(build("G", 2))
-    return out
-
-
 def stated_reducibility_orders(rs, bound: int = 60):
     """Orders at which the short-root determinant is asserted to vanish."""
     if rs.kind == "A":
@@ -82,7 +62,7 @@ def stated_reducibility_orders(rs, bound: int = 60):
 
 def _check_thm_5_1_table() -> str:
     verified = 0
-    for rs in _all_systems(12):
+    for rs in systems(12):
         if rs.kind == "E" and rs.rank == 8:
             continue
         for ell in stated_reducibility_orders(rs):
@@ -106,7 +86,7 @@ def _check_thm_5_1_table() -> str:
 
 def _check_det_equality() -> str:
     names = []
-    for rs in _all_systems(12):
+    for rs in systems(12):
         if det_short_matrix(rs) != closed_form_detD(rs):
             raise CheckFailed(f"{rs.name}: determinant closed form differs")
         names.append(rs.name)
@@ -175,7 +155,7 @@ _SWEEP_MINUSCULE = {
 
 def _check_global_sweep() -> str:
     total = irreducible = 0
-    for rs in _all_systems(8):
+    for rs in systems(8):
         expect_gi = {rs.zero_weight()}
         expect_gi.update(rs.fundamental(i)
                          for i in _SWEEP_MINUSCULE[rs.kind](rs.rank))
@@ -220,7 +200,7 @@ def _check_dimensions() -> str:
     dim = g2.weyl_dimension(g2.fundamental(2))
     if dim != 14:
         raise CheckFailed(f"G2 w2 dimension {dim} != 14")
-    for rs in _all_systems(12):
+    for rs in systems(12):
         short_pos = sum(1 for r in rs.positive_roots if r.is_short)
         expected = 2 * short_pos + len(rs.short_simple_nodes)
         got = rs.weyl_dimension(rs.alpha0_weight)

@@ -3,9 +3,14 @@
 classify_global decides whether the Weyl module of a dominant weight stays
 irreducible at every root of unity.  The negative answers come with a trace:
 a chain of reduction steps (rank-one restriction, descent to a subdiagram,
-an end-node wall-crossing fact, or a determinant leaf) ending at a concrete
-order.  verify_witness replays a trace from scratch, recomputing every
-restriction and every leaf condition.
+an end-node wall-crossing fact, or a fundamental-weight leaf) ending at a
+concrete order.  verify_witness replays a trace from scratch, recomputing
+every restriction and every leaf condition.
+
+Each step class carries its own description: its JSON `name`, its
+`citation_key` into CITATIONS, its JSON `params` and its `replay`.  The
+functions below only check that a step is one of _STEPS and then call those
+members, so a new replay rule lives in one class body.
 
 The `twist` parameter threading through this module is the ratio between
 ambient and local symmetrizers: a subdiagram whose nodes are long roots of
@@ -29,12 +34,33 @@ class TraceError(ValueError):
     """A witness trace is structurally malformed (not merely unsound)."""
 
 
+# Every step's replay(rs, lam, twist) returns (holds, recursion), where
+# recursion is (system, weight, inner trace, twist) for a descent step that
+# holds, else None.
+
 @dataclass(frozen=True)
 class Sl2Node:
     """Leaf: the coordinate at `node` fails the rank-one criterion at ell."""
 
     node: int
     ell: int
+
+    name = citation_key = "sl2_node"
+
+    def params(self, rs: RootSystem, lam: Weight, twist: int):
+        return {"node": self.node,
+                "coordinate": lam[self.node - 1],
+                "symmetrizer": rs.symm[self.node - 1] * twist,
+                "ell": self.ell}
+
+    def replay(self, rs: RootSystem, lam: Weight, twist: int):
+        if not 1 <= self.node <= rs.rank:
+            raise TraceError(f"node {self.node} out of range for {rs.name}")
+        if self.ell < 1:
+            raise TraceError("ell must be positive")
+        c = lam[self.node - 1]
+        d = rs.symm[self.node - 1] * twist
+        return not sl2_irreducible(c, self.ell, d), None
 
 
 @dataclass(frozen=True)
@@ -52,6 +78,42 @@ class LeviDescent:
     restricted: tuple
     inner: tuple
 
+    name = citation_key = "levi_descent"
+
+    def params(self, rs: RootSystem, lam: Weight, twist: int):
+        return {"nodes": list(self.nodes),
+                "component": self.component,
+                "twist": self.twist,
+                "restricted_weight": format_weight(self.restricted)}
+
+    def replay(self, rs: RootSystem, lam: Weight, twist: int):
+        if not self.nodes or len(set(self.nodes)) != len(self.nodes):
+            raise TraceError("descent nodes must be distinct and nonempty")
+        if any(not isinstance(i, int) or not 1 <= i <= rs.rank
+               for i in self.nodes):
+            raise TraceError(f"descent nodes invalid for {rs.name}")
+        comps = rs.levi_subsystem(self.nodes)
+        if len(comps) != 1:
+            return False, None
+        comp = comps[0]
+        ok = (comp.nodes == tuple(self.nodes)
+              and comp.system.name == self.component
+              and comp.twist == self.twist
+              and comp.restrict(lam) == tuple(self.restricted))
+        if not ok:
+            return False, None
+        return True, (comp.system, comp.restrict(lam), self.inner,
+                      twist * comp.twist)
+
+
+_ENDNODE_CASE = {"A": "a", "B": "b", "C": "c", "F": "d", "G": "e"}
+_ENDNODE_KIND = {case: kind for kind, case in _ENDNODE_CASE.items()}
+
+
+def _two_ends(rs: RootSystem) -> Weight:
+    """The weight with coordinate 1 at both ends of a chain diagram."""
+    return tuple(int(i in (0, rs.rank - 1)) for i in range(rs.rank))
+
 
 @dataclass(frozen=True)
 class EndNode:
@@ -66,28 +128,80 @@ class EndNode:
     case: str
     ell: int
 
+    name = "end_node"
+
+    @property
+    def citation_key(self) -> str:
+        return ("end_node_arith" if self.case in ("a", "b")
+                else "end_node_fact")
+
+    def params(self, rs: RootSystem, lam: Weight, twist: int):
+        return {"case": self.case, "ell": self.ell,
+                "arithmetic_replayed": self.case in ("a", "b")}
+
+    def replay(self, rs: RootSystem, lam: Weight, twist: int):
+        if self.case not in _ENDNODE_KIND:
+            raise TraceError(f"unknown end-node case {self.case!r}")
+        if (rs.kind != _ENDNODE_KIND[self.case] or rs.rank < 2
+                or lam != _two_ends(rs)):
+            return False, None
+        if self.case == "a":
+            base = rs.rank + 1
+            if self.ell != base * twist:
+                return False, None
+            zero = rs.zero_weight()
+            ok = (rs.dot_reflect_alpha0(base, zero) == rs.alpha0_weight
+                  and rs.alpha0_weight == lam
+                  and rs.in_bottom_alcove_closure(base, zero))
+            return ok, None
+        if twist != 1:
+            return False, None
+        if self.case == "b":
+            if self.ell != 2 * rs.rank + 1:
+                return False, None
+            source = rs.fundamental(rs.rank)
+            ok = (rs.dot_reflect_alpha0(self.ell, source) == lam
+                  and rs.in_bottom_alcove_closure(self.ell, source))
+            return ok, None
+        return self.ell == 4, None
+
 
 @dataclass(frozen=True)
 class FundWeight:
-    """Leaf for a fundamental weight, settled by the named scalar test."""
+    """Leaf for a fundamental weight, settled by the named scalar test.
+
+    tag "adjoint_short_root": the weight is alpha0 and the short-root
+    determinant vanishes; tag "g2_omega2": the 14-dimensional module's
+    scalar vanishes.
+    """
 
     node: int
     ell: int
     tag: str
 
+    name = "fundamental_weight"
 
-@dataclass(frozen=True)
-class AdjointShortRoot:
-    """Leaf: the weight is alpha0 and the short-root determinant vanishes."""
+    @property
+    def citation_key(self) -> str:
+        return self.tag
 
-    ell: int
+    def params(self, rs: RootSystem, lam: Weight, twist: int):
+        return {"node": self.node, "ell": self.ell, "test": self.tag}
 
-
-@dataclass(frozen=True)
-class G2Omega2:
-    """Leaf: the 14-dimensional module's scalar vanishes at ell."""
-
-    ell: int
+    def replay(self, rs: RootSystem, lam: Weight, twist: int):
+        if not 1 <= self.node <= rs.rank:
+            raise TraceError(f"node {self.node} out of range for {rs.name}")
+        if lam != rs.fundamental(self.node):
+            return False, None
+        if self.tag == "adjoint_short_root":
+            ok = (lam == rs.alpha0_weight
+                  and adjoint_short_reducible_at(rs, self.ell, twist))
+            return ok, None
+        if self.tag == "g2_omega2":
+            ok = (rs.kind == "G" and self.node == 2
+                  and g2_omega2_reducible_at(self.ell, twist))
+            return ok, None
+        raise TraceError(f"unknown leaf tag {self.tag!r}")
 
 
 @dataclass(frozen=True)
@@ -98,9 +212,15 @@ class Decision:
     witness_ell: int | None
 
 
-_LEAF_TYPES = (Sl2Node, EndNode, FundWeight, AdjointShortRoot, G2Omega2)
+_STEPS = (Sl2Node, LeviDescent, EndNode, FundWeight)
 
-_ENDNODE_CASE = {"A": "a", "B": "b", "C": "c", "F": "d", "G": "e"}
+
+def _step(step):
+    """step itself, once it is known to be one of the step classes."""
+    if not isinstance(step, _STEPS):
+        raise TraceError(f"unknown trace step {type(step).__name__}")
+    return step
+
 
 CITATIONS = {
     "sl2_node": "rank-one divided-power criterion at a single node",
@@ -215,134 +335,30 @@ def endnode_witness(rs: RootSystem):
         raise ValueError(f"type: {rs.name} has no end-node case")
     if rs.kind == "A" and rs.rank < 2:
         raise ValueError("type: the chain case needs rank >= 2")
-    lam = tuple(int(i in (0, rs.rank - 1)) for i in range(rs.rank))
-    case = _ENDNODE_CASE[rs.kind]
-    ell = {"a": rs.rank + 1, "b": 2 * rs.rank + 1,
-           "c": 4, "d": 4, "e": 4}[case]
-    return lam, ell, case
+    lam = _two_ends(rs)
+    step, = find_witness(rs, lam)
+    return lam, step.ell, step.case
 
 
 def fundamental_weight_witness(rs: RootSystem, i: int):
     """(ell, leaf tag) for the i-th fundamental weight, or None."""
-    lam = rs.fundamental(i)
-    trace = find_witness(rs, lam)
+    trace = find_witness(rs, rs.fundamental(i))
     if trace is None:
         return None
     leaf = leaf_step(trace)
-    if isinstance(leaf, FundWeight):
-        tag = leaf.tag
-    elif isinstance(leaf, EndNode):
-        tag = "endnode_" + leaf.case
-    elif isinstance(leaf, Sl2Node):
-        tag = "sl2"
-    elif isinstance(leaf, AdjointShortRoot):
-        tag = "adjoint_short_root"
-    else:
-        tag = "g2_omega2"
-    return leaf.ell, tag
+    return leaf.ell, leaf.tag
 
 
 def leaf_step(trace):
     """The unique leaf of a chain trace."""
     if not isinstance(trace, tuple) or len(trace) != 1:
         raise TraceError("trace must be a one-step chain at every level")
-    step = trace[0]
-    if isinstance(step, LeviDescent):
-        return leaf_step(step.inner)
-    if isinstance(step, _LEAF_TYPES):
-        return step
-    raise TraceError(f"unknown trace step {type(step).__name__}")
+    step = _step(trace[0])
+    return leaf_step(step.inner) if isinstance(step, LeviDescent) else step
 
 
 def witness_ell(trace) -> int:
     return leaf_step(trace).ell
-
-
-def _check_step(rs: RootSystem, lam: Weight, step, twist: int):
-    """Replay one step.  Returns (holds, recursion) where recursion is
-    (system, weight, inner trace, twist) for descent steps, else None."""
-    if isinstance(step, Sl2Node):
-        if not 1 <= step.node <= rs.rank:
-            raise TraceError(f"node {step.node} out of range for {rs.name}")
-        if step.ell < 1:
-            raise TraceError("ell must be positive")
-        c = lam[step.node - 1]
-        d = rs.symm[step.node - 1] * twist
-        return not sl2_irreducible(c, step.ell, d), None
-
-    if isinstance(step, LeviDescent):
-        if not step.nodes or len(set(step.nodes)) != len(step.nodes):
-            raise TraceError("descent nodes must be distinct and nonempty")
-        if any(not isinstance(i, int) or not 1 <= i <= rs.rank
-               for i in step.nodes):
-            raise TraceError(f"descent nodes invalid for {rs.name}")
-        comps = rs.levi_subsystem(step.nodes)
-        if len(comps) != 1:
-            return False, None
-        comp = comps[0]
-        ok = (comp.nodes == tuple(step.nodes)
-              and comp.system.name == step.component
-              and comp.twist == step.twist
-              and comp.restrict(lam) == tuple(step.restricted))
-        if not ok:
-            return False, None
-        return True, (comp.system, comp.restrict(lam), step.inner,
-                      twist * comp.twist)
-
-    if isinstance(step, EndNode):
-        if step.case not in ("a", "b", "c", "d", "e"):
-            raise TraceError(f"unknown end-node case {step.case!r}")
-        kind = {"a": "A", "b": "B", "c": "C", "d": "F", "e": "G"}[step.case]
-        if rs.kind != kind or rs.rank < 2:
-            return False, None
-        two_ends = tuple(int(i in (0, rs.rank - 1)) for i in range(rs.rank))
-        if lam != two_ends:
-            return False, None
-        if step.case == "a":
-            base = rs.rank + 1
-            if step.ell != base * twist:
-                return False, None
-            zero = rs.zero_weight()
-            ok = (rs.dot_reflect_alpha0(base, zero) == rs.alpha0_weight
-                  and rs.alpha0_weight == lam
-                  and rs.in_bottom_alcove_closure(base, zero))
-            return ok, None
-        if twist != 1:
-            return False, None
-        if step.case == "b":
-            if step.ell != 2 * rs.rank + 1:
-                return False, None
-            source = rs.fundamental(rs.rank)
-            ok = (rs.dot_reflect_alpha0(step.ell, source) == lam
-                  and rs.in_bottom_alcove_closure(step.ell, source))
-            return ok, None
-        return step.ell == 4, None
-
-    if isinstance(step, FundWeight):
-        if not 1 <= step.node <= rs.rank:
-            raise TraceError(f"node {step.node} out of range for {rs.name}")
-        if lam != rs.fundamental(step.node):
-            return False, None
-        if step.tag == "adjoint_short_root":
-            ok = (lam == rs.alpha0_weight
-                  and adjoint_short_reducible_at(rs, step.ell, twist))
-            return ok, None
-        if step.tag == "g2_omega2":
-            ok = (rs.kind == "G" and step.node == 2
-                  and g2_omega2_reducible_at(step.ell, twist))
-            return ok, None
-        raise TraceError(f"unknown leaf tag {step.tag!r}")
-
-    if isinstance(step, AdjointShortRoot):
-        return (lam == rs.alpha0_weight
-                and adjoint_short_reducible_at(rs, step.ell, twist)), None
-
-    if isinstance(step, G2Omega2):
-        return (rs.kind == "G"
-                and lam == rs.fundamental(2)
-                and g2_omega2_reducible_at(step.ell, twist)), None
-
-    raise TraceError(f"unknown trace step {type(step).__name__}")
 
 
 def verify_witness(rs: RootSystem, lam: Weight, trace,
@@ -351,7 +367,7 @@ def verify_witness(rs: RootSystem, lam: Weight, trace,
     lam = tuple(lam)
     if not isinstance(trace, tuple) or len(trace) != 1:
         raise TraceError("trace must be a one-step chain at every level")
-    holds, recursion = _check_step(rs, lam, trace[0], twist)
+    holds, recursion = _step(trace[0]).replay(rs, lam, twist)
     if not holds:
         return False
     if recursion is None:
@@ -361,10 +377,11 @@ def verify_witness(rs: RootSystem, lam: Weight, trace,
 
 
 def classify_global(rs: RootSystem, lam: Weight) -> Decision:
-    """The top-level decision: irreducible at every order, or a witness."""
+    """The top-level decision: irreducible at every order, or a witness.
+
+    Raises ValueError("weight: must be dominant") for other weights.
+    """
     lam = tuple(lam)
-    if not rs.is_dominant(lam):
-        raise ValueError("weight: must be dominant")
     trace = find_witness(rs, lam)
     if trace is None:
         reason = "E8_adjoint" if _is_e8_adjoint(rs, lam) else "minuscule"
@@ -377,36 +394,9 @@ def classify_global(rs: RootSystem, lam: Weight) -> Decision:
 
 
 def _step_json(rs: RootSystem, lam: Weight, step, twist: int):
-    holds, recursion = _check_step(rs, lam, step, twist)
-    if isinstance(step, Sl2Node):
-        name, citation = "sl2_node", CITATIONS["sl2_node"]
-        params = {"node": step.node,
-                  "coordinate": lam[step.node - 1],
-                  "symmetrizer": rs.symm[step.node - 1] * twist,
-                  "ell": step.ell}
-    elif isinstance(step, LeviDescent):
-        name, citation = "levi_descent", CITATIONS["levi_descent"]
-        params = {"nodes": list(step.nodes),
-                  "component": step.component,
-                  "twist": step.twist,
-                  "restricted_weight": format_weight(step.restricted)}
-    elif isinstance(step, EndNode):
-        name = "end_node"
-        key = "end_node_arith" if step.case in ("a", "b") else "end_node_fact"
-        citation = CITATIONS[key]
-        params = {"case": step.case, "ell": step.ell,
-                  "arithmetic_replayed": step.case in ("a", "b")}
-    elif isinstance(step, FundWeight):
-        name, citation = "fundamental_weight", CITATIONS[step.tag]
-        params = {"node": step.node, "ell": step.ell, "test": step.tag}
-    elif isinstance(step, AdjointShortRoot):
-        name = "adjoint_short_root"
-        citation = CITATIONS["adjoint_short_root"]
-        params = {"ell": step.ell}
-    else:
-        name, citation = "g2_omega2", CITATIONS["g2_omega2"]
-        params = {"ell": step.ell}
-    node = {"step": name, "params": params, "citation": citation,
+    holds, recursion = _step(step).replay(rs, lam, twist)
+    node = {"step": step.name, "params": step.params(rs, lam, twist),
+            "citation": CITATIONS[step.citation_key],
             "verified": bool(holds)}
     if recursion is not None:
         sub_rs, sub_lam, inner, sub_twist = recursion
@@ -426,22 +416,7 @@ def trace_citations(trace):
 
     def walk(steps):
         for step in steps:
-            if isinstance(step, Sl2Node):
-                key = "sl2_node"
-            elif isinstance(step, LeviDescent):
-                key = "levi_descent"
-            elif isinstance(step, EndNode):
-                key = ("end_node_arith" if step.case in ("a", "b")
-                       else "end_node_fact")
-            elif isinstance(step, FundWeight):
-                key = step.tag
-            elif isinstance(step, AdjointShortRoot):
-                key = "adjoint_short_root"
-            elif isinstance(step, G2Omega2):
-                key = "g2_omega2"
-            else:
-                raise TraceError(f"unknown trace step {type(step).__name__}")
-            text = CITATIONS[key]
+            text = CITATIONS[_step(step).citation_key]
             if text not in out:
                 out.append(text)
             if isinstance(step, LeviDescent):

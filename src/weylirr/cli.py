@@ -28,7 +28,7 @@ from .qarith import (
     qbinom_vanishes_fast,
     vanishes_at,
 )
-from .rootsystem import build, format_weight, parse_type, parse_weight
+from .rootsystem import format_weight, parse_type, parse_weight, systems
 from .weylmods import (
     adjoint_short_reducible_at,
     det_short_matrix,
@@ -147,16 +147,9 @@ def _decision_doc(command: str, rs, lam):
     }
 
 
-def _require_dominant(rs, args):
-    lam = parse_weight(args.weight, rs.rank)
-    if not rs.is_dominant(lam):
-        raise ValueError("weight: must be dominant")
-    return lam
-
-
 def _cmd_classify(args) -> int:
     rs = parse_type(args.type, args.rank)
-    lam = _require_dominant(rs, args)
+    lam = parse_weight(args.weight, rs.rank)
     decision, doc = _decision_doc("classify", rs, lam)
     lines = [f"type: {rs.name}",
              f"weight: {format_weight(lam)}",
@@ -173,7 +166,7 @@ def _cmd_classify(args) -> int:
 
 def _cmd_witness(args) -> int:
     rs = parse_type(args.type, args.rank)
-    lam = _require_dominant(rs, args)
+    lam = parse_weight(args.weight, rs.rank)
     decision, doc = _decision_doc("witness", rs, lam)
     lines = [f"type: {rs.name}", f"weight: {format_weight(lam)}"]
     if decision.verdict == "globally_irreducible":
@@ -247,24 +240,11 @@ def _cmd_qbinom(args) -> int:
     return 0
 
 
-def _table_systems(max_rank: int):
-    systems = [build("A", n) for n in range(1, max_rank + 1)]
-    systems += [build("B", n) for n in range(2, max_rank + 1)]
-    systems += [build("C", n) for n in range(3, max_rank + 1)]
-    systems += [build("D", n) for n in range(4, max_rank + 1)]
-    if max_rank >= 4:
-        systems.append(build("F", 4))
-    if max_rank >= 2:
-        systems.append(build("G", 2))
-    systems += [build("E", n) for n in (6, 7, 8) if n <= max_rank]
-    return systems
-
-
 def _cmd_table(args) -> int:
     if args.max_rank < 1:
         raise ValueError("max-rank: must be a positive integer")
     rows = []
-    for rs in _table_systems(args.max_rank):
+    for rs in systems(args.max_rank):
         orders = [l for l in range(1, 61)
                   if adjoint_short_reducible_at(rs, l)]
         rows.append({"type": rs.name, "det": repr(det_short_matrix(rs)),

@@ -202,20 +202,11 @@ class LaurentPoly:
         lead = dcf[dn]
         if lead not in (1, -1):
             raise ExactDivisionError("divisor leading coefficient must be +-1")
-        quot = [0] * (sn - dn + 1)
-        rem = num
-        for k in range(sn - dn, -1, -1):
-            c = rem[k + dn]
-            if c:
-                qc = c * lead
-                quot[k] = qc
-                for idx in range(dn + 1):
-                    if dcf[idx]:
-                        rem[k + idx] -= qc * dcf[idx]
-        if any(rem):
-            raise ExactDivisionError("division left a remainder")
+        # dividing by the monic lead * den gives lead * quotient
+        quot = _dense_exact_div(num, [c * lead for c in dcf])
         offset = sv - dv
-        return LaurentPoly({k + offset: qc for k, qc in enumerate(quot) if qc})
+        return LaurentPoly({k + offset: qc * lead
+                            for k, qc in enumerate(quot) if qc})
 
     def __repr__(self) -> str:
         if not self._terms:

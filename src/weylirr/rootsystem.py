@@ -12,6 +12,9 @@ found by a walk to dominance, not by enumerating roots.  The positive-root
 closure and the inverse Cartan matrix are computed on first use, by Weyl
 dimensions and dominance tests, and cached on the instance.
 
+systems(max_rank) is the one list of systems up to a rank that the CLI
+table and the acceptance checks sweep.
+
 Weights are plain integer tuples in the fundamental-weight basis.  Roots
 carry their simple-root coordinates.  Short roots are normalized to squared
 length 2, so in simply-laced systems every root counts as short.
@@ -535,6 +538,18 @@ def build(kind: str, rank: int) -> RootSystem:
     return RootSystem(kind, rank)
 
 
+def systems(max_rank: int):
+    """Every system of rank <= max_rank, in table order: A, B, C and D by
+    rank, then F4, G2, E6, E7 and E8."""
+    out = []
+    for kind, low in (("A", 1), ("B", 2), ("C", 3), ("D", 4)):
+        out += [build(kind, n) for n in range(low, max_rank + 1)]
+    for kind, n in (("F", 4), ("G", 2), ("E", 6), ("E", 7), ("E", 8)):
+        if n <= max_rank:
+            out.append(build(kind, n))
+    return out
+
+
 def parse_type(text: str, rank=None) -> RootSystem:
     """Accepts 'E8' or a bare letter combined with an explicit rank."""
     t = text.strip().upper()
@@ -613,40 +628,3 @@ def format_weight(lam: Weight) -> str:
         out += t if t.startswith("-") else "+" + t
     return out
 
-
-# Functional forms matching the operation names used elsewhere.
-
-def highest_short_root(rs: RootSystem) -> Weight:
-    return rs.alpha0_weight
-
-
-def coxeter_number(rs: RootSystem) -> int:
-    return rs.coxeter
-
-
-def minuscule_weights(rs: RootSystem):
-    return rs.minuscule_weights()
-
-
-def pairing(lam: Weight, beta: Root, rs: RootSystem) -> int:
-    return rs.pairing(lam, beta)
-
-
-def dominance_leq(mu: Weight, lam: Weight, rs: RootSystem) -> bool:
-    return rs.dominance_leq(mu, lam)
-
-
-def dot_reflect_alpha0(rs: RootSystem, ell: int, lam: Weight) -> Weight:
-    return rs.dot_reflect_alpha0(ell, lam)
-
-
-def in_bottom_alcove_closure(rs: RootSystem, ell: int, lam: Weight) -> bool:
-    return rs.in_bottom_alcove_closure(ell, lam)
-
-
-def weyl_dimension(rs: RootSystem, lam: Weight) -> int:
-    return rs.weyl_dimension(lam)
-
-
-def levi_subsystem(rs: RootSystem, J):
-    return rs.levi_subsystem(J)

@@ -7,7 +7,6 @@ import pytest
 
 from weylirr import rootsystem
 from weylirr.classifier import (
-    AdjointShortRoot,
     EndNode,
     FundWeight,
     LeviDescent,
@@ -209,9 +208,14 @@ class TestVerifyWitness:
         a5 = build("A", 5)
         alpha0 = (1, 0, 0, 0, 1)
         assert verify_witness(a5, alpha0, (EndNode("a", 6),))
-        assert verify_witness(a5, alpha0, (AdjointShortRoot(3),))
-        assert verify_witness(a5, alpha0, (AdjointShortRoot(6),))
-        assert not verify_witness(a5, alpha0, (AdjointShortRoot(5),))
+        c3 = build("C", 3)
+        w2 = c3.fundamental(2)
+        assert w2 == c3.alpha0_weight
+        assert find_witness(c3, w2) \
+            == (FundWeight(2, 3, "adjoint_short_root"),)
+        for ell, holds in ((3, True), (6, True), (5, False)):
+            trace = (FundWeight(2, ell, "adjoint_short_root"),)
+            assert verify_witness(c3, w2, trace) is holds, ell
 
     def test_malformed_traces_raise(self):
         a2 = build("A", 2)
@@ -221,6 +225,10 @@ class TestVerifyWitness:
             verify_witness(a2, (1, 1), (EndNode("a", 3), EndNode("a", 3)))
         with pytest.raises(TraceError):
             verify_witness(a2, (1, 1), ("junk",))
+        with pytest.raises(TraceError):
+            trace_json(a2, (1, 1), ("junk",))
+        with pytest.raises(TraceError):
+            trace_citations(("junk",))
         with pytest.raises(TraceError):
             verify_witness(a2, (1, 1), (EndNode("z", 3),))
         with pytest.raises(TraceError):
@@ -254,6 +262,20 @@ class TestClassifyGlobal:
             decision = classify_global(build(kind, rank), lam)
             assert decision.witness_ell \
                 == leaf_step(decision.trace).ell
+
+    def test_e8_adjoint_conflict_is_recorded(self):
+        # This records a known contradiction between two parts of the
+        # system; it does not endorse either side.  The verdict for E8 w8
+        # is globally irreducible by a hard-coded exception, yet the
+        # short-root determinant leaf at order 60 replays as a valid
+        # reducibility witness (q^8 det(D_E8) is the 60th cyclotomic
+        # polynomial).  If either fact changes, this test should be
+        # revisited together with the pinned-red acceptance checks.
+        e8 = build("E", 8)
+        w8 = e8.fundamental(8)
+        assert verify_witness(e8, w8,
+                              (FundWeight(8, 60, "adjoint_short_root"),))
+        assert classify_global(e8, w8).verdict == "globally_irreducible"
 
     def test_rejects_non_dominant_weights(self):
         with pytest.raises(ValueError):

@@ -110,6 +110,7 @@ class TestInputErrors:
         (["table-theorem5-1", "--max-rank", "0"], "max-rank"),
         (["endnodes", "--type", "E6"], "type"),
         (["verify-paper", "--only", "bogus-id"], "check"),
+        (["witness", "--type", "A2", "--weight=-1,0"], "weight"),
     ])
     def test_exit_two_names_the_field(self, capsys, argv, field):
         code, out, err = run(capsys, *argv)
