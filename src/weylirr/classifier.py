@@ -183,25 +183,28 @@ class FundWeight:
 
     @property
     def citation_key(self) -> str:
+        if self.tag not in ("adjoint_short_root", "g2_omega2"):
+            raise TraceError(f"unknown leaf tag {self.tag!r}")
         return self.tag
 
     def params(self, rs: RootSystem, lam: Weight, twist: int):
         return {"node": self.node, "ell": self.ell, "test": self.tag}
 
     def replay(self, rs: RootSystem, lam: Weight, twist: int):
+        # the tag is checked first, so a malformed leaf raises whatever
+        # the weight is
+        tag = self.citation_key
         if not 1 <= self.node <= rs.rank:
             raise TraceError(f"node {self.node} out of range for {rs.name}")
         if lam != rs.fundamental(self.node):
             return False, None
-        if self.tag == "adjoint_short_root":
+        if tag == "adjoint_short_root":
             ok = (lam == rs.alpha0_weight
                   and adjoint_short_reducible_at(rs, self.ell, twist))
             return ok, None
-        if self.tag == "g2_omega2":
-            ok = (rs.kind == "G" and self.node == 2
-                  and g2_omega2_reducible_at(self.ell, twist))
-            return ok, None
-        raise TraceError(f"unknown leaf tag {self.tag!r}")
+        ok = (rs.kind == "G" and self.node == 2
+              and g2_omega2_reducible_at(self.ell, twist))
+        return ok, None
 
 
 @dataclass(frozen=True)

@@ -263,6 +263,12 @@ def qbinom(n: int, m: int) -> LaurentPoly:
 
     n may be any integer; m must be nonnegative.  The quotient is always
     exact; an inexact division here is an internal bug.
+
+    With m replaced by min(m, n-m) and x = q^2, the value is
+    q^(-m(n-m)) times the product over k = 1..m of
+    (x^(n-m+k) - 1) / (x^k - 1), built one factor at a time: each step is
+    one multiplication by a binomial and one exact running-sum division, so
+    the work is a loop, not a recursion m frames deep.
     """
     if not isinstance(m, int) or m < 0:
         raise ValueError("lower index of qbinom must be a nonnegative int")
@@ -274,10 +280,23 @@ def qbinom(n: int, m: int) -> LaurentPoly:
         return -flipped if m % 2 else flipped
     if n < m:
         return ZERO  # numerator contains [0]
-    try:
-        return (qbinom(n - 1, m - 1) * qint(n)).exact_div(qint(m))
-    except ExactDivisionError as exc:  # pragma: no cover - bug trap
-        raise InternalCheckError(f"qbinom({n}, {m}) division inexact") from exc
+    m = min(m, n - m)
+    rest = n - m
+    coeffs = [1]  # ascending in x; the partial product for k - 1
+    for k in range(1, m + 1):
+        up = rest + k
+        # multiply by x^up - 1
+        prod = [-c for c in coeffs] + [0] * up
+        prod[up:] = [a + c for a, c in zip(prod[up:], coeffs)]
+        # divide by x^k - 1: quot[j] = prod[j + k] + quot[j + k], from the top
+        quot = prod[k:]
+        for j in range(len(quot) - 1 - k, -1, -1):
+            quot[j] += quot[j + k]
+        if any(prod[j] + quot[j] for j in range(k)):
+            raise InternalCheckError(f"qbinom({n}, {m}) division inexact")
+        coeffs = quot
+    low = -m * rest
+    return LaurentPoly({low + 2 * j: c for j, c in enumerate(coeffs) if c})
 
 
 def _divisors(n: int) -> list[int]:
@@ -292,6 +311,7 @@ def _divisors(n: int) -> list[int]:
     return small + large[::-1]
 
 
+@lru_cache(maxsize=None)
 def euler_phi(n: int) -> int:
     """Euler totient by trial division."""
     if not isinstance(n, int) or n < 1:
@@ -320,15 +340,15 @@ def _dense_exact_div(num: list[int], den: tuple[int, ...]) -> list[int]:
         return [0]
     if sn < dn:
         raise ExactDivisionError("numerator degree too small")
+    terms = [(idx, dc) for idx, dc in enumerate(den) if dc]
     rem = num[: sn + 1]
     quot = [0] * (sn - dn + 1)
     for k in range(sn - dn, -1, -1):
         c = rem[k + dn]
         if c:
             quot[k] = c
-            for idx in range(dn + 1):
-                if den[idx]:
-                    rem[k + idx] -= c * den[idx]
+            for idx, dc in terms:
+                rem[k + idx] -= c * dc
     if any(rem):
         raise ExactDivisionError("division left a remainder")
     return quot
@@ -366,6 +386,10 @@ class SpecOrder:
 
     d covers the squared-length twists of simple roots, so it stays in
     {1, 2, 3}.
+
+    effective_order (the multiplicative order of zeta^d) and s (its
+    s_value) are computed once here, as plain attributes outside the
+    dataclass fields, so equality, hashing and repr see only ell and d.
     """
 
     ell: int
@@ -376,40 +400,49 @@ class SpecOrder:
             raise ValueError("ell: must be a positive integer")
         if self.d not in (1, 2, 3):
             raise ValueError("d: must be 1, 2 or 3")
-
-    @property
-    def effective_order(self) -> int:
-        """Multiplicative order of zeta^d."""
-        return self.ell // math.gcd(self.ell, self.d)
-
-    @property
-    def s(self) -> int:
-        return s_value(self.effective_order)
+        e = self.ell // math.gcd(self.ell, self.d)
+        object.__setattr__(self, "effective_order", e)
+        object.__setattr__(self, "s", s_value(e))
 
 
 def vanishes_at(p: LaurentPoly, spec: SpecOrder) -> bool:
     """Exact test of p(zeta^d) = 0.
 
-    Exponents are folded modulo the effective order e (reduction modulo
-    q^e - 1, which does not move roots of unity of order e), then the folded
-    remainder is tested for exact divisibility by cyclotomic(e).  At e = 1, 2
-    this amounts to evaluation at +-1.
+    First p is multiplied by q^(-valuation), which does not move its zeros
+    at roots of unity, so its exponents run from 0 to the span.  Then the
+    exponents are folded modulo the effective order e (reduction modulo
+    q^e - 1, which does not move roots of unity of order e); a span below e
+    leaves nothing to fold, and the shifted coefficients are the folded
+    remainder with the span as its degree.  A remainder of degree below
+    phi(e) = deg cyclotomic(e) cannot vanish, so that case returns False
+    without building cyclotomic(e); otherwise the remainder is tested for
+    exact divisibility by cyclotomic(e).  At e = 1, 2 this amounts to
+    evaluation at +-1.
     """
     if not isinstance(p, LaurentPoly):
         raise TypeError("vanishes_at expects a LaurentPoly")
     if p.is_zero:
         return True
     e = spec.effective_order
-    folded = [0] * e
-    for exp, c in p._terms.items():
-        folded[exp % e] += c
-    deg = -1
-    for idx in range(e - 1, -1, -1):
-        if folded[idx]:
-            deg = idx
-            break
-    if deg < 0:
-        return True
+    terms = p._terms
+    low = min(terms)
+    span = max(terms) - low
+    if span < e:
+        folded = [0] * (span + 1)
+        for exp, c in terms.items():
+            folded[exp - low] = c
+        deg = span
+    else:
+        folded = [0] * e
+        for exp, c in terms.items():
+            folded[(exp - low) % e] += c
+        deg = -1
+        for idx in range(e - 1, -1, -1):
+            if folded[idx]:
+                deg = idx
+                break
+        if deg < 0:
+            return True
     if euler_phi(e) > deg:
         return False
     try:

@@ -235,6 +235,15 @@ class TestVerifyWitness:
             verify_witness(a2, (2, 0), (Sl2Node(5, 4),))
         with pytest.raises(TraceError):
             verify_witness(a2, (2, 0), (Sl2Node(1, 0),))
+        # an unknown leaf tag is malformed whatever the weight: (0, 1) is
+        # not w1, yet the tag is checked first
+        bogus = (FundWeight(1, 3, "bogus"),)
+        with pytest.raises(TraceError):
+            trace_citations(bogus)
+        with pytest.raises(TraceError):
+            trace_json(a2, (0, 1), bogus)
+        with pytest.raises(TraceError):
+            verify_witness(a2, (0, 1), bogus)
 
 
 class TestClassifyGlobal:

@@ -14,6 +14,10 @@ from weylirr.cli import main
 # construction that enumerated every positive root
 GOLDEN = json.loads(
     (Path(__file__).parent / "golden" / "classify_cli.json").read_text())
+# determinant tables, the E8 certificate and the two order-60 checks,
+# recorded before the vanishing test shifted by the valuation
+ARITH_GOLDEN = json.loads(
+    (Path(__file__).parent / "golden" / "arith_cli.json").read_text())
 
 
 def run(capsys, *argv):
@@ -88,6 +92,13 @@ class TestGolden:
     @pytest.mark.parametrize("case", GOLDEN,
                              ids=[" ".join(c["argv"][2:]) for c in GOLDEN])
     def test_large_systems_match_golden_output(self, capsys, case):
+        code, out, _ = run(capsys, *case["argv"])
+        assert code == case["exit"]
+        assert out == case["stdout"]
+
+    @pytest.mark.parametrize("case", ARITH_GOLDEN,
+                             ids=[" ".join(c["argv"]) for c in ARITH_GOLDEN])
+    def test_arithmetic_commands_match_golden_output(self, capsys, case):
         code, out, _ = run(capsys, *case["argv"])
         assert code == case["exit"]
         assert out == case["stdout"]
@@ -184,6 +195,15 @@ class TestSl2AndQbinom:
         _, out, _ = run(capsys, "qbinom", "--n", "4", "--m", "2",
                         "--ell", "2", "--json")
         assert json.loads(out)["vanishes"] is False
+
+    def test_qbinom_deep_lower_index(self, capsys):
+        # m = 500 once overflowed the recursion limit
+        code, out, err = run(capsys, "qbinom", "--n", "600", "--m", "500",
+                             "--json")
+        assert code == 0 and err == ""
+        value = json.loads(out)["value"]
+        assert value.startswith("q^50000 + q^49998 + ")
+        assert value.endswith(" + q^-49998 + q^-50000")
 
     def test_qbinom_large_n_needs_ell(self, capsys):
         code, _, err = run(capsys, "qbinom", "--n", "100000", "--m", "2")

@@ -1,5 +1,6 @@
 """Exact-arithmetic layer: frozen values, ring laws, vanishing rules."""
 
+import dataclasses
 import math
 from fractions import Fraction
 
@@ -151,6 +152,28 @@ class TestQuantumIntegers:
         with pytest.raises(ValueError):
             qbinom(4, -1)
 
+    def test_qbinom_matches_the_pascal_recursion(self):
+        # the recursion [n, m] = [n-1, m-1][n] / [m], tabulated row by row
+        table = {(0, 0): ONE}
+        for n in range(1, 41):
+            table[n, 0] = ONE
+            for m in range(1, n + 1):
+                table[n, m] = (table.get((n - 1, m - 1), ZERO)
+                               * qint(n)).exact_div(qint(m))
+        for (n, m), value in table.items():
+            assert qbinom(n, m) == value
+            assert qbinom(-n + m - 1, m) == (-value if m % 2 else value)
+
+    def test_qbinom_deep_lower_index(self):
+        value = qbinom(600, 500)
+        assert value.degree == 50000 and value.valuation == -50000
+        assert value.bar() == value
+        assert value.evaluate(1) == math.comb(600, 500)
+        # the top coefficients count partitions of 0, 1, 2, 3, 4
+        terms = value.terms()
+        assert [terms.get(50000 - j) for j in range(9)] == [
+            1, None, 1, None, 2, None, 3, None, 5]
+
     @given(st.integers(-25, 25), st.integers(0, 6), points)
     def test_qbinom_against_product_formula(self, n, m, x):
         # [n choose m] * [m]! == [n][n-1]...[n-m+1], checked at a generic
@@ -211,6 +234,65 @@ class TestVanishing:
         assert vanishes_at(ZERO, SpecOrder(7))
         assert not vanishes_at(LaurentPoly({0: 5}), SpecOrder(7))
 
+    def test_spec_order_is_a_frozen_value(self):
+        spec = SpecOrder(6, 2)
+        assert repr(spec) == "SpecOrder(ell=6, d=2)"
+        assert spec == SpecOrder(6, 2) and spec != SpecOrder(6, 1)
+        assert hash(spec) == hash(SpecOrder(6, 2))
+        assert SpecOrder(5) == SpecOrder(5, 1)
+        assert len({SpecOrder(6, 2), SpecOrder(6, 2), SpecOrder(6)}) == 2
+        assert [f.name for f in dataclasses.fields(spec)] == ["ell", "d"]
+        for name, value in (("ell", 7), ("d", 1), ("s", 2),
+                            ("effective_order", 2)):
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(spec, name, value)
+        assert (spec.ell, spec.d, spec.effective_order, spec.s) == (6, 2, 3, 3)
+
+    def test_spec_order_derived_values(self):
+        for ell in range(1, 301):
+            for d in (1, 2, 3):
+                spec = SpecOrder(ell, d)
+                assert spec.effective_order == ell // math.gcd(ell, d)
+                assert spec.s == s_value(spec.effective_order)
+
+    @settings(max_examples=300)
+    @given(st.dictionaries(st.integers(0, 30), st.integers(-4, 4),
+                           max_size=8),
+           st.integers(1, 40), st.sampled_from([1, 2, 3]),
+           st.integers(0, 2), st.integers(-70, 10))
+    def test_vanishes_at_matches_unshifted_fold(self, base, ell, d, power,
+                                                shift):
+        # power > 0 plants a zero; the shift reaches negative valuations
+        # and spans on both sides of the effective order
+        spec = SpecOrder(ell, d)
+        e = spec.effective_order
+        p = (LaurentPoly(base) * cyclotomic(e) ** power).shift(shift)
+        assert vanishes_at(p, spec) == _vanishes_reference(p, e)
+
+    def test_vanishes_at_both_sides_of_the_order(self):
+        phi12 = cyclotomic(12)  # span 4
+        for shift in (-9, -4, 0, 5):
+            for spec, want in ((SpecOrder(12), True), (SpecOrder(24, 2), True),
+                               (SpecOrder(5), False), (SpecOrder(3), False)):
+                p = phi12.shift(shift)
+                assert vanishes_at(p, spec) is want
+                assert _vanishes_reference(p, spec.effective_order) is want
+        # spans of at least e fold: q^-7(q^13 + q - 1) folds to 2q - 1
+        assert not vanishes_at(LaurentPoly({6: 1, -6: 1, -7: -1}),
+                               SpecOrder(12))
+        # q^-6(q^12 - 1) and q^-18(q^13 - 1) fold to zero
+        assert vanishes_at(LaurentPoly({6: 1, -6: -1}), SpecOrder(12))
+        assert vanishes_at(LaurentPoly({-5: 1, -18: -1}), SpecOrder(13))
+
+    def test_e8_determinant_vanishes_only_at_sixty(self):
+        # det(D_E8) = [2][8] - [3][5] runs from q^-8 to q^8
+        det = qint(2) * qint(8) - qint(3) * qint(5)
+        assert (det.valuation, det.degree) == (-8, 8)
+        assert [ell for ell in range(1, 1001)
+                if vanishes_at(det, SpecOrder(ell))] == [60]
+        assert _vanishes_reference(det, 60)
+        assert not _vanishes_reference(det, 30)
+
     def test_qint_zero_vanishes_everywhere(self):
         for ell in (1, 2, 3, 10):
             assert qint_vanishes_fast(0, SpecOrder(ell))
@@ -231,3 +313,16 @@ class TestVanishing:
     def test_qbinom_fast_bad_lower_index(self):
         with pytest.raises(ValueError):
             qbinom_vanishes_fast(4, -2, SpecOrder(3))
+
+
+def _vanishes_reference(p, e):
+    """p vanishes at a primitive e-th root of unity: every exponent folded
+    modulo e with no shift, then divided by cyclotomic(e)."""
+    folded = LaurentPoly([(exp % e, c) for exp, c in p.terms().items()])
+    if folded.is_zero:
+        return True
+    try:
+        folded.exact_div(cyclotomic(e))
+    except ExactDivisionError:
+        return False
+    return True
