@@ -130,8 +130,14 @@ class EndNode:
 
     name = "end_node"
 
+    def _kind(self) -> str:
+        if self.case not in _ENDNODE_KIND:
+            raise TraceError(f"unknown end-node case {self.case!r}")
+        return _ENDNODE_KIND[self.case]
+
     @property
     def citation_key(self) -> str:
+        self._kind()
         return ("end_node_arith" if self.case in ("a", "b")
                 else "end_node_fact")
 
@@ -140,9 +146,7 @@ class EndNode:
                 "arithmetic_replayed": self.case in ("a", "b")}
 
     def replay(self, rs: RootSystem, lam: Weight, twist: int):
-        if self.case not in _ENDNODE_KIND:
-            raise TraceError(f"unknown end-node case {self.case!r}")
-        if (rs.kind != _ENDNODE_KIND[self.case] or rs.rank < 2
+        if (rs.kind != self._kind() or rs.rank < 2
                 or lam != _two_ends(rs)):
             return False, None
         if self.case == "a":
@@ -166,13 +170,16 @@ class EndNode:
         return self.ell == 4, None
 
 
+_LEAF_TAGS = ("adjoint_short_root", "g2_omega2")
+
+
 @dataclass(frozen=True)
 class FundWeight:
     """Leaf for a fundamental weight, settled by the named scalar test.
 
-    tag "adjoint_short_root": the weight is alpha0 and the short-root
-    determinant vanishes; tag "g2_omega2": the 14-dimensional module's
-    scalar vanishes.
+    The tag is one of _LEAF_TAGS.  "adjoint_short_root": the weight is
+    alpha0 and the short-root determinant vanishes; "g2_omega2": the
+    14-dimensional module's scalar vanishes.
     """
 
     node: int
@@ -183,7 +190,7 @@ class FundWeight:
 
     @property
     def citation_key(self) -> str:
-        if self.tag not in ("adjoint_short_root", "g2_omega2"):
+        if self.tag not in _LEAF_TAGS:
             raise TraceError(f"unknown leaf tag {self.tag!r}")
         return self.tag
 

@@ -36,8 +36,11 @@ from .weylmods import (
     sl2_irreducible,
 )
 
-# largest n for which the symbolic Gaussian binomial is expanded on demand
+# the symbolic Gaussian binomial is expanded on demand only for |n| up to
+# this limit and degree m(n - m) up to the next one; the expansion's work
+# grows like min(m, n - m) times its degree
 _QBINOM_SYMBOLIC_LIMIT = 2000
+_QBINOM_DEGREE_LIMIT = 100_000
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -218,7 +221,10 @@ def _cmd_qbinom(args) -> int:
     doc = {"input": {"command": "qbinom", "n": args.n, "m": args.m,
                      "ell": args.ell, "d": args.d}}
     lines = [f"n: {args.n}", f"m: {args.m}"]
-    small = abs(args.n) <= _QBINOM_SYMBOLIC_LIMIT
+    # [n choose m] = +-[-n+m-1 choose m] for negative n
+    top = args.n if args.n >= 0 else -args.n + args.m - 1
+    small = (abs(args.n) <= _QBINOM_SYMBOLIC_LIMIT
+             and args.m * (top - args.m) <= _QBINOM_DEGREE_LIMIT)
     if small:
         value = qbinom(args.n, args.m)
         doc["value"] = repr(value)
@@ -226,7 +232,8 @@ def _cmd_qbinom(args) -> int:
     elif args.ell is None:
         raise ValueError(
             f"n: symbolic expansion limited to |n| <= "
-            f"{_QBINOM_SYMBOLIC_LIMIT}; pass --ell for the vanishing test")
+            f"{_QBINOM_SYMBOLIC_LIMIT} and degree m(n - m) <= "
+            f"{_QBINOM_DEGREE_LIMIT}; pass --ell for the vanishing test")
     if args.ell is not None:
         spec = SpecOrder(args.ell, args.d)
         vanishes = qbinom_vanishes_fast(args.n, args.m, spec)

@@ -264,11 +264,10 @@ def qbinom(n: int, m: int) -> LaurentPoly:
     n may be any integer; m must be nonnegative.  The quotient is always
     exact; an inexact division here is an internal bug.
 
-    With m replaced by min(m, n-m) and x = q^2, the value is
-    q^(-m(n-m)) times the product over k = 1..m of
-    (x^(n-m+k) - 1) / (x^k - 1), built one factor at a time: each step is
-    one multiplication by a binomial and one exact running-sum division, so
-    the work is a loop, not a recursion m frames deep.
+    With k = min(m, n-m) and x = q^2, the value is q^(-k(n-k)) times the
+    product over j = 1..k of (x^(n-k+j) - 1) / (x^j - 1), built one factor
+    at a time: each step is one multiplication by a binomial and one exact
+    division, so the work is a loop, not a recursion m frames deep.
     """
     if not isinstance(m, int) or m < 0:
         raise ValueError("lower index of qbinom must be a nonnegative int")
@@ -280,23 +279,21 @@ def qbinom(n: int, m: int) -> LaurentPoly:
         return -flipped if m % 2 else flipped
     if n < m:
         return ZERO  # numerator contains [0]
-    m = min(m, n - m)
-    rest = n - m
-    coeffs = [1]  # ascending in x; the partial product for k - 1
-    for k in range(1, m + 1):
-        up = rest + k
+    k = min(m, n - m)
+    rest = n - k
+    coeffs = [1]  # ascending in x; the partial product for j - 1
+    for j in range(1, k + 1):
+        up = rest + j
         # multiply by x^up - 1
         prod = [-c for c in coeffs] + [0] * up
         prod[up:] = [a + c for a, c in zip(prod[up:], coeffs)]
-        # divide by x^k - 1: quot[j] = prod[j + k] + quot[j + k], from the top
-        quot = prod[k:]
-        for j in range(len(quot) - 1 - k, -1, -1):
-            quot[j] += quot[j + k]
-        if any(prod[j] + quot[j] for j in range(k)):
-            raise InternalCheckError(f"qbinom({n}, {m}) division inexact")
-        coeffs = quot
-    low = -m * rest
-    return LaurentPoly({low + 2 * j: c for j, c in enumerate(coeffs) if c})
+        try:
+            coeffs = _dense_exact_div(prod, (-1,) + (0,) * (j - 1) + (1,))
+        except ExactDivisionError as exc:
+            raise InternalCheckError(
+                f"qbinom({n}, {m}) division inexact") from exc
+    low = -k * rest
+    return LaurentPoly({low + 2 * i: c for i, c in enumerate(coeffs) if c})
 
 
 def _divisors(n: int) -> list[int]:
@@ -411,13 +408,13 @@ def vanishes_at(p: LaurentPoly, spec: SpecOrder) -> bool:
     First p is multiplied by q^(-valuation), which does not move its zeros
     at roots of unity, so its exponents run from 0 to the span.  Then the
     exponents are folded modulo the effective order e (reduction modulo
-    q^e - 1, which does not move roots of unity of order e); a span below e
-    leaves nothing to fold, and the shifted coefficients are the folded
-    remainder with the span as its degree.  A remainder of degree below
-    phi(e) = deg cyclotomic(e) cannot vanish, so that case returns False
-    without building cyclotomic(e); otherwise the remainder is tested for
-    exact divisibility by cyclotomic(e).  At e = 1, 2 this amounts to
-    evaluation at +-1.
+    q^e - 1, which does not move roots of unity of order e) into
+    min(span + 1, e) slots; a span below e leaves nothing to fold, and the
+    degree scan stops at once on the nonzero top coefficient.  A remainder
+    of degree below phi(e) = deg cyclotomic(e) cannot vanish, so that case
+    returns False without building cyclotomic(e); otherwise the remainder
+    is tested for exact divisibility by cyclotomic(e).  At e = 1, 2 this
+    amounts to evaluation at +-1.
     """
     if not isinstance(p, LaurentPoly):
         raise TypeError("vanishes_at expects a LaurentPoly")
@@ -426,23 +423,16 @@ def vanishes_at(p: LaurentPoly, spec: SpecOrder) -> bool:
     e = spec.effective_order
     terms = p._terms
     low = min(terms)
-    span = max(terms) - low
-    if span < e:
-        folded = [0] * (span + 1)
-        for exp, c in terms.items():
-            folded[exp - low] = c
-        deg = span
-    else:
-        folded = [0] * e
-        for exp, c in terms.items():
-            folded[(exp - low) % e] += c
-        deg = -1
-        for idx in range(e - 1, -1, -1):
-            if folded[idx]:
-                deg = idx
-                break
-        if deg < 0:
-            return True
+    folded = [0] * min(max(terms) - low + 1, e)
+    for exp, c in terms.items():
+        folded[(exp - low) % e] += c
+    deg = -1
+    for idx in range(len(folded) - 1, -1, -1):
+        if folded[idx]:
+            deg = idx
+            break
+    if deg < 0:
+        return True
     if euler_phi(e) > deg:
         return False
     try:

@@ -232,6 +232,10 @@ class TestVerifyWitness:
         with pytest.raises(TraceError):
             verify_witness(a2, (1, 1), (EndNode("z", 3),))
         with pytest.raises(TraceError):
+            trace_citations((EndNode("z", 4),))
+        with pytest.raises(TraceError):
+            trace_json(a2, (0, 1), (EndNode("z", 4),))
+        with pytest.raises(TraceError):
             verify_witness(a2, (2, 0), (Sl2Node(5, 4),))
         with pytest.raises(TraceError):
             verify_witness(a2, (2, 0), (Sl2Node(1, 0),))

@@ -213,6 +213,17 @@ class TestSl2AndQbinom:
         assert code == 0
         assert "vanishes" in json.loads(out)
 
+    @pytest.mark.parametrize("n,m", [(2000, 1000), (633, 317), (-3, 10**6)])
+    def test_qbinom_large_degree_needs_ell(self, capsys, n, m):
+        # degree m(n - m) above the symbolic limit; for negative n the
+        # degree is that of [-n+m-1 choose m]
+        code, _, err = run(capsys, "qbinom", "--n", str(n), "--m", str(m))
+        assert code == 2 and "n:" in err
+        code, out, _ = run(capsys, "qbinom", "--n", str(n), "--m", str(m),
+                           "--ell", "7", "--json")
+        doc = json.loads(out)
+        assert code == 0 and "value" not in doc and "vanishes" in doc
+
 
 class TestTables:
     def test_small_table(self, capsys):
