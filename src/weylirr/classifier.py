@@ -5,7 +5,11 @@ irreducible at every root of unity.  The negative answers come with a trace:
 a chain of reduction steps (rank-one restriction, descent to a subdiagram,
 an end-node wall-crossing fact, or a fundamental-weight leaf) ending at a
 concrete order.  verify_witness replays a trace from scratch, recomputing
-every restriction and every leaf condition.
+every restriction and every leaf condition.  A descent's replay reads the
+subdiagram decomposition that RootSystem.levi_subsystem keeps per node set
+(the one the search used, since the decomposition is deterministic) and
+still checks every recorded field against it: nodes, component, twist and
+restricted weight.
 
 Each step class carries its own description: its JSON `name`, its
 `citation_key` into CITATIONS, its JSON `params` and its `replay`.  The
@@ -96,13 +100,14 @@ class LeviDescent:
         if len(comps) != 1:
             return False, None
         comp = comps[0]
+        restricted = comp.restrict(lam)
         ok = (comp.nodes == tuple(self.nodes)
               and comp.system.name == self.component
               and comp.twist == self.twist
-              and comp.restrict(lam) == tuple(self.restricted))
+              and restricted == tuple(self.restricted))
         if not ok:
             return False, None
-        return True, (comp.system, comp.restrict(lam), self.inner,
+        return True, (comp.system, restricted, self.inner,
                       twist * comp.twist)
 
 

@@ -10,7 +10,13 @@ Cartan matrix, the symmetrizers, the minuscule nodes, and the highest short
 root with its weight and the Coxeter number.  The highest short root is
 found by a walk to dominance, not by enumerating roots.  The positive-root
 closure and the inverse Cartan matrix are computed on first use, by Weyl
-dimensions and dominance tests, and cached on the instance.
+dimensions and dominance tests, and cached on the instance.  The Cartan
+matrix is filled in from the edge list.
+
+levi_subsystem is a pure function of the system and a node set, so each
+instance keeps its answers in a memo keyed by the sorted node set; the
+search, the verdict's replay and the JSON replay of one descent then share
+one decomposition, as do later requests on the same built system.
 
 systems(max_rank) is the one list of systems up to a rank that the CLI
 table and the acceptance checks sweep.
@@ -123,6 +129,14 @@ class RootSystem:
 
     The slots are set by the constructor.  `positive_roots` and the inverse
     Cartan matrix are cached on first use, in the instance `__dict__`.
+
+    The `levi_subsystem` memo lives there too.  Its key is the sorted tuple
+    of distinct nodes, taken after the nodes are validated, and only
+    successful answers are stored.  It is unbounded, like `build`: it holds
+    one entry per node set ever asked for.  The classifier asks only for
+    fundamental-weight routes (at most n sets of a rank-n system) and for
+    diagram paths between two nodes (at most n^2), and the replays ask for
+    the same sets again; hand-built traces can add other sets.
     """
 
     __slots__ = (
@@ -154,19 +168,17 @@ class RootSystem:
     # -- construction -------------------------------------------------
 
     def _build_cartan(self):
+        # zero rows with 2 on the diagonal, then one entry per edge side
         n, d = self.rank, self.symm
-        rows = []
+        rows = [[0] * n for _ in range(n)]
         for i in range(n):
-            row = []
-            for j in range(n):
-                if i == j:
-                    row.append(2)
-                elif (j + 1) in self._neighbors[i + 1]:
-                    row.append(-(max(d[i], d[j]) // d[i]))
-                else:
-                    row.append(0)
-            rows.append(tuple(row))
-        return tuple(rows)
+            rows[i][i] = 2
+        for a, b in self.edges:
+            i, j = a - 1, b - 1
+            top = max(d[i], d[j])
+            rows[i][j] = -(top // d[i])
+            rows[j][i] = -(top // d[j])
+        return tuple(tuple(row) for row in rows)
 
     def root_pairing(self, coords, i: int) -> int:
         """<beta, alpha_i^vee> for beta given in simple-root coordinates."""
@@ -384,7 +396,12 @@ class RootSystem:
         return tuple(reversed(path))
 
     def levi_subsystem(self, J):
-        """Split the subdiagram on J into relabeled irreducible components."""
+        """Split the subdiagram on J into relabeled irreducible components.
+
+        The nodes are checked first, then the answer is looked up by the
+        sorted node set, so an order or a repeat in J does not matter and
+        each set is split (and each piece retyped) once per instance.
+        """
         J = list(J)
         if not J:
             raise ValueError("nodes: empty")
@@ -392,7 +409,20 @@ class RootSystem:
             if not isinstance(i, int) or not 1 <= i <= self.rank:
                 raise ValueError(
                     f"nodes: {i!r} is not a node of {self.name}")
-        nodes = sorted(set(J))
+        key = tuple(sorted({int(i) for i in J}))
+        comps = self._levi_memo.get(key)
+        if comps is None:
+            comps = self._levi_memo[key] = self._split(key)
+        return comps
+
+    @cached_property
+    def _levi_memo(self):
+        # node set -> levi_subsystem result; grows by one entry per set
+        return {}
+
+    def _split(self, nodes):
+        """Connected pieces of the sorted node tuple, each retyped."""
+        inside = set(nodes)
         seen = set()
         comps = []
         for start in nodes:
@@ -405,7 +435,7 @@ class RootSystem:
                 cur = stack.pop()
                 comp.append(cur)
                 for nb in self._neighbors[cur]:
-                    if nb in nodes and nb not in seen:
+                    if nb in inside and nb not in seen:
                         seen.add(nb)
                         stack.append(nb)
             comps.append(sorted(comp))

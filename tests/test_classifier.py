@@ -4,6 +4,8 @@ import dataclasses
 from functools import lru_cache
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from weylirr import rootsystem
 from weylirr.classifier import (
@@ -23,6 +25,56 @@ from weylirr.classifier import (
     witness_ell,
 )
 from weylirr.rootsystem import RootSystem, build, parse_type, parse_weight
+from weylirr.weylmods import sl2_maximal_vector_oracle
+
+SMALL = rootsystem.systems(8)
+
+
+@st.composite
+def weights(draw, top):
+    """A system of rank <= 8 and a dominant weight with coordinates <= top."""
+    rs = draw(st.sampled_from(SMALL))
+    lam = draw(st.lists(st.integers(0, top), min_size=rs.rank,
+                        max_size=rs.rank))
+    return rs, tuple(lam)
+
+
+def _levels(rs, lam, trace):
+    """(system, weight, twist, step) at each level of a chain trace."""
+    out = []
+    twist = 1
+    while True:
+        step, = trace
+        out.append((rs, lam, twist, step))
+        holds, recursion = step.replay(rs, lam, twist)
+        assert holds
+        if recursion is None:
+            return out
+        rs, lam, trace, twist = recursion
+
+
+def _with_step(trace, depth, new):
+    """trace with the step at the given depth replaced by new."""
+    step, = trace
+    if depth == 0:
+        return (new,)
+    return (dataclasses.replace(
+        step, inner=_with_step(step.inner, depth - 1, new)),)
+
+
+def _outcome(rs, lam, trace):
+    try:
+        return verify_witness(rs, lam, trace)
+    except TraceError as exc:
+        return f"TraceError: {exc}"
+
+
+def _fresh_outcome(rs, lam, trace):
+    """_outcome on a new instance whose Levi children are new as well, so
+    every decomposition memo starts empty."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(rootsystem, "build", lru_cache(maxsize=None)(RootSystem))
+        return _outcome(RootSystem(rs.kind, rs.rank), lam, trace)
 
 
 class TestFindWitness:
@@ -250,6 +302,53 @@ class TestVerifyWitness:
             verify_witness(a2, (0, 1), bogus)
 
 
+class TestReplayMutations:
+    @settings(max_examples=150, deadline=None)
+    @given(weights(top=1), st.data())
+    def test_descent_mutations(self, case, data):
+        rs, lam = case
+        trace = find_witness(rs, lam)
+        assume(trace is not None)
+        levels = _levels(rs, lam, trace)
+        depths = [k for k, level in enumerate(levels)
+                  if isinstance(level[3], LeviDescent)]
+        assume(depths)
+        depth = data.draw(st.sampled_from(depths))
+        sub_rs, _, _, step = levels[depth]
+        other = data.draw(st.sampled_from(
+            [s.name for s in SMALL if s.name != step.component]))
+        restricted = list(step.restricted)
+        restricted[data.draw(st.integers(0, len(restricted) - 1))] += 1
+        for bad in (dataclasses.replace(step, component=other),
+                    dataclasses.replace(step, twist=step.twist + 1),
+                    dataclasses.replace(step, restricted=tuple(restricted))):
+            assert not verify_witness(rs, lam, _with_step(trace, depth, bad))
+        nodes = step.nodes
+        k = data.draw(st.integers(0, len(nodes) - 1))
+        extra = data.draw(st.integers(0, sub_rs.rank + 1))
+        for changed in (nodes[:k] + nodes[k + 1:],
+                        nodes[:k] + (extra,) + nodes[k:]):
+            bad = _with_step(trace, depth,
+                             dataclasses.replace(step, nodes=changed))
+            assert _outcome(rs, lam, bad) == _fresh_outcome(rs, lam, bad)
+
+    @settings(max_examples=150, deadline=None)
+    @given(weights(top=4), st.sampled_from([-1, 1]))
+    def test_sl2_order_shift_matches_the_oracle(self, case, shift):
+        rs, lam = case
+        trace = find_witness(rs, lam)
+        assume(trace is not None)
+        levels = _levels(rs, lam, trace)
+        sub_rs, sub_lam, twist, leaf = levels[-1]
+        assume(isinstance(leaf, Sl2Node))
+        ell = leaf.ell + shift
+        c = sub_lam[leaf.node - 1]
+        d = sub_rs.symm[leaf.node - 1] * twist
+        bad = _with_step(trace, len(levels) - 1, Sl2Node(leaf.node, ell))
+        assert verify_witness(rs, lam, bad) is (
+            not sl2_maximal_vector_oracle(c, ell, d))
+
+
 class TestClassifyGlobal:
     def test_globally_irreducible_decisions(self):
         rs = build("E", 8)
@@ -352,3 +451,28 @@ class TestLaziness:
         for system in built:
             assert "positive_roots" not in vars(system), system.name
             assert "_inv_cartan" not in vars(system), system.name
+
+
+class TestDecompositionMemo:
+    def test_one_split_per_descent(self, monkeypatch):
+        # new instances throughout, as in TestLaziness; search, verdict
+        # replay and JSON replay of E7 w4 share three decompositions
+        monkeypatch.setattr(rootsystem, "build",
+                            lru_cache(maxsize=None)(RootSystem))
+        calls = []
+        split = RootSystem._split
+
+        def counting(self, nodes):
+            calls.append((self.name, nodes))
+            return split(self, nodes)
+
+        monkeypatch.setattr(RootSystem, "_split", counting)
+        e7 = RootSystem("E", 7)
+        lam = e7.fundamental(4)
+        for expected in ([("E7", (1, 2, 3, 4, 5, 6)),
+                          ("E6", (1, 2, 3, 4, 5)),
+                          ("D5", (2, 3, 4, 5))], []):
+            calls.clear()
+            decision = classify_global(e7, lam)
+            trace_json(e7, lam, decision.trace)
+            assert calls == expected

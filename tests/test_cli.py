@@ -18,6 +18,10 @@ GOLDEN = json.loads(
 # recorded before the vanishing test shifted by the valuation
 ARITH_GOLDEN = json.loads(
     (Path(__file__).parent / "golden" / "arith_cli.json").read_text())
+# classify and witness, text and --json, on traces with one to four Levi
+# descents, recorded before levi_subsystem kept its answers per node set
+DESCENT_GOLDEN = json.loads(
+    (Path(__file__).parent / "golden" / "descent_cli.json").read_text())
 
 
 def run(capsys, *argv):
@@ -99,6 +103,13 @@ class TestGolden:
     @pytest.mark.parametrize("case", ARITH_GOLDEN,
                              ids=[" ".join(c["argv"]) for c in ARITH_GOLDEN])
     def test_arithmetic_commands_match_golden_output(self, capsys, case):
+        code, out, _ = run(capsys, *case["argv"])
+        assert code == case["exit"]
+        assert out == case["stdout"]
+
+    @pytest.mark.parametrize("case", DESCENT_GOLDEN,
+                             ids=[" ".join(c["argv"]) for c in DESCENT_GOLDEN])
+    def test_descent_traces_match_golden_output(self, capsys, case):
         code, out, _ = run(capsys, *case["argv"])
         assert code == case["exit"]
         assert out == case["stdout"]

@@ -1,10 +1,15 @@
 """Root systems: construction, pairings, alcove arithmetic, Levi retyping."""
 
+import itertools
+import random
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from weylirr import rootsystem
 from weylirr.rootsystem import (
+    RootSystem,
     build,
     format_weight,
     parse_type,
@@ -75,6 +80,17 @@ class TestConstruction:
         assert sorted(d4.neighbors(2)) == [1, 3, 4]
         e8 = build("E", 8)
         assert sorted(e8.neighbors(4)) == [2, 3, 5]
+
+    def test_cartan_matches_the_dense_definition(self):
+        for rs in rootsystem.systems(24):
+            n, d = rs.rank, rs.symm
+            dense = tuple(
+                tuple(2 if i == j
+                      else -(max(d[i], d[j]) // d[i])
+                      if j + 1 in rs.neighbors(i + 1) else 0
+                      for j in range(n))
+                for i in range(n))
+            assert rs.cartan == dense, rs.name
 
     def test_rank_bounds(self):
         for kind, rank in [("A", 0), ("B", 1), ("C", 2), ("D", 3),
@@ -275,6 +291,55 @@ class TestLevi:
             a3.levi_subsystem([1, "x"])
         with pytest.raises(ValueError):
             a3.levi_subsystem([])
+
+    def test_memo_matches_a_fresh_instance_on_every_subset(self):
+        for rs in rootsystem.systems(6):
+            fresh = RootSystem(rs.kind, rs.rank)
+            nodes = range(1, rs.rank + 1)
+            for size in range(1, rs.rank + 1):
+                for J in itertools.combinations(nodes, size):
+                    warm = rs.levi_subsystem(J)
+                    assert warm == fresh.levi_subsystem(J), (rs.name, J)
+                    assert rs.levi_subsystem(J) is warm
+
+    def test_memo_ignores_order_and_repeats(self):
+        rng = random.Random(20160)
+        for rs in rootsystem.systems(24):
+            fresh = RootSystem(rs.kind, rs.rank)
+            for _ in range(12):
+                J = rng.sample(range(1, rs.rank + 1),
+                               rng.randint(1, rs.rank))
+                shuffled = rng.sample(J, len(J)) + rng.choices(J, k=2)
+                warm = rs.levi_subsystem(shuffled)
+                assert warm == fresh.levi_subsystem(sorted(J)), (rs.name, J)
+                assert rs.levi_subsystem(J) is warm
+                assert rs.levi_subsystem(reversed(J)) is warm
+
+    def test_memo_keeps_the_input_checks(self):
+        bad = ([0], [1, "x"], [], (1.0, 2), [5])
+
+        def messages(rs):
+            out = []
+            for J in bad:
+                with pytest.raises(ValueError) as info:
+                    rs.levi_subsystem(J)
+                out.append(str(info.value))
+            return out
+
+        cold = messages(RootSystem("A", 4))
+        a4 = RootSystem("A", 4)
+        for size in range(1, 5):
+            for J in itertools.combinations(range(1, 5), size):
+                a4.levi_subsystem(J)
+        assert messages(a4) == cold
+        assert cold[3] == "nodes: 1.0 is not a node of A4"
+        assert cold[4] == "nodes: 5 is not a node of A4"
+        # True == 1 passes the checks and hashes like 1; the memo entry
+        # it makes must still hold plain ints for the (1, 2) caller
+        b4 = RootSystem("B", 4)
+        b4.levi_subsystem((True, 2))
+        comp, = b4.levi_subsystem((1, 2))
+        assert [type(i) for i in comp.nodes] == [int, int]
 
     def test_tree_path(self):
         e8 = build("E", 8)
