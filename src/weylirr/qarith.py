@@ -4,6 +4,16 @@ Quantum integers, factorials and binomial coefficients live here, together
 with cyclotomic polynomials and exact vanishing tests at roots of unity.
 Everything runs on arbitrary-precision integers; there is no floating point
 and no numerical tolerance anywhere in this module.
+
+A polynomial is a valuation and a dense tuple of coefficients, and the
+ring operations work on whole slices of it.  vanishes_at decides whether p
+vanishes at a primitive e-th root of unity without building cyclotomic(e)
+and without dividing: it folds p modulo q^e - 1 and asks whether the folded
+coefficients, after one coset-sum step per prime factor of e but the
+largest, r, are periodic with period e/r.  This is the structure of
+vanishing sums of roots of unity (Lam and Leung, J. Algebra 224 (2000)).
+Since phi(e) >= sqrt(e/2), a polynomial of span s with 2 s^2 < e cannot
+vanish there, so e is factored only when it is at most 2 s^2 + 1.
 """
 
 from __future__ import annotations
@@ -12,6 +22,8 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from itertools import chain, repeat
+from operator import add, neg, sub
 
 
 class ExactDivisionError(ArithmeticError):
@@ -25,12 +37,17 @@ class InternalCheckError(RuntimeError):
 class LaurentPoly:
     """Immutable Laurent polynomial with integer coefficients.
 
-    Terms are stored sparsely as exponent -> nonzero coefficient.  Two
-    polynomials compare equal exactly when their term maps are equal, so
-    every constructor path normalizes by dropping zero coefficients.
+    Terms are stored densely: _low is the valuation and _coeffs the tuple
+    of coefficients of q^_low, q^(_low + 1), ..., with no zero at either
+    end; the zero polynomial is _low = 0, _coeffs = ().  Every result goes
+    through _canon, so two polynomials are equal exactly when these two
+    fields are, and the arithmetic works on whole slices of coefficients.
+    Storage is O(span), span = degree - valuation.  Every polynomial this
+    package builds (quantum integers and binomials, cyclotomic polynomials,
+    determinants, quotients) is dense within its span.
     """
 
-    __slots__ = ("_terms", "_hash")
+    __slots__ = ("_low", "_coeffs", "_hash")
 
     def __init__(self, terms=None):
         data: dict[int, int] = {}
@@ -44,42 +61,42 @@ class LaurentPoly:
                     data[exp] = c
                 elif exp in data:
                     del data[exp]
-        object.__setattr__(self, "_terms", data)
-        object.__setattr__(self, "_hash", None)
+        low = min(data, default=0)
+        coeffs = [0] * (max(data) - low + 1) if data else []
+        for exp, c in data.items():
+            coeffs[exp - low] = c
+        _fill(self, low, tuple(coeffs))
 
     def __setattr__(self, name, value):
         raise AttributeError("LaurentPoly is immutable")
 
-    @classmethod
-    def monomial(cls, exp: int, coeff: int = 1) -> "LaurentPoly":
-        return cls({exp: coeff})
-
     def terms(self) -> dict[int, int]:
-        """Copy of the exponent -> coefficient map."""
-        return dict(self._terms)
+        """Copy of the exponent -> nonzero coefficient map."""
+        low = self._low
+        return {low + i: c for i, c in enumerate(self._coeffs) if c}
 
     @property
     def is_zero(self) -> bool:
-        return not self._terms
+        return not self._coeffs
 
     def __bool__(self) -> bool:
-        return bool(self._terms)
+        return bool(self._coeffs)
 
     @property
     def degree(self) -> int:
-        if not self._terms:
+        if not self._coeffs:
             raise ValueError("zero polynomial has no degree")
-        return max(self._terms)
+        return self._low + len(self._coeffs) - 1
 
     @property
     def valuation(self) -> int:
-        if not self._terms:
+        if not self._coeffs:
             raise ValueError("zero polynomial has no valuation")
-        return min(self._terms)
+        return self._low
 
     def _coerce(self, other):
         if isinstance(other, int):
-            return LaurentPoly({0: other})
+            return _canon(0, (other,))
         if isinstance(other, LaurentPoly):
             return other
         return None
@@ -88,30 +105,38 @@ class LaurentPoly:
         other = self._coerce(other)
         if other is None:
             return NotImplemented
-        return self._terms == other._terms
+        return self._low == other._low and self._coeffs == other._coeffs
 
     def __hash__(self) -> int:
         h = self._hash
         if h is None:
-            h = hash(frozenset(self._terms.items()))
+            h = hash((self._low, self._coeffs))
             object.__setattr__(self, "_hash", h)
         return h
 
     def __neg__(self) -> "LaurentPoly":
-        return LaurentPoly({e: -c for e, c in self._terms.items()})
+        return _canon(self._low, tuple(map(neg, self._coeffs)))
+
+    def _combine(self, other, op) -> "LaurentPoly":
+        # self op other, for op = add or sub, on one aligned list
+        a, b = self._coeffs, other._coeffs
+        if not b:
+            return self
+        if not a:
+            return other if op is add else -other
+        low = min(self._low, other._low)
+        out = [0] * (max(self._low + len(a), other._low + len(b)) - low)
+        i = self._low - low
+        out[i:i + len(a)] = a
+        j = other._low - low
+        out[j:j + len(b)] = map(op, out[j:j + len(b)], b)
+        return _canon(low, out)
 
     def __add__(self, other) -> "LaurentPoly":
         other = self._coerce(other)
         if other is None:
             return NotImplemented
-        out = dict(self._terms)
-        for e, c in other._terms.items():
-            v = out.get(e, 0) + c
-            if v:
-                out[e] = v
-            elif e in out:
-                del out[e]
-        return LaurentPoly(out)
+        return self._combine(other, add)
 
     __radd__ = __add__
 
@@ -119,29 +144,30 @@ class LaurentPoly:
         other = self._coerce(other)
         if other is None:
             return NotImplemented
-        return self + (-other)
+        return self._combine(other, sub)
 
     def __rsub__(self, other) -> "LaurentPoly":
         other = self._coerce(other)
         if other is None:
             return NotImplemented
-        return other + (-self)
+        return other._combine(self, sub)
 
     def __mul__(self, other) -> "LaurentPoly":
         other = self._coerce(other)
         if other is None:
             return NotImplemented
-        if not self._terms or not other._terms:
+        a, b = self._coeffs, other._coeffs
+        if not a or not b:
             return ZERO
-        a, b = self._terms, other._terms
         if len(a) > len(b):
             a, b = b, a
-        out: dict[int, int] = {}
-        for e1, c1 in a.items():
-            for e2, c2 in b.items():
-                k = e1 + e2
-                out[k] = out.get(k, 0) + c1 * c2
-        return LaurentPoly(out)
+        nb = len(b)
+        out = [0] * (len(a) + nb - 1)
+        # one slice of b per nonzero coefficient of the shorter factor
+        for i, c in enumerate(a):
+            if c:
+                out[i:i + nb] = map(add, out[i:i + nb], map(c.__mul__, b))
+        return _canon(self._low + other._low, out)
 
     __rmul__ = __mul__
 
@@ -159,20 +185,22 @@ class LaurentPoly:
 
     def bar(self) -> "LaurentPoly":
         """Image under the involution q -> q^-1."""
-        return LaurentPoly({-e: c for e, c in self._terms.items()})
+        coeffs = self._coeffs
+        return _canon(1 - self._low - len(coeffs), coeffs[::-1])
 
     def shift(self, k: int) -> "LaurentPoly":
         """Multiply by q^k."""
-        return LaurentPoly({e + k: c for e, c in self._terms.items()})
+        return _canon(self._low + k, self._coeffs)
 
     def evaluate(self, x):
         """Exact value at a nonzero rational point."""
         x = Fraction(x)
-        if x == 0 and self._terms and min(self._terms) < 0:
+        if x == 0 and self._coeffs and self._low < 0:
             raise ZeroDivisionError("negative exponents at x = 0")
         total = Fraction(0)
-        for e, c in self._terms.items():
-            total += c * x ** e
+        for c in reversed(self._coeffs):
+            total = total * x + c
+        total *= x ** self._low
         return int(total) if total.denominator == 1 else total
 
     def exact_div(self, den) -> "LaurentPoly":
@@ -188,32 +216,26 @@ class LaurentPoly:
             raise ZeroDivisionError("division by the zero polynomial")
         if self.is_zero:
             return ZERO
-        sv, dv = self.valuation, den.valuation
-        sn = self.degree - sv
-        dn = den.degree - dv
-        if sn < dn:
+        dcf = den._coeffs
+        if len(self._coeffs) < len(dcf):
             raise ExactDivisionError("numerator degree too small")
-        num = [0] * (sn + 1)
-        for e, c in self._terms.items():
-            num[e - sv] = c
-        dcf = [0] * (dn + 1)
-        for e, c in den._terms.items():
-            dcf[e - dv] = c
-        lead = dcf[dn]
+        lead = dcf[-1]
         if lead not in (1, -1):
             raise ExactDivisionError("divisor leading coefficient must be +-1")
         # dividing by the monic lead * den gives lead * quotient
-        quot = _dense_exact_div(num, [c * lead for c in dcf])
-        offset = sv - dv
-        return LaurentPoly({k + offset: qc * lead
-                            for k, qc in enumerate(quot) if qc})
+        quot = _dense_exact_div(list(self._coeffs), [c * lead for c in dcf])
+        return _canon(self._low - den._low, [qc * lead for qc in quot])
 
     def __repr__(self) -> str:
-        if not self._terms:
+        if not self._coeffs:
             return "0"
         parts = []
-        for e in sorted(self._terms, reverse=True):
-            c = self._terms[e]
+        low, coeffs = self._low, self._coeffs
+        for i in range(len(coeffs) - 1, -1, -1):
+            c = coeffs[i]
+            if not c:
+                continue
+            e = low + i
             mag = abs(c)
             if e == 0:
                 body = str(mag)
@@ -229,6 +251,30 @@ class LaurentPoly:
     __str__ = __repr__
 
 
+def _fill(p: LaurentPoly, low: int, coeffs: tuple) -> None:
+    object.__setattr__(p, "_low", low)
+    object.__setattr__(p, "_coeffs", coeffs)
+    object.__setattr__(p, "_hash", None)
+
+
+def _canon(low: int, coeffs) -> LaurentPoly:
+    """The polynomial sum of coeffs[i] q^(low + i), in canonical form: the
+    zeros at both ends of coeffs are trimmed and low moves with them."""
+    end = len(coeffs)
+    while end and not coeffs[end - 1]:
+        end -= 1
+    if not end:
+        return ZERO
+    start = 0
+    while not coeffs[start]:
+        start += 1
+    if start or end < len(coeffs) or type(coeffs) is not tuple:
+        coeffs = tuple(coeffs[start:end])
+    p = object.__new__(LaurentPoly)
+    _fill(p, low + start, coeffs)
+    return p
+
+
 ZERO = LaurentPoly()
 ONE = LaurentPoly({0: 1})
 
@@ -242,7 +288,8 @@ def qint(i: int) -> LaurentPoly:
         return ZERO
     if i < 0:
         return -qint(-i)
-    return LaurentPoly({e: 1 for e in range(i - 1, -i, -2)})
+    # q^(i-1) + q^(i-3) + ... + q^(1-i): every second slot
+    return _canon(1 - i, (1, 0) * (i - 1) + (1,))
 
 
 _QFACT: list[LaurentPoly] = [ONE]
@@ -292,8 +339,10 @@ def qbinom(n: int, m: int) -> LaurentPoly:
         except ExactDivisionError as exc:
             raise InternalCheckError(
                 f"qbinom({n}, {m}) division inexact") from exc
-    low = -k * rest
-    return LaurentPoly({low + 2 * i: c for i, c in enumerate(coeffs) if c})
+    # back from x to q: the coefficients fill every second slot
+    dense = [0] * (2 * len(coeffs) - 1)
+    dense[::2] = coeffs
+    return _canon(-k * rest, dense)
 
 
 def _divisors(n: int) -> list[int]:
@@ -309,21 +358,28 @@ def _divisors(n: int) -> list[int]:
 
 
 @lru_cache(maxsize=None)
+def _prime_factors(n: int) -> tuple[int, ...]:
+    """Distinct prime factors of n >= 1, increasing, by trial division."""
+    primes = []
+    p = 2
+    while p * p <= n:
+        if n % p == 0:
+            primes.append(p)
+            while n % p == 0:
+                n //= p
+        p += 1
+    if n > 1:
+        primes.append(n)
+    return tuple(primes)
+
+
 def euler_phi(n: int) -> int:
-    """Euler totient by trial division."""
+    """Euler totient, from the prime factors of n."""
     if not isinstance(n, int) or n < 1:
         raise ValueError("totient needs a positive int")
     result = n
-    m = n
-    p = 2
-    while p * p <= m:
-        if m % p == 0:
-            result -= result // p
-            while m % p == 0:
-                m //= p
-        p += 1
-    if m > 1:
-        result -= result // m
+    for p in _prime_factors(n):
+        result -= result // p
     return result
 
 
@@ -367,7 +423,7 @@ def cyclotomic(ell: int) -> LaurentPoly:
     """The ell-th cyclotomic polynomial; cyclotomic(1) = q - 1."""
     if not isinstance(ell, int) or ell < 1:
         raise ValueError("cyclotomic index must be a positive int")
-    return LaurentPoly({e: c for e, c in enumerate(_cyclo_coeffs(ell)) if c})
+    return _canon(0, _cyclo_coeffs(ell))
 
 
 def s_value(j: int) -> int:
@@ -402,44 +458,73 @@ class SpecOrder:
         object.__setattr__(self, "s", s_value(e))
 
 
-def vanishes_at(p: LaurentPoly, spec: SpecOrder) -> bool:
-    """Exact test of p(zeta^d) = 0.
+def _fold(coeffs, e: int) -> list[int]:
+    """The sums of coeffs over the residue classes mod e: length e."""
+    n = len(coeffs)
+    if n <= e:
+        return [*coeffs, *repeat(0, e - n)]
+    if e * e <= n:
+        return [sum(coeffs[i::e]) for i in range(e)]
+    # rows of length e, transposed and summed, with no Python-level loop
+    rows = zip(*[chain(coeffs, repeat(0, -n % e))] * e)
+    return list(map(sum, zip(*rows)))
 
-    First p is multiplied by q^(-valuation), which does not move its zeros
-    at roots of unity, so its exponents run from 0 to the span.  Then the
-    exponents are folded modulo the effective order e (reduction modulo
-    q^e - 1, which does not move roots of unity of order e) into
-    min(span + 1, e) slots; a span below e leaves nothing to fold, and the
-    degree scan stops at once on the nonzero top coefficient.  A remainder
-    of degree below phi(e) = deg cyclotomic(e) cannot vanish, so that case
-    returns False without building cyclotomic(e); otherwise the remainder
-    is tested for exact divisibility by cyclotomic(e).  At e = 1, 2 this
-    amounts to evaluation at +-1.
+
+def vanishes_at(p: LaurentPoly, spec: SpecOrder) -> bool:
+    """Exact test of p(zeta^d) = 0, without cyclotomic(e) or any division.
+
+    Let e be the effective order, so z = zeta^d is a primitive e-th root
+    of unity.  Multiplying by q^(-valuation) moves no zero of p on the
+    unit circle, so p is read as its coefficient tuple c_0, ..., c_span.
+
+    Degree exits.  cyclotomic(e), the minimal polynomial of z, has degree
+    phi(e) >= sqrt(e/2), and no nonzero polynomial of lower degree
+    vanishes at z.  So 2 span^2 < e returns False before e is factored;
+    past that exit e <= 2 span^2 + 1, and factoring e by trial division
+    takes O(span) steps.  Then span < e and span < phi(e) returns False.
+
+    Fold.  Reducing modulo q^e - 1 moves no e-th root of unity, so p(z^k)
+    = F(k) = sum_i f[i] z^(ki) for every k, where f[i] is the sum of the
+    c_j with j = i mod e.  _fold takes at most about sqrt(span) Python
+    steps: sum(c[i::e]) for each i when e^2 <= span + 1, else the rows of
+    length e transposed by zip and summed, all at C level.
+
+    Periodicity.  The conjugates of z are the z^k with k prime to e and p
+    has integer coefficients, so p(z) = 0 iff F(k) = 0 for every k prime
+    to e.  The character i -> z^(ki) has order e exactly when it is
+    nontrivial on the subgroup H_t = <e/t> of order t for every prime
+    t | e, that is when no such t divides k.  A function g on Z/e has
+    period e/t, g[e/t:] == g[:-e/t], exactly when its transform G(k) is 0
+    for every k with t not dividing k.  Let r be the largest prime factor
+    of e and m = e/r.  If e is a prime power r^a, then f has period m iff
+    F vanishes at every k prime to e: this says that cyclotomic(e)(q) =
+    cyclotomic(r)(q^m) divides f.  Otherwise, for each other prime t | e,
+    f becomes t*f minus its H_t-coset sums (tiled back to length e),
+    whose transform is t*F(k) where t does not divide k and 0 where it
+    does.  After these steps G(k) = c*F(k) with c != 0 for every k prime
+    to e/r^a and G(k) = 0 for the other k, so G vanishes at every k
+    prime to r iff F vanishes at every k prime to e, and the period-m
+    test is exact.  At e = 1 the test is p(1) = sum(f) = 0.
     """
     if not isinstance(p, LaurentPoly):
         raise TypeError("vanishes_at expects a LaurentPoly")
-    if p.is_zero:
+    coeffs = p._coeffs
+    if not coeffs:
         return True
     e = spec.effective_order
-    terms = p._terms
-    low = min(terms)
-    folded = [0] * min(max(terms) - low + 1, e)
-    for exp, c in terms.items():
-        folded[(exp - low) % e] += c
-    deg = -1
-    for idx in range(len(folded) - 1, -1, -1):
-        if folded[idx]:
-            deg = idx
-            break
-    if deg < 0:
-        return True
-    if euler_phi(e) > deg:
+    n = len(coeffs)
+    span = n - 1
+    if 2 * span * span < e or (span < e and span < euler_phi(e)):
         return False
-    try:
-        _dense_exact_div(folded[: deg + 1], _cyclo_coeffs(e))
-        return True
-    except ExactDivisionError:
-        return False
+    if e == 1:
+        return sum(coeffs) == 0
+    f = _fold(coeffs, e)
+    *others, last = _prime_factors(e)
+    for t in others:
+        sums = _fold(f, e // t)  # the sums over the cosets of H_t
+        f = list(map(sub, map(t.__mul__, f), sums * t))
+    m = e // last
+    return f[m:] == f[:-m]
 
 
 def qint_vanishes_fast(i: int, spec: SpecOrder) -> bool:

@@ -101,10 +101,6 @@ class Root:
     def is_short(self) -> bool:
         return self.d == 1
 
-    @property
-    def length_class(self) -> str:
-        return "short" if self.d == 1 else "long"
-
 
 @dataclass(frozen=True)
 class LeviComponent:

@@ -66,40 +66,57 @@ def short_root_matrix(rs: RootSystem) -> ShortRootMatrix:
     return matrix
 
 
-def _det(entries) -> LaurentPoly:
-    """Exact determinant by memoized first-row expansion over column sets."""
-    n = len(entries)
-    if n == 0:
-        return ONE
-    memo = {}
-
-    def expand(row: int, colmask: int) -> LaurentPoly:
-        if row == n:
-            return ONE
-        cached = memo.get(colmask)
-        if cached is not None:
-            return cached
-        total = LaurentPoly()
-        sign = 1
-        for col in range(n):
-            bit = 1 << col
-            if not colmask & bit:
-                continue
-            entry = entries[row][col]
-            if entry:
-                sub = expand(row + 1, colmask & ~bit)
-                term = entry * sub
-                total = total + (term if sign > 0 else -term)
-            sign = -sign
-        memo[colmask] = total
-        return total
-
-    return expand(0, (1 << n) - 1)
-
-
 @lru_cache(maxsize=None)
 def det_short_matrix(rs: RootSystem) -> LaurentPoly:
-    return _det(short_root_matrix(rs).entries)
+    """Determinant of the short-root matrix, by pendant-node expansion.
+
+    The short simple nodes span a forest inside the Dynkin diagram: a
+    chain for B, C, F and G, the whole diagram for A, D and E.  The matrix
+    is [2] on the diagonal and 1 on each short-short edge.  Each tree is
+    rooted at its first node and walked children first, from an explicit
+    stack, so nothing recurses as deep as the rank.  For a node v let D(v)
+    be the determinant on the subtree under v and D'(v) the product of
+    D(c) over its children c, the same subtree without v.  Expanding along
+    the row and column of v gives
+
+        D(v) = [2] D'(v) - sum_c D'(c) prod_{c' != c} D(c'),
+
+    and the determinant is the product of D over the roots: O(rank)
+    polynomial operations and no division.
+    """
+    short = set(rs.short_simple_nodes)
+    two = qint(2)
+    det = ONE
+    seen = set()
+    full, minus = {}, {}  # D(v) and D'(v) for nodes whose parent is pending
+    for root in rs.short_simple_nodes:
+        if root in seen:
+            continue
+        seen.add(root)
+        order, children, stack = [], {}, [root]
+        while stack:
+            v = stack.pop()
+            order.append(v)
+            kids = [c for c in rs.neighbors(v) if c in short and c not in seen]
+            seen.update(kids)
+            children[v] = kids
+            stack.extend(kids)
+        for v in reversed(order):
+            below = [full.pop(c) for c in children[v]]
+            inner = [minus.pop(c) for c in children[v]]
+            prod = ONE
+            for d in below:
+                prod = prod * d
+            value = two * prod
+            for k, d_inner in enumerate(inner):
+                for j, d in enumerate(below):
+                    if j != k:
+                        d_inner = d_inner * d
+                value = value - d_inner
+            full[v], minus[v] = value, prod
+        det = det * full.pop(root)
+        del minus[root]
+    return det
 
 
 def closed_form_detD(rs: RootSystem) -> LaurentPoly:

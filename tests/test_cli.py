@@ -182,6 +182,39 @@ class TestDetShort:
         assert json.loads(out)["vanishes"] is True
 
 
+def run_bounded(seconds, *argv):
+    """A fresh `python -m weylirr` process, killed after `seconds`."""
+    return subprocess.run([sys.executable, "-m", "weylirr", *argv],
+                          capture_output=True, text=True, timeout=seconds)
+
+
+class TestBoundedTime:
+    # 10**18 + 3: the order must not be factored before the degree exit
+    @pytest.mark.parametrize("argv", [
+        ("det-short", "--type", "A2", "--ell", "1000000000000000003"),
+        ("qbinom", "--n", "30", "--m", "3", "--ell", "1000000000000000003"),
+    ])
+    def test_huge_order_in_five_seconds(self, argv):
+        proc = run_bounded(5, *argv)
+        assert proc.returncode == 0 and proc.stderr == ""
+        assert "vanishes: false" in proc.stdout
+
+    # each once ended in RecursionError: the determinant recursed per row
+    @pytest.mark.parametrize("argv", [
+        ("det-short", "--type", "C1000"),
+        ("classify", "--type", "C1000", "--weight", "w3"),
+        ("classify", "--type", "D1000", "--weight", "w3"),
+    ])
+    def test_rank_1000_in_ten_seconds(self, argv):
+        proc = run_bounded(10, *argv, "--json")
+        assert proc.returncode == 0 and proc.stderr == ""
+        doc = json.loads(proc.stdout)
+        if argv[0] == "det-short":
+            assert doc["det"].startswith("q^999 + q^997 + ")
+        else:
+            assert doc["decision"]["verdict"] == "reducible"
+
+
 class TestSl2AndQbinom:
     def test_sl2_spec_example(self, capsys):
         code, out, _ = run(capsys, "sl2", "--lambda", "2", "--ell", "4")

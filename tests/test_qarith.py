@@ -117,6 +117,56 @@ class TestLaurentPoly:
         assert (a * b).exact_div(b) == a
 
 
+class TestRepresentation:
+    """The dense form: one canonical (valuation, coefficients) pair."""
+
+    @given(polys)
+    def test_terms_round_trip(self, a):
+        assert LaurentPoly(a.terms()) == a
+        assert LaurentPoly(list(a.terms().items())) == a
+
+    @given(polys, polys)
+    def test_canonical_after_arithmetic(self, a, b):
+        for p in (a + b, a - b, a * b, -a, a.bar(), a.shift(-5), a ** 2):
+            assert 0 not in p.terms().values()
+            if p:
+                assert p._coeffs[0] and p._coeffs[-1]
+                assert p._low == p.valuation
+                assert len(p._coeffs) == p.degree - p.valuation + 1
+            assert hash(p) == hash(LaurentPoly(p.terms()))
+
+    @given(polys)
+    def test_zero_is_canonical(self, a):
+        z = a - a
+        assert (z._low, z._coeffs) == (ZERO._low, ZERO._coeffs) == (0, ())
+        assert z == ZERO and hash(z) == hash(ZERO) and repr(z) == "0"
+        assert z.terms() == {} and (a * z) == ZERO
+        assert ZERO.shift(7) == ZERO and (a + z) == a
+
+    def test_one_value_by_every_constructor(self):
+        # q^2 + 1 + q^-2 built seven ways
+        forms = [
+            LaurentPoly({2: 1, 0: 1, -2: 1}),
+            LaurentPoly([(-2, 1), (2, 1), (0, 2), (0, -1), (5, 0)]),
+            qint(2) * qint(2) - 1,
+            qint(3),
+            qbinom(3, 1),
+            LaurentPoly({0: 1, -2: 1, -4: 1}).shift(2),
+            qint(3).bar(),
+        ]
+        for p in forms:
+            assert p == forms[0] and hash(p) == hash(forms[0])
+            assert (p._low, p._coeffs) == (-2, (1, 0, 1, 0, 1))
+        assert len(set(forms)) == 1
+
+    def test_constructor_checks(self):
+        with pytest.raises(ValueError, match="must be ints"):
+            LaurentPoly({1.0: 1})
+        with pytest.raises(ValueError, match="must be ints"):
+            LaurentPoly([(1, "2")])
+        assert LaurentPoly([(3, 2), (3, -2)]) == ZERO
+
+
 class TestQuantumIntegers:
     def test_frozen_values(self):
         assert qint(0) == ZERO
@@ -292,6 +342,52 @@ class TestVanishing:
                 if vanishes_at(det, SpecOrder(ell))] == [60]
         assert _vanishes_reference(det, 60)
         assert not _vanishes_reference(det, 30)
+
+    @settings(max_examples=400, deadline=None)
+    @given(st.dictionaries(st.integers(0, 40), st.integers(-3, 3),
+                           max_size=8),
+           st.sampled_from([64, 81, 125, 30, 60, 210, 420, 2310])
+           | st.integers(1, 130),
+           st.sampled_from([1, 2, 3]), st.integers(0, 2),
+           st.integers(-300, 40), st.booleans())
+    def test_vanishes_at_matches_the_division_reference(
+            self, base, e, d, power, shift, periodic):
+        # prime powers, orders with two to four primes, orders far above
+        # the span, negative valuations and planted cyclotomic factors;
+        # ell = e * d has effective order e for every twist d
+        p = LaurentPoly(base)
+        if periodic:
+            # p (1 + q^e + q^2e) has the zeros of 3p at order e, with a
+            # span past e, so the fold has something to add up
+            p = sum((p.shift(k * e) for k in range(3)), ZERO)
+        p = (p * cyclotomic(e) ** (power if e < 500 else min(power, 1)))
+        p = p.shift(shift)
+        spec = SpecOrder(e * d, d)
+        assert spec.effective_order == e
+        assert vanishes_at(p, spec) == _vanishes_reference(p, e)
+
+    def test_vanishes_at_each_order_of_a_cyclotomic_product(self):
+        # cyclotomic(a) * cyclotomic(b) vanishes at orders a and b only
+        for a, b in ((64, 81), (30, 125), (60, 210), (4, 420), (2310, 1)):
+            p = (cyclotomic(a) * cyclotomic(b)).shift(-a)
+            for e in (1, 2, 4, 30, 60, 64, 81, 125, 210, 420, 2310):
+                assert vanishes_at(p, SpecOrder(e)) is (e in (a, b)), (a, b, e)
+
+    def test_degree_bound_exit_keeps_every_zero(self):
+        # span phi(e) meets the bound phi(e) >= sqrt(e/2) (equality at 2)
+        for e in range(1, 400):
+            phi = cyclotomic(e)
+            for spec in (SpecOrder(e), SpecOrder(2 * e, 2), SpecOrder(3 * e, 3)):
+                assert vanishes_at(phi.shift(-e), spec)
+            assert not vanishes_at(phi, SpecOrder(e + 1))
+
+    def test_huge_orders_return_at_once(self):
+        # factoring 10**18 + 3 by trial division would take minutes
+        big = 10 ** 18 + 3
+        assert not vanishes_at(qint(3), SpecOrder(big))
+        assert not vanishes_at(qbinom(30, 3), SpecOrder(big, 2))
+        assert not vanishes_at(LaurentPoly({0: 1, 10 ** 6: -1}),
+                               SpecOrder(big))
 
     def test_qint_zero_vanishes_everywhere(self):
         for ell in (1, 2, 3, 10):

@@ -1,9 +1,11 @@
 """Determinants, the rank-8 certificate, and rank-one criteria."""
 
+import sys
+
 import pytest
 
 from weylirr.qarith import LaurentPoly, ONE, qint, vanishes_at, SpecOrder
-from weylirr.rootsystem import build
+from weylirr.rootsystem import RootSystem, build, systems
 from weylirr.weylmods import (
     adjoint_short_reducible_at,
     closed_form_detD,
@@ -64,6 +66,21 @@ class TestDeterminants:
                 rs = build(kind, n)
                 assert det_short_matrix(rs) == closed_form_detD(rs), rs.name
 
+    def test_matches_the_laplace_reference(self):
+        for rs in systems(12):
+            assert (det_short_matrix(rs)
+                    == _laplace_det(short_root_matrix(rs).entries)), rs.name
+
+    def test_rank_1500_without_deep_recursion(self):
+        # a recursion as deep as the rank would overflow the default limit
+        limit = sys.getrecursionlimit()
+        sys.setrecursionlimit(1000)
+        try:
+            det = det_short_matrix(RootSystem("A", 1500))
+        finally:
+            sys.setrecursionlimit(limit)
+        assert det == qint(1501)
+
     def test_vanishing_orders(self):
         a4 = build("A", 4)
         assert adjoint_short_reducible_at(a4, 5)
@@ -81,6 +98,28 @@ class TestDeterminants:
         assert adjoint_short_reducible_at(build("E", 7), 4)
         assert adjoint_short_reducible_at(build("F", 4), 3)
         assert adjoint_short_reducible_at(build("G", 2), 4)
+
+
+def _laplace_det(entries):
+    """Reference determinant: first-row expansion, memoized on the set of
+    columns left; the recursion is as deep as the matrix size."""
+    n = len(entries)
+    memo = {}
+
+    def expand(row, cols):
+        if row == n:
+            return ONE
+        if cols not in memo:
+            total = LaurentPoly()
+            for k, col in enumerate(cols):
+                entry = entries[row][col]
+                if entry:
+                    term = entry * expand(row + 1, cols[:k] + cols[k + 1:])
+                    total = total + term if k % 2 == 0 else total - term
+            memo[cols] = total
+        return memo[cols]
+
+    return expand(0, tuple(range(n)))
 
 
 class TestE8Certificate:
