@@ -42,6 +42,10 @@ from .weylmods import (
 _QBINOM_SYMBOLIC_LIMIT = 2000
 _QBINOM_DEGREE_LIMIT = 100_000
 
+# table-theorem5-1 builds and expands the determinant of every system up to
+# --max-rank, so the work grows faster than the square of the bound
+_TABLE_MAX_RANK = 100
+
 
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
@@ -248,8 +252,9 @@ def _cmd_qbinom(args) -> int:
 
 
 def _cmd_table(args) -> int:
-    if args.max_rank < 1:
-        raise ValueError("max-rank: must be a positive integer")
+    if not 1 <= args.max_rank <= _TABLE_MAX_RANK:
+        raise ValueError(
+            f"max-rank: must be an integer from 1 to {_TABLE_MAX_RANK}")
     rows = []
     for rs in systems(args.max_rank):
         orders = [l for l in range(1, 61)

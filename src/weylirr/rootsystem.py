@@ -1,17 +1,22 @@
 """Finite irreducible root systems in Bourbaki numbering.
 
 Provides Cartan data and symmetrizers, the positive-root closure, the
-highest short root, dominance order, the single affine dot-reflection used
-by the classifier, Weyl dimensions, minuscule weights, and the
-decomposition of induced subdiagrams into relabeled irreducible pieces.
+highest short root, the single affine dot-reflection used by the
+classifier, Weyl dimensions, minuscule nodes, and the decomposition of
+induced subdiagrams into relabeled irreducible pieces.
+
+A system stores its Dynkin diagram as an edge list.  Every reader of the
+Cartan matrix needs only its diagonal, which is 2, and its entries on the
+edges, so those are kept as a bond dict with one entry per edge direction
+and read through cartan(i, j); a rank-n system holds O(n) data, never an
+n x n matrix.
 
 Construction computes only what the classifier reads: the diagram, the
-Cartan matrix, the symmetrizers, the minuscule nodes, and the highest short
-root with its weight and the Coxeter number.  The highest short root is
-found by a walk to dominance, not by enumerating roots.  The positive-root
-closure and the inverse Cartan matrix are computed on first use, by Weyl
-dimensions and dominance tests, and cached on the instance.  The Cartan
-matrix is filled in from the edge list.
+bonds, the symmetrizers, the minuscule nodes, and the highest short root
+with its weight and the Coxeter number.  The highest short root is found
+by a walk to dominance, not by enumerating roots.  The positive-root
+closure is computed on first use, by Weyl dimensions, and cached on the
+instance.
 
 levi_subsystem is a pure function of the system and a node set, so each
 instance keeps its answers in a memo keyed by the sorted node set; the
@@ -19,7 +24,8 @@ search, the verdict's replay and the JSON replay of one descent then share
 one decomposition, as do later requests on the same built system.
 
 systems(max_rank) is the one list of systems up to a rank that the CLI
-table and the acceptance checks sweep.
+table and the acceptance checks sweep.  parse_type, the reader of
+command-line types, refuses ranks above MAX_RANK.
 
 Weights are plain integer tuples in the fundamental-weight basis.  Roots
 carry their simple-root coordinates.  Short roots are normalized to squared
@@ -28,7 +34,6 @@ length 2, so in simply-laced systems every root counts as short.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
@@ -36,6 +41,10 @@ from functools import cached_property, lru_cache
 from .qarith import InternalCheckError
 
 Weight = tuple
+
+# parse_type refuses larger ranks: construction is linear in the rank, but
+# a classify or witness run on a rank-n system grows faster than that
+MAX_RANK = 3000
 
 _ADMISSIBLE = {
     "A": lambda n: n >= 1,
@@ -123,8 +132,11 @@ class LeviComponent:
 class RootSystem:
     """Immutable root-system data built by :func:`build`.
 
-    The slots are set by the constructor.  `positive_roots` and the inverse
-    Cartan matrix are cached on first use, in the instance `__dict__`.
+    The slots are set by the constructor.  `edges` lists the diagram's
+    edges as sorted 1-based node pairs, and `_bond[i, j]` holds the Cartan
+    entry a_ij = <alpha_j, alpha_i^vee> for both directions of each edge;
+    :meth:`cartan` reads any entry from them.  `positive_roots` is cached
+    on first use, in the instance `__dict__`.
 
     The `levi_subsystem` memo lives there too.  Its key is the sorted tuple
     of distinct nodes, taken after the nodes are validated, and only
@@ -136,7 +148,7 @@ class RootSystem:
     """
 
     __slots__ = (
-        "kind", "rank", "cartan", "symm", "edges",
+        "kind", "rank", "symm", "edges", "_bond",
         "alpha0", "alpha0_weight", "coxeter", "minuscule_nodes",
         "_neighbors", "__dict__",
     )
@@ -154,7 +166,11 @@ class RootSystem:
             nbrs[a].append(b)
             nbrs[b].append(a)
         self._neighbors = {i: tuple(sorted(v)) for i, v in nbrs.items()}
-        self.cartan = self._build_cartan()
+        self._bond = {}
+        for a, b in self.edges:
+            top = max(symm[a - 1], symm[b - 1])
+            self._bond[a, b] = -(top // symm[a - 1])
+            self._bond[b, a] = -(top // symm[b - 1])
         self.alpha0 = self._find_alpha0()
         self.alpha0_weight = self.omega_coords(self.alpha0)
         self.coxeter = 1 + sum(
@@ -163,24 +179,17 @@ class RootSystem:
 
     # -- construction -------------------------------------------------
 
-    def _build_cartan(self):
-        # zero rows with 2 on the diagonal, then one entry per edge side
-        n, d = self.rank, self.symm
-        rows = [[0] * n for _ in range(n)]
-        for i in range(n):
-            rows[i][i] = 2
-        for a, b in self.edges:
-            i, j = a - 1, b - 1
-            top = max(d[i], d[j])
-            rows[i][j] = -(top // d[i])
-            rows[j][i] = -(top // d[j])
-        return tuple(tuple(row) for row in rows)
+    def cartan(self, i: int, j: int) -> int:
+        """Cartan entry a_ij = <alpha_j, alpha_i^vee>, nodes 1-based."""
+        if i == j:
+            return 2
+        return self._bond.get((i, j), 0)
 
     def root_pairing(self, coords, i: int) -> int:
         """<beta, alpha_i^vee> for beta given in simple-root coordinates."""
-        row = self.cartan[i - 1]
+        bond = self._bond
         return 2 * coords[i - 1] + sum(
-            row[j - 1] * coords[j - 1] for j in self._neighbors[i])
+            bond[i, j] * coords[j - 1] for j in self._neighbors[i])
 
     def _root_norm(self, coords) -> int:
         """Squared length of a root, with short roots at 2."""
@@ -242,37 +251,6 @@ class RootSystem:
                 f"{self.name}: dominant root {coords} is not short")
         return Root(tuple(coords), 1)
 
-    @cached_property
-    def _inv_cartan(self):
-        n = self.rank
-        aug = [[Fraction(self.cartan[i][j]) for j in range(n)]
-               + [Fraction(int(i == j)) for j in range(n)] for i in range(n)]
-        for col in range(n):
-            piv = next(r for r in range(col, n) if aug[r][col])
-            aug[col], aug[piv] = aug[piv], aug[col]
-            inv = 1 / aug[col][col]
-            aug[col] = [x * inv for x in aug[col]]
-            for r in range(n):
-                if r != col and aug[r][col]:
-                    factor = aug[r][col]
-                    aug[r] = [x - factor * y for x, y in zip(aug[r], aug[col])]
-        return tuple(tuple(row[n:]) for row in aug)
-
-    def _dominant_weights_below(self, mu: Weight):
-        """Dominant nu with nu <= mu, by box enumeration of mu - nu."""
-        alpha_coords = [sum(self._inv_cartan[j][k] * mu[k]
-                            for k in range(self.rank))
-                        for j in range(self.rank)]
-        bounds = [int(u) for u in alpha_coords]
-        if any(u < 0 for u in alpha_coords):
-            return
-        for c in itertools.product(*(range(b + 1) for b in bounds)):
-            nu = tuple(
-                mu[i] - sum(self.cartan[i][j] * c[j] for j in range(self.rank))
-                for i in range(self.rank))
-            if all(x >= 0 for x in nu):
-                yield nu
-
     # -- basic data ----------------------------------------------------
 
     @property
@@ -293,9 +271,6 @@ class RootSystem:
             raise ValueError(f"node: index {i} out of range for {self.name}")
         return tuple(int(j == i - 1) for j in range(self.rank))
 
-    def rho(self) -> Weight:
-        return (1,) * self.rank
-
     def is_dominant(self, lam: Weight) -> bool:
         return len(lam) == self.rank and all(c >= 0 for c in lam)
 
@@ -308,7 +283,7 @@ class RootSystem:
         return tuple(i for i in range(1, self.rank + 1)
                      if self.symm[i - 1] == 1)
 
-    # -- pairings and order ---------------------------------------------
+    # -- pairings and alcoves ------------------------------------------
 
     def pairing(self, lam: Weight, root: Root) -> int:
         """<lam, root^vee>, always an integer."""
@@ -317,15 +292,6 @@ class RootSystem:
             raise InternalCheckError(
                 f"{self.name}: non-integral coroot pairing")
         return t // root.d
-
-    def dominance_leq(self, mu: Weight, lam: Weight) -> bool:
-        """True iff lam - mu is a nonnegative integer sum of simple roots."""
-        diff = [l - m for l, m in zip(lam, mu)]
-        for j in range(self.rank):
-            c = sum(self._inv_cartan[j][k] * diff[k] for k in range(self.rank))
-            if c < 0 or c.denominator != 1:
-                return False
-        return True
 
     def dot_reflect_alpha0(self, ell: int, lam: Weight) -> Weight:
         """Affine dot-reflection of lam in the wall <x+rho, alpha0^vee> = ell."""
@@ -364,11 +330,6 @@ class RootSystem:
         if sum(lam) == 1:
             return (lam.index(1) + 1) in self.minuscule_nodes
         return False
-
-    def minuscule_weights(self):
-        out = [self.zero_weight()]
-        out += [self.fundamental(i) for i in sorted(self.minuscule_nodes)]
-        return tuple(out)
 
     # -- subdiagrams -----------------------------------------------------
 
@@ -440,13 +401,14 @@ class RootSystem:
     def _retype(self, comp) -> LeviComponent:
         kind, ordered = self._identify(comp)
         child = build(kind, len(comp))
-        for a in range(len(comp)):
-            for b in range(len(comp)):
-                if (self.cartan[ordered[a] - 1][ordered[b] - 1]
-                        != child.cartan[a][b]):
-                    raise InternalCheckError(
-                        f"{self.name}: relabeled subdiagram {ordered} does "
-                        f"not match {child.name}")
+        # the piece's bonds in the child's numbering; diagonals are 2 on both
+        pos = {a: k for k, a in enumerate(ordered, 1)}
+        bonds = {(pos[a], pos[b]): self._bond[a, b]
+                 for a in ordered for b in self._neighbors[a] if b in pos}
+        if bonds != child._bond:
+            raise InternalCheckError(
+                f"{self.name}: relabeled subdiagram {ordered} does "
+                f"not match {child.name}")
         symms = [self.symm[a - 1] for a in ordered]
         if kind in ("A", "D", "E"):
             if len(set(symms)) != 1:
@@ -473,8 +435,7 @@ class RootSystem:
         for a in comp:
             for b in adj[a]:
                 if a < b:
-                    mult[(a, b)] = (self.cartan[a - 1][b - 1]
-                                    * self.cartan[b - 1][a - 1])
+                    mult[(a, b)] = self._bond[a, b] * self._bond[b, a]
         top = max(mult.values())
         if top == 3:
             if m != 2:
@@ -590,6 +551,9 @@ def parse_type(text: str, rank=None) -> RootSystem:
             raise ValueError(f"type: unknown root-system type {text!r}") from None
     if rank is None:
         raise ValueError(f"type: rank required with bare letter {text!r}")
+    if int(rank) > MAX_RANK:
+        raise ValueError(
+            f"rank: {t[0]}{rank} is above the rank limit {MAX_RANK}")
     try:
         return build(t[0], int(rank))
     except ValueError:

@@ -53,7 +53,7 @@ def short_root_matrix(rs: RootSystem) -> ShortRootMatrix:
         for j in nodes:
             if i == j:
                 row.append(two)
-            elif rs.cartan[j - 1][i - 1] == -1:
+            elif rs.cartan(j, i) == -1:
                 row.append(ONE)
             else:
                 row.append(LaurentPoly())

@@ -133,6 +133,10 @@ class TestInputErrors:
         (["endnodes", "--type", "E6"], "type"),
         (["verify-paper", "--only", "bogus-id"], "check"),
         (["witness", "--type", "A2", "--weight=-1,0"], "weight"),
+        (["classify", "--type", "A3001", "--weight", "w1"], "rank"),
+        (["classify", "--type", "A", "--rank", "1000000000", "--weight",
+          "w1"], "rank"),
+        (["table-theorem5-1", "--max-rank", "101"], "max-rank"),
     ])
     def test_exit_two_names_the_field(self, capsys, argv, field):
         code, out, err = run(capsys, *argv)
@@ -213,6 +217,13 @@ class TestBoundedTime:
             assert doc["det"].startswith("q^999 + q^997 + ")
         else:
             assert doc["decision"]["verdict"] == "reducible"
+
+    # the largest rank the CLI accepts
+    def test_rank_limit_in_ten_seconds(self):
+        proc = run_bounded(10, "witness", "--type", "D3000", "--weight",
+                           "w3", "--json")
+        assert proc.returncode == 0 and proc.stderr == ""
+        assert json.loads(proc.stdout)["decision"]["verdict"] == "reducible"
 
 
 class TestSl2AndQbinom:
