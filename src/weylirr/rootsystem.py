@@ -13,8 +13,8 @@ n x n matrix.
 
 Construction computes only what the classifier reads: the diagram, the
 bonds, the symmetrizers, the minuscule nodes, and the highest short root
-with its weight and the Coxeter number.  The highest short root is found
-by a walk to dominance, not by enumerating roots.  The positive-root
+with its weight.  The highest short root is found by a walk to dominance,
+not by enumerating roots.  The positive-root
 closure is computed on first use, by Weyl dimensions, and cached on the
 instance.
 
@@ -103,10 +103,6 @@ class Root:
     d: int
 
     @property
-    def height(self) -> int:
-        return sum(self.coords)
-
-    @property
     def is_short(self) -> bool:
         return self.d == 1
 
@@ -149,7 +145,7 @@ class RootSystem:
 
     __slots__ = (
         "kind", "rank", "symm", "edges", "_bond",
-        "alpha0", "alpha0_weight", "coxeter", "minuscule_nodes",
+        "alpha0", "alpha0_weight", "minuscule_nodes",
         "_neighbors", "__dict__",
     )
 
@@ -173,8 +169,6 @@ class RootSystem:
             self._bond[b, a] = -(top // symm[b - 1])
         self.alpha0 = self._find_alpha0()
         self.alpha0_weight = self.omega_coords(self.alpha0)
-        self.coxeter = 1 + sum(
-            b * d for b, d in zip(self.alpha0.coords, self.symm))
         self.minuscule_nodes = frozenset(_MINUSCULE_NODES[kind](rank))
 
     # -- construction -------------------------------------------------
