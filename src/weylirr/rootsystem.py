@@ -14,9 +14,8 @@ n x n matrix.
 Construction computes only what the classifier reads: the diagram, the
 bonds, the symmetrizers, the minuscule nodes, and the highest short root
 with its weight.  The highest short root is found by a walk to dominance,
-not by enumerating roots.  The positive-root
-closure is computed on first use, by Weyl dimensions, and cached on the
-instance.
+not by enumerating roots.  The positive-root closure is computed on first
+use, by Weyl dimensions, and cached on the instance.
 
 levi_subsystem is a pure function of the system and a node set, so each
 instance keeps its answers in a memo keyed by the sorted node set; the
