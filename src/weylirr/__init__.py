@@ -35,13 +35,11 @@ from .rootsystem import (
 )
 from .weylmods import (
     E8Certificate,
-    ShortRootMatrix,
     adjoint_short_reducible_at,
     closed_form_detD,
     det_short_matrix,
     e8_certificate,
     g2_omega2_reducible_at,
-    short_root_matrix,
     sl2_irreducible,
     sl2_maximal_vector_oracle,
 )
@@ -76,7 +74,6 @@ __all__ = [
     "LeviDescent",
     "Root",
     "RootSystem",
-    "ShortRootMatrix",
     "Sl2Node",
     "SpecOrder",
     "TraceError",
@@ -101,7 +98,6 @@ __all__ = [
     "qint",
     "qint_vanishes_fast",
     "s_value",
-    "short_root_matrix",
     "sl2_irreducible",
     "sl2_maximal_vector_oracle",
     "systems",

@@ -10,8 +10,8 @@ from __future__ import annotations
 import itertools
 import math
 import time
-from dataclasses import dataclass
 
+from ._record import Record
 from .qarith import (
     LaurentPoly,
     SpecOrder,
@@ -39,12 +39,14 @@ class CheckFailed(AssertionError):
     pass
 
 
-@dataclass(frozen=True)
-class CheckResult:
-    id: str
-    passed: bool
-    seconds: float
-    detail: str
+class CheckResult(Record):
+    __slots__ = _fields = ("id", "passed", "seconds", "detail")
+
+    def __init__(self, id: str, passed: bool, seconds: float, detail: str):
+        object.__setattr__(self, "id", id)
+        object.__setattr__(self, "passed", passed)
+        object.__setattr__(self, "seconds", seconds)
+        object.__setattr__(self, "detail", detail)
 
 
 def stated_reducibility_orders(rs, bound: int = 60):

@@ -23,8 +23,7 @@ the ambient system sees the quantum parameter raised to that power.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
+from ._record import Record
 from .qarith import InternalCheckError
 from .rootsystem import RootSystem, Weight, format_weight
 from .weylmods import (
@@ -42,12 +41,14 @@ class TraceError(ValueError):
 # recursion is (system, weight, inner trace, twist) for a descent step that
 # holds, else None.
 
-@dataclass(frozen=True)
-class Sl2Node:
+class Sl2Node(Record):
     """Leaf: the coordinate at `node` fails the rank-one criterion at ell."""
 
-    node: int
-    ell: int
+    __slots__ = _fields = ("node", "ell")
+
+    def __init__(self, node: int, ell: int):
+        object.__setattr__(self, "node", node)
+        object.__setattr__(self, "ell", ell)
 
     name = citation_key = "sl2_node"
 
@@ -67,8 +68,7 @@ class Sl2Node:
         return not sl2_irreducible(c, self.ell, d), None
 
 
-@dataclass(frozen=True)
-class LeviDescent:
+class LeviDescent(Record):
     """Restrict to the subdiagram `nodes` and continue with `inner`.
 
     nodes are ambient indices in the component's own Bourbaki order;
@@ -76,11 +76,16 @@ class LeviDescent:
     symmetrizer ratio relative to the system the step lives in.
     """
 
-    nodes: tuple
-    component: str
-    twist: int
-    restricted: tuple
-    inner: tuple
+    __slots__ = _fields = ("nodes", "component", "twist", "restricted",
+                           "inner")
+
+    def __init__(self, nodes: tuple, component: str, twist: int,
+                 restricted: tuple, inner: tuple):
+        object.__setattr__(self, "nodes", nodes)
+        object.__setattr__(self, "component", component)
+        object.__setattr__(self, "twist", twist)
+        object.__setattr__(self, "restricted", restricted)
+        object.__setattr__(self, "inner", inner)
 
     name = citation_key = "levi_descent"
 
@@ -120,8 +125,7 @@ def _two_ends(rs: RootSystem) -> Weight:
     return tuple(int(i in (0, rs.rank - 1)) for i in range(rs.rank))
 
 
-@dataclass(frozen=True)
-class EndNode:
+class EndNode(Record):
     """Leaf: two end-of-diagram coordinates, settled by wall-crossing.
 
     Cases: a = chain type A, b = odd orthogonal, c = symplectic,
@@ -130,8 +134,11 @@ class EndNode:
     known reducibility fact and are checked structurally.
     """
 
-    case: str
-    ell: int
+    __slots__ = _fields = ("case", "ell")
+
+    def __init__(self, case: str, ell: int):
+        object.__setattr__(self, "case", case)
+        object.__setattr__(self, "ell", ell)
 
     name = "end_node"
 
@@ -178,8 +185,7 @@ class EndNode:
 _LEAF_TAGS = ("adjoint_short_root", "g2_omega2")
 
 
-@dataclass(frozen=True)
-class FundWeight:
+class FundWeight(Record):
     """Leaf for a fundamental weight, settled by the named scalar test.
 
     The tag is one of _LEAF_TAGS.  "adjoint_short_root": the weight is
@@ -187,9 +193,12 @@ class FundWeight:
     14-dimensional module's scalar vanishes.
     """
 
-    node: int
-    ell: int
-    tag: str
+    __slots__ = _fields = ("node", "ell", "tag")
+
+    def __init__(self, node: int, ell: int, tag: str):
+        object.__setattr__(self, "node", node)
+        object.__setattr__(self, "ell", ell)
+        object.__setattr__(self, "tag", tag)
 
     name = "fundamental_weight"
 
@@ -219,12 +228,17 @@ class FundWeight:
         return ok, None
 
 
-@dataclass(frozen=True)
-class Decision:
-    verdict: str            # "globally_irreducible" | "reducible"
-    reason: str | None      # "minuscule" | "E8_adjoint"
-    trace: tuple
-    witness_ell: int | None
+class Decision(Record):
+    # verdict: "globally_irreducible" | "reducible"
+    # reason: "minuscule" | "E8_adjoint" | None
+    __slots__ = _fields = ("verdict", "reason", "trace", "witness_ell")
+
+    def __init__(self, verdict: str, reason: str | None, trace: tuple,
+                 witness_ell: int | None):
+        object.__setattr__(self, "verdict", verdict)
+        object.__setattr__(self, "reason", reason)
+        object.__setattr__(self, "trace", trace)
+        object.__setattr__(self, "witness_ell", witness_ell)
 
 
 _STEPS = (Sl2Node, LeviDescent, EndNode, FundWeight)

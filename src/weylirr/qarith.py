@@ -19,11 +19,16 @@ vanish there, so e is factored only when it is at most 2 s^2 + 1.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
 from itertools import chain, repeat
 from operator import add, neg, sub
+
+from ._record import Record
+
+
+# the largest span LaurentPoly's public constructor accepts; storage is
+# dense, so a span of n allocates n + 1 coefficient slots
+MAX_SPAN = 1_000_000
 
 
 class ExactDivisionError(ArithmeticError):
@@ -44,7 +49,11 @@ class LaurentPoly:
     fields are, and the arithmetic works on whole slices of coefficients.
     Storage is O(span), span = degree - valuation.  Every polynomial this
     package builds (quantum integers and binomials, cyclotomic polynomials,
-    determinants, quotients) is dense within its span.
+    determinants, quotients) is dense within its span.  The public
+    constructor refuses a span above MAX_SPAN = 1,000,000 with a `span:`
+    ValueError before it allocates anything; the largest polynomials the
+    CLI builds, its biggest qbinom and the rank-3000 determinants, span at
+    most 200,000.
     """
 
     __slots__ = ("_low", "_coeffs", "_hash")
@@ -62,7 +71,11 @@ class LaurentPoly:
                 elif exp in data:
                     del data[exp]
         low = min(data, default=0)
-        coeffs = [0] * (max(data) - low + 1) if data else []
+        span = max(data, default=0) - low
+        if span > MAX_SPAN:
+            raise ValueError(
+                f"span: {span} exceeds {MAX_SPAN} (dense storage)")
+        coeffs = [0] * (span + 1) if data else []
         for exp, c in data.items():
             coeffs[exp - low] = c
         _fill(self, low, tuple(coeffs))
@@ -194,6 +207,8 @@ class LaurentPoly:
 
     def evaluate(self, x):
         """Exact value at a nonzero rational point."""
+        from fractions import Fraction
+
         x = Fraction(x)
         if x == 0 and self._coeffs and self._low < 0:
             raise ZeroDivisionError("negative exponents at x = 0")
@@ -433,27 +448,28 @@ def s_value(j: int) -> int:
     return j if j % 2 else j // 2
 
 
-@dataclass(frozen=True)
-class SpecOrder:
+class SpecOrder(Record):
     """Evaluation point q = zeta^d with zeta a primitive ell-th root of unity.
 
     d covers the squared-length twists of simple roots, so it stays in
     {1, 2, 3}.
 
     effective_order (the multiplicative order of zeta^d) and s (its
-    s_value) are computed once here, as plain attributes outside the
-    dataclass fields, so equality, hashing and repr see only ell and d.
+    s_value) are computed once here, in slots outside the record fields,
+    so equality, hashing and repr see only ell and d.
     """
 
-    ell: int
-    d: int = 1
+    _fields = ("ell", "d")
+    __slots__ = _fields + ("effective_order", "s")
 
-    def __post_init__(self):
-        if not isinstance(self.ell, int) or self.ell < 1:
+    def __init__(self, ell: int, d: int = 1):
+        if not isinstance(ell, int) or ell < 1:
             raise ValueError("ell: must be a positive integer")
-        if self.d not in (1, 2, 3):
+        if d not in (1, 2, 3):
             raise ValueError("d: must be 1, 2 or 3")
-        e = self.ell // math.gcd(self.ell, self.d)
+        e = ell // math.gcd(ell, d)
+        object.__setattr__(self, "ell", ell)
+        object.__setattr__(self, "d", d)
         object.__setattr__(self, "effective_order", e)
         object.__setattr__(self, "s", s_value(e))
 

@@ -33,10 +33,9 @@ length 2, so in simply-laced systems every root counts as short.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from fractions import Fraction
 from functools import cached_property, lru_cache
 
+from ._record import Record
 from .qarith import InternalCheckError
 
 Weight = tuple
@@ -91,23 +90,24 @@ def _diagram(kind: str, rank: int):
     raise AssertionError(kind)
 
 
-@dataclass(frozen=True)
-class Root:
+class Root(Record):
     """A positive root in simple-root coordinates.
 
     d is half the squared length: 1 for short roots, 2 or 3 for long ones.
     """
 
-    coords: tuple
-    d: int
+    __slots__ = _fields = ("coords", "d")
+
+    def __init__(self, coords: tuple, d: int):
+        object.__setattr__(self, "coords", coords)
+        object.__setattr__(self, "d", d)
 
     @property
     def is_short(self) -> bool:
         return self.d == 1
 
 
-@dataclass(frozen=True)
-class LeviComponent:
+class LeviComponent(Record):
     """One irreducible piece of an induced subdiagram.
 
     nodes lists the ambient node indices in the component's own Bourbaki
@@ -116,9 +116,12 @@ class LeviComponent:
     simply-laced components sitting inside a multiply-laced diagram.
     """
 
-    nodes: tuple
-    system: "RootSystem"
-    twist: int
+    __slots__ = _fields = ("nodes", "system", "twist")
+
+    def __init__(self, nodes: tuple, system: RootSystem, twist: int):
+        object.__setattr__(self, "nodes", nodes)
+        object.__setattr__(self, "system", system)
+        object.__setattr__(self, "twist", twist)
 
     def restrict(self, lam: Weight) -> Weight:
         return tuple(lam[i - 1] for i in self.nodes)
@@ -305,6 +308,8 @@ class RootSystem:
     def weyl_dimension(self, lam: Weight) -> int:
         if not self.is_dominant(lam):
             raise ValueError("weight: must be dominant")
+        from fractions import Fraction
+
         dim = Fraction(1)
         for root in self.positive_roots:
             num = sum(b * d * (c + 1)

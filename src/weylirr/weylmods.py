@@ -10,9 +10,9 @@ for the 14-dimensional module of the rank-2 triple-laced system.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 
+from ._record import Record
 from .qarith import (
     ExactDivisionError,
     InternalCheckError,
@@ -26,44 +26,6 @@ from .qarith import (
     vanishes_at,
 )
 from .rootsystem import RootSystem, build
-
-
-@dataclass(frozen=True)
-class ShortRootMatrix:
-    """Gram-like matrix of divided-power actions on the zero weight space.
-
-    Indexed by the short simple roots in Bourbaki order: diagonal entries
-    are [2], off-diagonal entries are 1 exactly for adjacent short pairs.
-    """
-
-    nodes: tuple
-    entries: tuple
-
-    @property
-    def size(self) -> int:
-        return len(self.nodes)
-
-
-def short_root_matrix(rs: RootSystem) -> ShortRootMatrix:
-    nodes = rs.short_simple_nodes
-    two = qint(2)
-    rows = []
-    for i in nodes:
-        row = []
-        for j in nodes:
-            if i == j:
-                row.append(two)
-            elif rs.cartan(j, i) == -1:
-                row.append(ONE)
-            else:
-                row.append(LaurentPoly())
-        rows.append(tuple(row))
-    matrix = ShortRootMatrix(nodes, tuple(rows))
-    for a in range(matrix.size):
-        for b in range(matrix.size):
-            if matrix.entries[a][b] != matrix.entries[b][a]:
-                raise InternalCheckError("short-root matrix not symmetric")
-    return matrix
 
 
 @lru_cache(maxsize=None)
@@ -153,8 +115,7 @@ def adjoint_short_reducible_at(rs: RootSystem, ell: int, d: int = 1) -> bool:
     return vanishes_at(det_short_matrix(rs), SpecOrder(ell, d))
 
 
-@dataclass(frozen=True)
-class E8Certificate:
+class E8Certificate(Record):
     """Outcome of the rank-8 never-vanishing claim, checked exactly.
 
     f is the polynomial q^8 (q^2-1)^2 det(D), cleared of negative exponents;
@@ -166,13 +127,20 @@ class E8Certificate:
     determinant vanishes at order 60 and failing_orders == (60,).
     """
 
-    detD: LaurentPoly
-    f: LaurentPoly
-    factors: tuple
-    checked_orders: tuple
-    failing_orders: tuple
-    value_at_one: int
-    value_at_minus_one: int
+    __slots__ = _fields = ("detD", "f", "factors", "checked_orders",
+                           "failing_orders", "value_at_one",
+                           "value_at_minus_one")
+
+    def __init__(self, detD: LaurentPoly, f: LaurentPoly, factors: tuple,
+                 checked_orders: tuple, failing_orders: tuple,
+                 value_at_one: int, value_at_minus_one: int):
+        object.__setattr__(self, "detD", detD)
+        object.__setattr__(self, "f", f)
+        object.__setattr__(self, "factors", factors)
+        object.__setattr__(self, "checked_orders", checked_orders)
+        object.__setattr__(self, "failing_orders", failing_orders)
+        object.__setattr__(self, "value_at_one", value_at_one)
+        object.__setattr__(self, "value_at_minus_one", value_at_minus_one)
 
     @property
     def certified(self) -> bool:

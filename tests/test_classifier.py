@@ -1,6 +1,5 @@
 """Witness search, trace replay, and the global decision path."""
 
-import dataclasses
 from functools import lru_cache
 
 import pytest
@@ -53,13 +52,19 @@ def _levels(rs, lam, trace):
         rs, lam, trace, twist = recursion
 
 
+def _replace(step, **changes):
+    """A new step of the same class: step's fields, with changes applied."""
+    values = {name: getattr(step, name) for name in step._fields}
+    values.update(changes)
+    return type(step)(**values)
+
+
 def _with_step(trace, depth, new):
     """trace with the step at the given depth replaced by new."""
     step, = trace
     if depth == 0:
         return (new,)
-    return (dataclasses.replace(
-        step, inner=_with_step(step.inner, depth - 1, new)),)
+    return (_replace(step, inner=_with_step(step.inner, depth - 1, new)),)
 
 
 def _outcome(rs, lam, trace):
@@ -252,7 +257,7 @@ class TestVerifyWitness:
         e6 = build("E", 6)
         lam = (0, 0, 1, 0, 0, 0)
         step, = find_witness(e6, lam)
-        bad = dataclasses.replace(step, restricted=(1, 0, 0, 0, 0))
+        bad = _replace(step, restricted=(1, 0, 0, 0, 0))
         assert not verify_witness(e6, lam, (bad,))
 
     def test_alternative_hand_built_trace(self):
@@ -319,9 +324,9 @@ class TestReplayMutations:
             [s.name for s in SMALL if s.name != step.component]))
         restricted = list(step.restricted)
         restricted[data.draw(st.integers(0, len(restricted) - 1))] += 1
-        for bad in (dataclasses.replace(step, component=other),
-                    dataclasses.replace(step, twist=step.twist + 1),
-                    dataclasses.replace(step, restricted=tuple(restricted))):
+        for bad in (_replace(step, component=other),
+                    _replace(step, twist=step.twist + 1),
+                    _replace(step, restricted=tuple(restricted))):
             assert not verify_witness(rs, lam, _with_step(trace, depth, bad))
         nodes = step.nodes
         k = data.draw(st.integers(0, len(nodes) - 1))
@@ -329,7 +334,7 @@ class TestReplayMutations:
         for changed in (nodes[:k] + nodes[k + 1:],
                         nodes[:k] + (extra,) + nodes[k:]):
             bad = _with_step(trace, depth,
-                             dataclasses.replace(step, nodes=changed))
+                             _replace(step, nodes=changed))
             assert _outcome(rs, lam, bad) == _fresh_outcome(rs, lam, bad)
 
     @settings(max_examples=150, deadline=None)

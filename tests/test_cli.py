@@ -1,6 +1,7 @@
 """Command-line behavior: output shape, exit codes, JSON determinism."""
 
 import json
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -346,6 +347,25 @@ class TestCertificateAndVerify:
 
 
 class TestEntryPoint:
+    def test_import_loads_every_submodule_and_no_heavy_stdlib(self):
+        # a fresh process, so modules loaded by the tests do not count;
+        # the bench tracer wraps functions in all six submodules right
+        # after `import weylirr.cli`, so that import must load them all
+        src = str(Path(cli.__file__).resolve().parent.parent)
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            [src, *filter(None, [env.get("PYTHONPATH")])])
+        code = ("import json, sys, weylirr.cli; "
+                "print(json.dumps(sorted(sys.modules)))")
+        proc = subprocess.run([sys.executable, "-c", code],
+                              capture_output=True, text=True, env=env)
+        assert proc.returncode == 0, proc.stderr
+        loaded = set(json.loads(proc.stdout))
+        assert not loaded & {"dataclasses", "inspect", "fractions"}
+        assert {f"weylirr.{name}" for name in (
+            "qarith", "rootsystem", "weylmods", "classifier", "acceptance",
+            "cli")} <= loaded
+
     def test_module_invocation(self):
         proc = subprocess.run(
             [sys.executable, "-m", "weylirr", "sl2", "--lambda", "2",

@@ -1,7 +1,7 @@
 """Exact-arithmetic layer: frozen values, ring laws, vanishing rules."""
 
-import dataclasses
 import math
+import time
 from fractions import Fraction
 
 import pytest
@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from weylirr.qarith import (
     ExactDivisionError,
     LaurentPoly,
+    MAX_SPAN,
     ONE,
     SpecOrder,
     ZERO,
@@ -166,6 +167,18 @@ class TestRepresentation:
             LaurentPoly([(1, "2")])
         assert LaurentPoly([(3, 2), (3, -2)]) == ZERO
 
+    def test_span_is_bounded_before_allocation(self):
+        for terms in ({0: 1, 10**18 + 3: -1}, {0: 1, 10**20: -1},
+                      {-MAX_SPAN: 1, 1: 1}):
+            start = time.perf_counter()
+            with pytest.raises(ValueError, match="^span: "):
+                LaurentPoly(terms)
+            assert time.perf_counter() - start < 1.0
+        # the bound applies to the span left after cancellation
+        assert LaurentPoly([(0, 1), (10**18, 1), (10**18, -1)]) == ONE
+        widest = LaurentPoly({-MAX_SPAN: 1, 0: -1})
+        assert (widest.valuation, widest.degree) == (-MAX_SPAN, 0)
+
 
 class TestQuantumIntegers:
     def test_frozen_values(self):
@@ -291,11 +304,13 @@ class TestVanishing:
         assert hash(spec) == hash(SpecOrder(6, 2))
         assert SpecOrder(5) == SpecOrder(5, 1)
         assert len({SpecOrder(6, 2), SpecOrder(6, 2), SpecOrder(6)}) == 2
-        assert [f.name for f in dataclasses.fields(spec)] == ["ell", "d"]
+        assert SpecOrder._fields == ("ell", "d")
         for name, value in (("ell", 7), ("d", 1), ("s", 2),
                             ("effective_order", 2)):
-            with pytest.raises(dataclasses.FrozenInstanceError):
+            with pytest.raises(AttributeError):
                 setattr(spec, name, value)
+            with pytest.raises(AttributeError):
+                delattr(spec, name)
         assert (spec.ell, spec.d, spec.effective_order, spec.s) == (6, 2, 3, 3)
 
     def test_spec_order_derived_values(self):

@@ -1,0 +1,104 @@
+"""Record semantics of the frozen value types.
+
+Each record must behave like the frozen dataclass with the same fields:
+equality within one class, the hash of the field tuple, repr in field
+order, no assignment or deletion, and no instance __dict__.
+"""
+
+import dataclasses
+
+import pytest
+
+from weylirr._record import Record
+from weylirr.acceptance import CheckResult
+from weylirr.classifier import (
+    Decision,
+    EndNode,
+    FundWeight,
+    LeviDescent,
+    Sl2Node,
+)
+from weylirr.qarith import LaurentPoly, SpecOrder, qint
+from weylirr.rootsystem import LeviComponent, Root, build
+from weylirr.weylmods import E8Certificate
+
+# one sample field tuple per record class, and a second one that differs
+SAMPLES = [
+    (SpecOrder, (6, 2), (6, 1)),
+    (Root, ((1, 0, 1), 1), ((1, 1, 0), 1)),
+    (LeviComponent, ((2, 3), build("A", 2), 1), ((2, 3), build("B", 2), 1)),
+    (E8Certificate,
+     (qint(3), LaurentPoly({2: 1}), (qint(2),), (3, 60), (60,), 1, -1),
+     (qint(3), LaurentPoly({2: 1}), (qint(2),), (3, 60), (), 1, -1)),
+    (Sl2Node, (1, 3), (1, 4)),
+    (LeviDescent, ((2, 3), "A2", 1, (1, 0), (Sl2Node(1, 3),)),
+     ((2, 3), "A2", 2, (1, 0), (Sl2Node(1, 3),))),
+    (EndNode, ("a", 6), ("b", 6)),
+    (FundWeight, (2, 3, "adjoint_short_root"), (2, 3, "g2_omega2")),
+    (Decision, ("reducible", None, (Sl2Node(1, 3),), 3),
+     ("globally_irreducible", "minuscule", (), None)),
+    (CheckResult, ("e8-certificate", False, 0.5, "order 60"),
+     ("e8-certificate", True, 0.5, "order 60")),
+]
+IDS = [cls.__name__ for cls, _, _ in SAMPLES]
+
+
+def _dataclass_twin(cls, values):
+    """The frozen dataclass that the record class stands in for."""
+    twin = dataclasses.make_dataclass(cls.__name__, cls._fields, frozen=True)
+    return twin(*values)
+
+
+@pytest.mark.parametrize("cls, values, other", SAMPLES, ids=IDS)
+class TestRecordSemantics:
+    def test_equal_fields_give_equal_objects(self, cls, values, other):
+        a, b = cls(*values), cls(*values)
+        assert a is not b and a == b and not a != b
+        assert hash(a) == hash(b) == hash(values)
+        assert a != cls(*other) and hash(a) != hash(cls(*other))
+        assert len({a, b, cls(*other)}) == 2
+
+    def test_other_classes_are_never_equal(self, cls, values, other):
+        class Twin(cls):
+            __slots__ = ()
+
+        record, twin = cls(*values), Twin(*values)
+        assert record != twin and twin != record
+        assert record != values and record != list(values)
+        assert record.__eq__(values) is NotImplemented
+        assert record != _dataclass_twin(cls, values)
+
+    def test_repr_lists_the_fields_in_order(self, cls, values, other):
+        record = cls(*values)
+        body = ", ".join(f"{f}={v!r}" for f, v in zip(cls._fields, values))
+        assert repr(record) == f"{cls.__qualname__}({body})"
+        assert repr(record) == repr(_dataclass_twin(cls, values))
+        assert hash(record) == hash(_dataclass_twin(cls, values))
+
+    def test_fields_are_frozen(self, cls, values, other):
+        record = cls(*values)
+        for name in cls._fields + ("unknown",):
+            with pytest.raises(AttributeError):
+                setattr(record, name, None)
+            with pytest.raises(AttributeError):
+                delattr(record, name)
+        assert tuple(getattr(record, f) for f in cls._fields) == values
+
+    def test_no_instance_dict(self, cls, values, other):
+        assert issubclass(cls, Record)
+        assert not hasattr(cls(*values), "__dict__")
+
+    def test_keyword_construction(self, cls, values, other):
+        kwargs = dict(zip(cls._fields, values))
+        assert cls(**kwargs) == cls(*values)
+        with pytest.raises(TypeError):
+            cls(*values, values[0])
+
+
+def test_spec_order_validates_in_init():
+    for ell in (0, -1, 2.0, "6"):
+        with pytest.raises(ValueError, match="^ell: must be a positive"):
+            SpecOrder(ell)
+    for d in (0, 4, "1"):
+        with pytest.raises(ValueError, match="^d: must be 1, 2 or 3$"):
+            SpecOrder(6, d)

