@@ -21,7 +21,6 @@ from .qarith import (
     SpecOrder,
     cyclotomic,
     euler_phi,
-    qbinom_vanishes_fast,
     qint,
     vanishes_at,
 )
@@ -66,8 +65,8 @@ def det_short_matrix(rs: RootSystem) -> LaurentPoly:
         for v in reversed(order):
             below = [full.pop(c) for c in children[v]]
             inner = [minus.pop(c) for c in children[v]]
-            prod = ONE
-            for d in below:
+            prod = below[0] if below else ONE
+            for d in below[1:]:
                 prod = prod * d
             value = two * prod
             for k, d_inner in enumerate(inner):
@@ -183,12 +182,26 @@ def e8_certificate() -> E8Certificate:
                          at_one, at_minus_one)
 
 
+@lru_cache(maxsize=256)
+def _s_of_order(ell: int, d: int) -> int:
+    # keyed by value, so (1.0, 1) finds (1, 1): callers check types first
+    return SpecOrder(ell, d).s
+
+
 def sl2_irreducible(lam: int, ell: int, d: int = 1) -> bool:
     """Rank-one criterion: irreducible iff lam < s or lam = -1 mod s,
-    where s is the vanishing modulus of the effective order of zeta^d."""
+    where s is the vanishing modulus of the effective order of zeta^d.
+
+    Every input is checked before s is looked up by (ell, d): a float
+    equal to a cached key must still be refused.
+    """
     if not isinstance(lam, int) or lam < 0:
         raise ValueError("lambda: must be a nonnegative integer")
-    s = SpecOrder(ell, d).s
+    if not isinstance(ell, int) or ell < 1:
+        raise ValueError("ell: must be a positive integer")
+    if not isinstance(d, int) or d not in (1, 2, 3):
+        raise ValueError("d: must be 1, 2 or 3")
+    s = _s_of_order(ell, d)
     return lam < s or lam % s == s - 1
 
 
@@ -199,17 +212,25 @@ def sl2_maximal_vector_oracle(lam: int, ell: int, d: int = 1) -> bool:
     Gaussian binomial [j+m, m].  Irreducible iff no v_j below the top is
     annihilated by every divided power, i.e. iff for each j < lam some
     1 <= m <= lam-j has a nonvanishing coefficient.
+
+    s is read once per call.  At s = 1 (q = +-1) no quantum integer
+    vanishes.  For s > 1 each [k] vanishes at zeta^d exactly when s
+    divides k, with a simple root, so [j+m, m] vanishes iff (j, j+m]
+    holds more multiples of s than [1, m] does.  It never holds fewer, as
+    floor((j+m)/s) >= floor(j/s) + floor(m/s); so the binomial is nonzero
+    iff (j+m)//s - j//s == m//s.
     """
     if not isinstance(lam, int) or lam < 0:
         raise ValueError("lambda: must be a nonnegative integer")
-    spec = SpecOrder(ell, d)
+    s = SpecOrder(ell, d).s
+    if s == 1:
+        return True
     for j in range(lam):
-        alive = False
+        below = j // s
         for m in range(1, lam - j + 1):
-            if not qbinom_vanishes_fast(j + m, m, spec):
-                alive = True
+            if (j + m) // s - below == m // s:
                 break
-        if not alive:
+        else:
             return False
     return True
 

@@ -23,6 +23,10 @@ ARITH_GOLDEN = json.loads(
 # descents, recorded before levi_subsystem kept its answers per node set
 DESCENT_GOLDEN = json.loads(
     (Path(__file__).parent / "golden" / "descent_cli.json").read_text())
+# the rank-one oracle check, the lambda=5 instance and the global sweep,
+# recorded while the oracle still called qbinom_vanishes_fast per binomial
+RANK_ONE_GOLDEN = json.loads(
+    (Path(__file__).parent / "golden" / "rank_one_cli.json").read_text())
 
 
 def run(capsys, *argv):
@@ -111,6 +115,13 @@ class TestGolden:
     @pytest.mark.parametrize("case", DESCENT_GOLDEN,
                              ids=[" ".join(c["argv"]) for c in DESCENT_GOLDEN])
     def test_descent_traces_match_golden_output(self, capsys, case):
+        code, out, _ = run(capsys, *case["argv"])
+        assert code == case["exit"]
+        assert out == case["stdout"]
+
+    @pytest.mark.parametrize("case", RANK_ONE_GOLDEN,
+                             ids=[" ".join(c["argv"]) for c in RANK_ONE_GOLDEN])
+    def test_rank_one_checks_match_golden_output(self, capsys, case):
         code, out, _ = run(capsys, *case["argv"])
         assert code == case["exit"]
         assert out == case["stdout"]
@@ -237,6 +248,15 @@ class TestSl2AndQbinom:
         _, out, _ = run(capsys, "sl2", "--lambda", "1", "--ell", "4",
                         "--json")
         assert json.loads(out)["irreducible"] is True
+
+    def test_sl2_bad_order_after_a_warm_call(self, capsys):
+        # the order s is cached by (ell, d); a cached key must not skip
+        # the ell check
+        for _ in range(2):
+            assert run(capsys, "sl2", "--lambda", "3", "--ell", "1")[0] == 0
+            code, out, err = run(capsys, "sl2", "--lambda", "3", "--ell", "0")
+            assert code == 2 and out == ""
+            assert err.startswith("error: ell:") and err.count("\n") == 1
 
     def test_qbinom_value(self, capsys):
         code, out, _ = run(capsys, "qbinom", "--n", "4", "--m", "2")

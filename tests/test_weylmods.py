@@ -5,7 +5,16 @@ from types import SimpleNamespace
 
 import pytest
 
-from weylirr.qarith import LaurentPoly, ONE, qint, vanishes_at, SpecOrder
+from weylirr import weylmods
+from weylirr.qarith import (
+    LaurentPoly,
+    ONE,
+    SpecOrder,
+    qbinom,
+    qbinom_vanishes_fast,
+    qint,
+    vanishes_at,
+)
 from weylirr.rootsystem import RootSystem, build, systems
 from weylirr.weylmods import (
     adjoint_short_reducible_at,
@@ -211,11 +220,78 @@ class TestSl2:
                     assert (sl2_irreducible(lam, ell, d)
                             == sl2_maximal_vector_oracle(lam, ell, d))
 
+    @pytest.mark.parametrize("args,kwargs", [
+        ((3, 1.0), {}), ((3, 0), {}), ((3, 5), {"d": 4}), ((-1, 3), {}),
+        ((3, 5), {"d": 1.0}),
+    ])
+    def test_s_cache_keeps_the_input_checks(self, args, kwargs):
+        # (1.0, 1) == (1, 1), so a lookup before the checks would let a
+        # float through once the integer key is warm
+        weylmods._s_of_order.cache_clear()
+        with pytest.raises(ValueError) as cold:
+            sl2_irreducible(*args, **kwargs)
+        assert sl2_irreducible(3, 1) and sl2_irreducible(3, 5, 1)
+        with pytest.raises(ValueError) as warm:
+            sl2_irreducible(*args, **kwargs)
+        assert str(warm.value) == str(cold.value)
+
+    def test_oracle_matches_the_per_binomial_reference(self):
+        # the reference reads only spec.s, so it runs once per (lam, s)
+        expected = {}
+        for d in (1, 2, 3):
+            for ell in range(1, 61):
+                spec = SpecOrder(ell, d)
+                for lam in range(301):
+                    key = lam, spec.s
+                    if key not in expected:
+                        expected[key] = _oracle_reference(lam, spec)
+                    assert (sl2_maximal_vector_oracle(lam, ell, d)
+                            == expected[key]), (lam, ell, d)
+
+    def test_oracle_matches_the_symbolic_binomials(self):
+        # each [j+m, m] expanded and tested exactly, so the inline carry
+        # count is judged against polynomials, not against the formula it
+        # copies; vanishes_at reads only the effective order
+        binom, vanish = {}, {}
+
+        def vanishes(n, m, spec):
+            key = n, m, spec.effective_order
+            if key not in vanish:
+                if (n, m) not in binom:
+                    binom[n, m] = qbinom(n, m)
+                vanish[key] = vanishes_at(binom[n, m], spec)
+            return vanish[key]
+
+        for d in (1, 2, 3):
+            for ell in range(1, 25):
+                spec = SpecOrder(ell, d)
+                for lam in range(41):
+                    expected = not any(
+                        all(vanishes(j + m, m, spec)
+                            for m in range(1, lam - j + 1))
+                        for j in range(lam))
+                    assert (sl2_maximal_vector_oracle(lam, ell, d)
+                            == expected), (lam, ell, d)
+
     def test_unbounded_order_instance(self):
         # s-values 1,1,3,2 for orders 1..4; their product minus one is 5
         for ell in (1, 2, 3, 4):
             assert sl2_irreducible(5, ell)
         assert not sl2_irreducible(5, 5)
+
+
+def _oracle_reference(lam, spec):
+    """Reference divided-power oracle: one qbinom_vanishes_fast call
+    per binomial [j+m, m]."""
+    for j in range(lam):
+        alive = False
+        for m in range(1, lam - j + 1):
+            if not qbinom_vanishes_fast(j + m, m, spec):
+                alive = True
+                break
+        if not alive:
+            return False
+    return True
 
 
 class TestG2Scalar:
