@@ -23,6 +23,8 @@ the ambient system sees the quantum parameter raised to that power.
 
 from __future__ import annotations
 
+from functools import lru_cache
+
 from ._record import Record
 from .qarith import InternalCheckError
 from .rootsystem import RootSystem, Weight, format_weight
@@ -269,8 +271,13 @@ def _is_e8_adjoint(rs: RootSystem, lam: Weight) -> bool:
     return rs.kind == "E" and rs.rank == 8 and lam == rs.fundamental(8)
 
 
+@lru_cache(maxsize=None)
 def _alpha0_order(rs: RootSystem) -> int:
-    """Smallest order >= 3 at which the short-root determinant vanishes."""
+    """Smallest order >= 3 at which the short-root determinant vanishes.
+
+    Searched once per system, as det_short_matrix is computed once; the
+    FundWeight leaf that records the order still replays it.
+    """
     for ell in range(3, 2 * rs.rank + 6):
         if adjoint_short_reducible_at(rs, ell):
             return ell

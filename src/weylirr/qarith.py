@@ -8,10 +8,13 @@ and no numerical tolerance anywhere in this module.
 A polynomial is a valuation and a dense tuple of coefficients, and the
 ring operations work on whole slices of it.  vanishes_at decides whether p
 vanishes at a primitive e-th root of unity without building cyclotomic(e)
-and without dividing: it folds p modulo q^e - 1 and asks whether the folded
-coefficients, after one coset-sum step per prime factor of e but the
-largest, r, are periodic with period e/r.  This is the structure of
-vanishing sums of roots of unity (Lam and Leung, J. Algebra 224 (2000)).
+and without dividing.  While p is q^a g(q^2), as every quantum integer,
+Gaussian binomial and short-root determinant is, it tests g at the square
+of the root instead, on half the coefficients.  Then it folds modulo
+q^e - 1 and asks whether the folded coefficients, after one coset-sum step
+per prime factor of e but the largest, r, are periodic with period e/r.
+This is the structure of vanishing sums of roots of unity (Lam and Leung,
+J. Algebra 224 (2000)).
 Since phi(e) >= sqrt(e/2), a polynomial of span s with 2 s^2 < e cannot
 vanish there, so e is factored only when it is at most 2 s^2 + 1.
 """
@@ -20,7 +23,7 @@ from __future__ import annotations
 
 import math
 from functools import lru_cache
-from itertools import chain, repeat
+from itertools import chain, islice, repeat
 from operator import add, neg, sub
 
 from ._record import Record
@@ -452,7 +455,8 @@ class SpecOrder(Record):
     """Evaluation point q = zeta^d with zeta a primitive ell-th root of unity.
 
     d covers the squared-length twists of simple roots, so it stays in
-    {1, 2, 3}.
+    {1, 2, 3}.  Both must be of type int: a bool or a float equal to an
+    allowed value is refused with the same ValueError as any other value.
 
     effective_order (the multiplicative order of zeta^d) and s (its
     s_value) are computed once here, in slots outside the record fields,
@@ -463,9 +467,9 @@ class SpecOrder(Record):
     __slots__ = _fields + ("effective_order", "s")
 
     def __init__(self, ell: int, d: int = 1):
-        if not isinstance(ell, int) or ell < 1:
+        if type(ell) is not int or ell < 1:
             raise ValueError("ell: must be a positive integer")
-        if d not in (1, 2, 3):
+        if type(d) is not int or d not in (1, 2, 3):
             raise ValueError("d: must be 1, 2 or 3")
         e = ell // math.gcd(ell, d)
         object.__setattr__(self, "ell", ell)
@@ -492,6 +496,12 @@ def vanishes_at(p: LaurentPoly, spec: SpecOrder) -> bool:
     Let e be the effective order, so z = zeta^d is a primitive e-th root
     of unity.  Multiplying by q^(-valuation) moves no zero of p on the
     unit circle, so p is read as its coefficient tuple c_0, ..., c_span.
+
+    Squares.  While the tuple has more than one entry and every odd slot
+    is zero, p = q^valuation g(q^2) with g the even slots, and z^2 is a
+    primitive root of order e / gcd(e, 2); so p(z) = 0 iff g(z^2) = 0,
+    and the tests below run on g and that order.  The scan for a nonzero
+    odd slot stops at the first one, so no other polynomial pays a copy.
 
     Degree exits.  cyclotomic(e), the minimal polynomial of z, has degree
     phi(e) >= sqrt(e/2), and no nonzero polynomial of lower degree
@@ -528,6 +538,9 @@ def vanishes_at(p: LaurentPoly, spec: SpecOrder) -> bool:
     if not coeffs:
         return True
     e = spec.effective_order
+    while len(coeffs) > 1 and not any(islice(coeffs, 1, None, 2)):
+        coeffs = coeffs[::2]
+        e //= math.gcd(e, 2)
     n = len(coeffs)
     span = n - 1
     if 2 * span * span < e or (span < e and span < euler_phi(e)):

@@ -268,7 +268,7 @@ class RootSystem:
         return tuple(int(j == i - 1) for j in range(self.rank))
 
     def is_dominant(self, lam: Weight) -> bool:
-        return len(lam) == self.rank and all(c >= 0 for c in lam)
+        return len(lam) == self.rank and min(lam) >= 0
 
     def omega_coords(self, root: Root) -> Weight:
         return tuple(self.root_pairing(root.coords, i)
@@ -323,7 +323,7 @@ class RootSystem:
     # -- minuscule weights ----------------------------------------------
 
     def is_minuscule(self, lam: Weight) -> bool:
-        if all(c == 0 for c in lam):
+        if not any(lam):
             return True
         if sum(lam) == 1:
             return (lam.index(1) + 1) in self.minuscule_nodes

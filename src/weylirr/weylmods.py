@@ -184,7 +184,8 @@ def e8_certificate() -> E8Certificate:
 
 @lru_cache(maxsize=256)
 def _s_of_order(ell: int, d: int) -> int:
-    # keyed by value, so (1.0, 1) finds (1, 1): callers check types first
+    # keyed by value, so (1.0, 1) and (True, 1) find (1, 1): callers check
+    # types first
     return SpecOrder(ell, d).s
 
 
@@ -192,14 +193,14 @@ def sl2_irreducible(lam: int, ell: int, d: int = 1) -> bool:
     """Rank-one criterion: irreducible iff lam < s or lam = -1 mod s,
     where s is the vanishing modulus of the effective order of zeta^d.
 
-    Every input is checked before s is looked up by (ell, d): a float
-    equal to a cached key must still be refused.
+    Every input is checked before s is looked up by (ell, d): a float or
+    bool equal to a cached key must still be refused.
     """
     if not isinstance(lam, int) or lam < 0:
         raise ValueError("lambda: must be a nonnegative integer")
-    if not isinstance(ell, int) or ell < 1:
+    if type(ell) is not int or ell < 1:
         raise ValueError("ell: must be a positive integer")
-    if not isinstance(d, int) or d not in (1, 2, 3):
+    if type(d) is not int or d not in (1, 2, 3):
         raise ValueError("d: must be 1, 2 or 3")
     s = _s_of_order(ell, d)
     return lam < s or lam % s == s - 1

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from weylirr import rootsystem
+from weylirr import classifier, rootsystem, weylmods
 from weylirr.classifier import (
     EndNode,
     FundWeight,
@@ -206,6 +206,27 @@ class TestFundamentalWeights:
                 trace = find_witness(rs, lam)
                 if trace is not None:
                     assert verify_witness(rs, lam, trace), (rs.name, i)
+
+    def test_alpha0_order_is_searched_once_and_replayed_every_time(
+            self, monkeypatch):
+        # C22 w5 descends to C19 w2 = alpha0: finding its order 19 takes
+        # the tests at 3..19, and replaying the leaf takes one more, on
+        # every call
+        orders = []
+        vanishes = weylmods.vanishes_at
+
+        def counting(p, spec):
+            orders.append(spec.ell)
+            return vanishes(p, spec)
+
+        monkeypatch.setattr(weylmods, "vanishes_at", counting)
+        classifier._alpha0_order.cache_clear()
+        rs = RootSystem("C", 22)
+        lam = rs.fundamental(5)
+        for expected in ([*range(3, 20), 19], [19], [19]):
+            orders.clear()
+            assert classify_global(rs, lam).witness_ell == 19
+            assert orders == expected
 
 
 class TestEndNodes:

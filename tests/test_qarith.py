@@ -289,6 +289,15 @@ class TestVanishing:
         with pytest.raises(ValueError):
             SpecOrder(3, 4)
 
+    @pytest.mark.parametrize("args, field", [
+        ((3, 1.0), "d"), ((3, 2.0), "d"), ((3, True), "d"), ((3, False), "d"),
+        ((True,), "ell"), ((True, 1), "ell"), ((3.0,), "ell"),
+    ])
+    def test_spec_order_refuses_bools_and_floats(self, args, field):
+        # 1.0 in (1, 2, 3) and True == 1, so a value test alone lets them in
+        with pytest.raises(ValueError, match=f"^{field}: "):
+            SpecOrder(*args)
+
     def test_vanishes_at_examples(self):
         assert vanishes_at(qint(3), SpecOrder(3))
         assert vanishes_at(qint(3), SpecOrder(6))
@@ -403,6 +412,55 @@ class TestVanishing:
         assert not vanishes_at(qbinom(30, 3), SpecOrder(big, 2))
         assert not vanishes_at(LaurentPoly({0: 1, 10 ** 6: -1}),
                                SpecOrder(big))
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.dictionaries(st.integers(0, 12), st.integers(-3, 3),
+                           max_size=6),
+           st.sampled_from([2, 4]), st.integers(-9, 9), st.integers(1, 40),
+           st.integers(0, 2), st.booleans(), st.sampled_from([1, 2, 3]))
+    def test_vanishes_at_on_polynomials_in_q_squared(
+            self, base, k, a, e, power, odd_factor, d):
+        # p = q^a g(q^k) with cyclotomic(e)(q^k) planted, so every odd slot
+        # is zero; a factor cyclotomic(e)(q) brings odd slots back.  The
+        # orders around e reach both parities of each order and of e / 2
+        g = LaurentPoly(base) * cyclotomic(e) ** power
+        p = LaurentPoly({k * x: c for x, c in g.terms().items()})
+        if odd_factor:
+            p = p * cyclotomic(e)
+        p = p.shift(a)
+        for order in {e // 4, e // 2, e, 2 * e, 4 * e, 8 * e} - {0}:
+            spec = SpecOrder(order * d, d)
+            assert vanishes_at(p, spec) == _vanishes_reference(p, order), order
+
+    def test_vanishes_at_q_squared_edge_cases(self):
+        # q^2 - 1 at q = -1: the order-2 test becomes x - 1 at x = 1
+        assert vanishes_at(LaurentPoly({2: 1, 0: -1}), SpecOrder(2))
+        assert not vanishes_at(LaurentPoly({2: 1, 0: 1}), SpecOrder(2))
+        assert vanishes_at(LaurentPoly({-3: 1, 1: -1}), SpecOrder(4, 2))
+        # 1 + q^3 has coeffs[1] == 0 but an odd term: zeros at 2 and 6 only
+        p = LaurentPoly({0: 1, 3: 1})
+        assert [e for e in range(1, 25) if vanishes_at(p, SpecOrder(e))] \
+            == [2, 6]
+        # [3] + q^5 is a polynomial in q^2 plus one odd term
+        p = qint(3) + LaurentPoly({5: 1})
+        for e in range(1, 41):
+            assert vanishes_at(p, SpecOrder(e)) == _vanishes_reference(p, e)
+        # one term: nothing to halve, and no root of unity is a zero
+        for e in range(1, 41):
+            assert not vanishes_at(LaurentPoly({7: -2}), SpecOrder(e))
+            assert not vanishes_at(ONE, SpecOrder(e))
+
+    def test_qint_vanishes_at_twice_and_once_its_modulus(self):
+        # [i] = q^(1-i)(1 + x + ... + x^(i-1)) with x = q^2
+        # at order 2s it vanishes iff s | i; at order s the modulus is
+        # s_value(s), which is s or s / 2
+        for s in range(2, 25):
+            for i in range(1, 3 * s + 2):
+                assert vanishes_at(qint(i), SpecOrder(2 * s)) is (i % s == 0)
+                for e in (2 * s, s):
+                    want = _vanishes_reference(qint(i), e)
+                    assert vanishes_at(qint(i), SpecOrder(e)) is want
+                    assert qint_vanishes_fast(i, SpecOrder(e)) is want
 
     def test_qint_zero_vanishes_everywhere(self):
         for ell in (1, 2, 3, 10):

@@ -274,6 +274,35 @@ class TestWeights:
         weights += [a3.fundamental(i) for i in sorted(a3.minuscule_nodes)]
         assert set(weights) == {(0, 0, 0), (1, 0, 0), (0, 1, 0), (0, 0, 1)}
 
+    def test_predicates_match_the_generator_forms(self):
+        # the element-by-element definitions the builtins replaced; the
+        # lengths rank - 1 and rank + 1 reach the length test
+        def dominant(rs, lam):
+            return len(lam) == rs.rank and all(c >= 0 for c in lam)
+
+        def minuscule(rs, lam):
+            if all(c == 0 for c in lam):
+                return True
+            if sum(lam) == 1:
+                return (lam.index(1) + 1) in rs.minuscule_nodes
+            return False
+
+        def outcome(predicate, *args):
+            # both forms of is_minuscule raise on a weight like (2, -1),
+            # which has sum 1 and no coordinate 1
+            try:
+                return predicate(*args)
+            except ValueError:
+                return ValueError
+
+        for rs in systems(4):
+            for n in (rs.rank - 1, rs.rank, rs.rank + 1):
+                for lam in itertools.product((-1, 0, 1, 2), repeat=n):
+                    assert rs.is_dominant(lam) is dominant(rs, lam), lam
+                    if n == rs.rank:
+                        assert (outcome(rs.is_minuscule, lam)
+                                is outcome(minuscule, rs, lam)), lam
+
 
 class TestLevi:
     def test_identity_levi_keeps_the_type(self):

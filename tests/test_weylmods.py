@@ -207,6 +207,17 @@ class TestSl2:
         with pytest.raises(ValueError):
             sl2_maximal_vector_oracle(-2, 3)
 
+    @pytest.mark.parametrize("ell,d,field", [
+        (True, 1, "ell"), (3, 1.0, "d"), (3, True, "d"), (6, 2.0, "d")])
+    def test_order_readers_refuse_bools_and_floats(self, ell, d, field):
+        # each reads its order through SpecOrder or the same checks
+        a4 = build("A", 4)
+        for check in (sl2_irreducible, sl2_maximal_vector_oracle,
+                      lambda _, e, t: adjoint_short_reducible_at(a4, e, t),
+                      lambda _, e, t: g2_omega2_reducible_at(e, t)):
+            with pytest.raises(ValueError, match=f"^{field}: "):
+                check(3, ell, d)
+
     def test_oracle_agrees_on_a_block(self):
         for ell in range(1, 13):
             for lam in range(0, 40):
@@ -222,11 +233,12 @@ class TestSl2:
 
     @pytest.mark.parametrize("args,kwargs", [
         ((3, 1.0), {}), ((3, 0), {}), ((3, 5), {"d": 4}), ((-1, 3), {}),
-        ((3, 5), {"d": 1.0}),
+        ((3, 5), {"d": 1.0}), ((3, True), {}), ((3, 1), {"d": True}),
+        ((3, 5), {"d": True}),
     ])
     def test_s_cache_keeps_the_input_checks(self, args, kwargs):
-        # (1.0, 1) == (1, 1), so a lookup before the checks would let a
-        # float through once the integer key is warm
+        # (1.0, 1) == (True, 1) == (1, 1), so a lookup before the checks
+        # would let a float or bool through once the integer key is warm
         weylmods._s_of_order.cache_clear()
         with pytest.raises(ValueError) as cold:
             sl2_irreducible(*args, **kwargs)
