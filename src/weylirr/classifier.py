@@ -12,9 +12,10 @@ still checks every recorded field against it: nodes, component, twist and
 restricted weight.
 
 Each step class carries its own description: its JSON `name`, its
-`citation_key` into CITATIONS, its JSON `params` and its `replay`.  The
-functions below only check that a step is one of _STEPS and then call those
-members, so a new replay rule lives in one class body.
+`citation` text, its JSON `params` and its `replay`.  _chain alone checks
+a trace's shape, step classes and citations, all before any replay, and
+verify_witness, trace_json, trace_citations and leaf_step are loops over
+its list of steps, so a new replay rule lives in one class body.
 
 The `twist` parameter threading through this module is the ratio between
 ambient and local symmetrizers: a subdiagram whose nodes are long roots of
@@ -39,9 +40,9 @@ class TraceError(ValueError):
     """A witness trace is structurally malformed (not merely unsound)."""
 
 
-# Every step's replay(rs, lam, twist) returns (holds, recursion), where
-# recursion is (system, weight, inner trace, twist) for a descent step that
-# holds, else None.
+# Every step's replay(rs, lam, twist) returns (holds, sub), where sub is
+# (system, weight, twist) for a descent step that holds, else None; the
+# inner trace is the step's own `inner`.
 
 class Sl2Node(Record):
     """Leaf: the coordinate at `node` fails the rank-one criterion at ell."""
@@ -52,7 +53,8 @@ class Sl2Node(Record):
         object.__setattr__(self, "node", node)
         object.__setattr__(self, "ell", ell)
 
-    name = citation_key = "sl2_node"
+    name = "sl2_node"
+    citation = "rank-one divided-power criterion at a single node"
 
     def params(self, rs: RootSystem, lam: Weight, twist: int):
         return {"node": self.node,
@@ -89,7 +91,9 @@ class LeviDescent(Record):
         object.__setattr__(self, "restricted", restricted)
         object.__setattr__(self, "inner", inner)
 
-    name = citation_key = "levi_descent"
+    name = "levi_descent"
+    citation = ("reducibility lifts through subdiagram restriction at a "
+                "fixed order")
 
     def params(self, rs: RootSystem, lam: Weight, twist: int):
         return {"nodes": list(self.nodes),
@@ -114,8 +118,7 @@ class LeviDescent(Record):
               and restricted == tuple(self.restricted))
         if not ok:
             return False, None
-        return True, (comp.system, restricted, self.inner,
-                      twist * comp.twist)
+        return True, (comp.system, restricted, twist * comp.twist)
 
 
 _ENDNODE_CASE = {"A": "a", "B": "b", "C": "c", "F": "d", "G": "e"}
@@ -150,10 +153,13 @@ class EndNode(Record):
         return _ENDNODE_KIND[self.case]
 
     @property
-    def citation_key(self) -> str:
+    def citation(self) -> str:
         self._kind()
-        return ("end_node_arith" if self.case in ("a", "b")
-                else "end_node_fact")
+        if self.case in ("a", "b"):
+            return ("end-node wall-crossing; reflection identity and "
+                    "alcove membership replayed")
+        return ("end-node wall-crossing; recorded fact, structural "
+                "parameters checked")
 
     def params(self, rs: RootSystem, lam: Weight, twist: int):
         return {"case": self.case, "ell": self.ell,
@@ -184,13 +190,17 @@ class EndNode(Record):
         return self.ell == 4, None
 
 
-_LEAF_TAGS = ("adjoint_short_root", "g2_omega2")
+_LEAF_TAGS = {
+    "adjoint_short_root": "zero-weight invariant detected by the "
+                          "short-root matrix determinant",
+    "g2_omega2": "relation determinant of the 14-dimensional module",
+}
 
 
 class FundWeight(Record):
     """Leaf for a fundamental weight, settled by the named scalar test.
 
-    The tag is one of _LEAF_TAGS.  "adjoint_short_root": the weight is
+    The tag is a key of _LEAF_TAGS.  "adjoint_short_root": the weight is
     alpha0 and the short-root determinant vanishes; "g2_omega2": the
     14-dimensional module's scalar vanishes.
     """
@@ -205,10 +215,10 @@ class FundWeight(Record):
     name = "fundamental_weight"
 
     @property
-    def citation_key(self) -> str:
+    def citation(self) -> str:
         if self.tag not in _LEAF_TAGS:
             raise TraceError(f"unknown leaf tag {self.tag!r}")
-        return self.tag
+        return _LEAF_TAGS[self.tag]
 
     def params(self, rs: RootSystem, lam: Weight, twist: int):
         return {"node": self.node, "ell": self.ell, "test": self.tag}
@@ -216,12 +226,12 @@ class FundWeight(Record):
     def replay(self, rs: RootSystem, lam: Weight, twist: int):
         # the tag is checked first, so a malformed leaf raises whatever
         # the weight is
-        tag = self.citation_key
+        self.citation
         if not 1 <= self.node <= rs.rank:
             raise TraceError(f"node {self.node} out of range for {rs.name}")
         if lam != rs.fundamental(self.node):
             return False, None
-        if tag == "adjoint_short_root":
+        if self.tag == "adjoint_short_root":
             ok = (lam == rs.alpha0_weight
                   and adjoint_short_reducible_at(rs, self.ell, twist))
             return ok, None
@@ -246,25 +256,23 @@ class Decision(Record):
 _STEPS = (Sl2Node, LeviDescent, EndNode, FundWeight)
 
 
-def _step(step):
-    """step itself, once it is known to be one of the step classes."""
-    if not isinstance(step, _STEPS):
-        raise TraceError(f"unknown trace step {type(step).__name__}")
-    return step
-
-
-CITATIONS = {
-    "sl2_node": "rank-one divided-power criterion at a single node",
-    "levi_descent": "reducibility lifts through subdiagram restriction "
-                    "at a fixed order",
-    "end_node_arith": "end-node wall-crossing; reflection identity and "
-                      "alcove membership replayed",
-    "end_node_fact": "end-node wall-crossing; recorded fact, structural "
-                     "parameters checked",
-    "adjoint_short_root": "zero-weight invariant detected by the "
-                          "short-root matrix determinant",
-    "g2_omega2": "relation determinant of the 14-dimensional module",
-}
+def _chain(trace, empty: bool = False) -> list:
+    """The steps of a chain trace, outermost first, all checked before any
+    is replayed; with empty=True the trace () gives []."""
+    if empty and trace == ():
+        return []
+    steps = []
+    while True:
+        if not isinstance(trace, tuple) or len(trace) != 1:
+            raise TraceError("trace must be a one-step chain at every level")
+        step, = trace
+        if not isinstance(step, _STEPS):
+            raise TraceError(f"unknown trace step {type(step).__name__}")
+        step.citation  # refuses an unknown end-node case or leaf tag
+        steps.append(step)
+        if not isinstance(step, LeviDescent):
+            return steps
+        trace = step.inner
 
 
 def _is_e8_adjoint(rs: RootSystem, lam: Weight) -> bool:
@@ -329,8 +337,7 @@ def find_witness(rs: RootSystem, lam: Weight, twist: int = 1):
     minuscule ones, and the highest root in rank 8 type E.
     """
     lam = tuple(lam)
-    if not rs.is_dominant(lam):
-        raise ValueError("weight: must be dominant")
+    # is_minuscule refuses a non-dominant weight
     if rs.is_minuscule(lam) or _is_e8_adjoint(rs, lam):
         return None
     for i, c in enumerate(lam, 1):
@@ -387,10 +394,7 @@ def fundamental_weight_witness(rs: RootSystem, i: int):
 
 def leaf_step(trace):
     """The unique leaf of a chain trace."""
-    if not isinstance(trace, tuple) or len(trace) != 1:
-        raise TraceError("trace must be a one-step chain at every level")
-    step = _step(trace[0])
-    return leaf_step(step.inner) if isinstance(step, LeviDescent) else step
+    return _chain(trace)[-1]
 
 
 def witness_ell(trace) -> int:
@@ -401,15 +405,13 @@ def verify_witness(rs: RootSystem, lam: Weight, trace,
                    twist: int = 1) -> bool:
     """Replay a trace from scratch; True iff every step holds."""
     lam = tuple(lam)
-    if not isinstance(trace, tuple) or len(trace) != 1:
-        raise TraceError("trace must be a one-step chain at every level")
-    holds, recursion = _step(trace[0]).replay(rs, lam, twist)
-    if not holds:
-        return False
-    if recursion is None:
-        return True
-    sub_rs, sub_lam, inner, sub_twist = recursion
-    return verify_witness(sub_rs, sub_lam, inner, sub_twist)
+    for step in _chain(trace):
+        holds, sub = step.replay(rs, lam, twist)
+        if not holds:
+            return False
+        if sub is not None:
+            rs, lam, twist = sub
+    return True
 
 
 def classify_global(rs: RootSystem, lam: Weight) -> Decision:
@@ -429,34 +431,28 @@ def classify_global(rs: RootSystem, lam: Weight) -> Decision:
     return Decision("reducible", None, trace, witness_ell(trace))
 
 
-def _step_json(rs: RootSystem, lam: Weight, step, twist: int):
-    holds, recursion = _step(step).replay(rs, lam, twist)
-    node = {"step": step.name, "params": step.params(rs, lam, twist),
-            "citation": CITATIONS[step.citation_key],
-            "verified": bool(holds)}
-    if recursion is not None:
-        sub_rs, sub_lam, inner, sub_twist = recursion
-        node["inner"] = [_step_json(sub_rs, sub_lam, s, sub_twist)
-                         for s in inner]
-    return node
-
-
 def trace_json(rs: RootSystem, lam: Weight, trace):
-    """JSON-shaped tree for a trace, with per-step replay flags."""
-    return [_step_json(rs, lam, step, 1) for step in trace]
+    """JSON-shaped tree for a trace, with per-step replay flags; a descent
+    that fails replay is the last node and has no "inner"."""
+    nodes = level = []
+    twist = 1
+    for step in _chain(trace, empty=True):
+        holds, sub = step.replay(rs, lam, twist)
+        node = {"step": step.name, "params": step.params(rs, lam, twist),
+                "citation": step.citation, "verified": bool(holds)}
+        level.append(node)
+        if sub is None:
+            break
+        rs, lam, twist = sub
+        level = node["inner"] = []
+    return nodes
 
 
 def trace_citations(trace):
     """Citation strings in outer-to-inner order, deduplicated."""
     out = []
-
-    def walk(steps):
-        for step in steps:
-            text = CITATIONS[_step(step).citation_key]
-            if text not in out:
-                out.append(text)
-            if isinstance(step, LeviDescent):
-                walk(step.inner)
-
-    walk(trace)
+    for step in _chain(trace, empty=True):
+        text = step.citation
+        if text not in out:
+            out.append(text)
     return out

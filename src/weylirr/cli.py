@@ -19,7 +19,6 @@ from .classifier import (
     endnode_witness,
     trace_citations,
     trace_json,
-    verify_witness,
 )
 from .qarith import (
     InternalCheckError,
@@ -278,8 +277,8 @@ def _cmd_endnodes(args) -> int:
     rs = parse_type(args.type, args.rank)
     lam, ell, case = endnode_witness(rs)
     trace = (EndNode(case, ell),)
-    verified = verify_witness(rs, lam, trace)
     nodes = trace_json(rs, lam, trace)
+    verified = nodes[0]["verified"]
     doc = {
         "input": {"command": "endnodes", "type": rs.name},
         "case": case,

@@ -323,6 +323,8 @@ class RootSystem:
     # -- minuscule weights ----------------------------------------------
 
     def is_minuscule(self, lam: Weight) -> bool:
+        if not self.is_dominant(lam):
+            raise ValueError("weight: must be dominant")
         if not any(lam):
             return True
         if sum(lam) == 1:

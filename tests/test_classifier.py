@@ -45,11 +45,12 @@ def _levels(rs, lam, trace):
     while True:
         step, = trace
         out.append((rs, lam, twist, step))
-        holds, recursion = step.replay(rs, lam, twist)
+        holds, sub = step.replay(rs, lam, twist)
         assert holds
-        if recursion is None:
+        if sub is None:
             return out
-        rs, lam, trace, twist = recursion
+        rs, lam, twist = sub
+        trace = step.inner
 
 
 def _replace(step, **changes):
@@ -326,6 +327,75 @@ class TestVerifyWitness:
             trace_json(a2, (0, 1), bogus)
         with pytest.raises(TraceError):
             verify_witness(a2, (0, 1), bogus)
+
+
+def _e6_w3_descent(**changes):
+    """(E6, w3, the one-descent trace of w3 with changes to the descent)."""
+    rs = build("E", 6)
+    lam = rs.fundamental(3)
+    step, = find_witness(rs, lam)
+    return rs, lam, (_replace(step, **changes),)
+
+
+_CHAIN_ERROR = "trace must be a one-step chain at every level"
+
+# (system, weight, trace, message): each trace function refuses each entry
+# with this TraceError message, whether or not the outer steps replay
+MALFORMED = [
+    (build("A", 2), (1, 1), (EndNode("a", 3), EndNode("a", 3)),
+     _CHAIN_ERROR),
+    (build("A", 2), (1, 1), [EndNode("a", 3)], _CHAIN_ERROR),
+    (*_e6_w3_descent(inner=(FundWeight(2, 4, "adjoint_short_root"),) * 2),
+     _CHAIN_ERROR),
+    (*_e6_w3_descent(component="A5", inner="junk"), _CHAIN_ERROR),
+    (*_e6_w3_descent(component="A5", inner=("junk",)),
+     "unknown trace step str"),
+    (*_e6_w3_descent(component="A5", inner=(FundWeight(1, 3, "bogus"),)),
+     "unknown leaf tag 'bogus'"),
+    (*_e6_w3_descent(component="A5", inner=(EndNode("z", 4),)),
+     "unknown end-node case 'z'"),
+]
+
+
+class TestMalformedTraces:
+    @pytest.mark.parametrize("rs,lam,trace,message", MALFORMED, ids=[
+        "two-steps", "list", "two-step-inner", "string-inner",
+        "string-step-inner", "bad-tag-inner", "bad-case-inner"])
+    def test_every_reader_refuses_alike(self, rs, lam, trace, message):
+        readers = (lambda: verify_witness(rs, lam, trace),
+                   lambda: trace_json(rs, lam, trace),
+                   lambda: trace_citations(trace),
+                   lambda: leaf_step(trace))
+        for read in readers:
+            with pytest.raises(TraceError) as info:
+                read()
+            assert str(info.value) == message
+
+    def test_empty_trace(self):
+        a2 = build("A", 2)
+        assert trace_json(a2, (1, 0), ()) == []
+        assert trace_citations(()) == []
+        for read in (lambda: verify_witness(a2, (1, 0), ()),
+                     lambda: leaf_step(())):
+            with pytest.raises(TraceError, match=_CHAIN_ERROR):
+                read()
+
+    def test_verify_witness_returns_a_bool(self):
+        rs, lam, good = _e6_w3_descent()
+        assert verify_witness(rs, lam, good) is True
+        _, _, bad = _e6_w3_descent(component="A5")
+        assert verify_witness(rs, lam, bad) is False
+        assert verify_witness(build("A", 1), (2,), (Sl2Node(1, 3),)) is False
+
+    def test_failed_descent_is_the_last_json_node(self):
+        rs, lam, trace = _e6_w3_descent(component="A5")
+        node, = trace_json(rs, lam, trace)
+        assert node["verified"] is False
+        assert "inner" not in node
+        assert trace_citations(trace) == [
+            LeviDescent.citation,
+            "zero-weight invariant detected by the short-root matrix "
+            "determinant"]
 
 
 class TestReplayMutations:

@@ -156,6 +156,15 @@ class TestInputErrors:
         assert err.startswith("error:")
         assert field in err.splitlines()[0]
 
+    @pytest.mark.parametrize("command", ["classify", "witness"])
+    def test_non_dominant_weight_is_one_line(self, capsys, command):
+        # (-1, 2) sums to 1 with no coordinate 1; the "=" keeps argparse
+        # from reading -1,2 as an option
+        code, out, err = run(capsys, command, "--type", "A2",
+                             "--weight=-1,2")
+        assert (code, out, err) == (2, "", "error: weight: must be "
+                                           "dominant\n")
+
     def test_unknown_command_exits_two(self, capsys):
         assert run(capsys, "frobnicate")[0] == 2
 

@@ -281,6 +281,8 @@ class TestWeights:
             return len(lam) == rs.rank and all(c >= 0 for c in lam)
 
         def minuscule(rs, lam):
+            if not dominant(rs, lam):
+                raise ValueError("weight: must be dominant")
             if all(c == 0 for c in lam):
                 return True
             if sum(lam) == 1:
@@ -288,12 +290,11 @@ class TestWeights:
             return False
 
         def outcome(predicate, *args):
-            # both forms of is_minuscule raise on a weight like (2, -1),
-            # which has sum 1 and no coordinate 1
+            # both forms of is_minuscule refuse every non-dominant weight
             try:
                 return predicate(*args)
-            except ValueError:
-                return ValueError
+            except ValueError as exc:
+                return str(exc)
 
         for rs in systems(4):
             for n in (rs.rank - 1, rs.rank, rs.rank + 1):
@@ -301,7 +302,15 @@ class TestWeights:
                     assert rs.is_dominant(lam) is dominant(rs, lam), lam
                     if n == rs.rank:
                         assert (outcome(rs.is_minuscule, lam)
-                                is outcome(minuscule, rs, lam)), lam
+                                == outcome(minuscule, rs, lam)), lam
+
+    def test_is_minuscule_refuses_non_dominant_weights(self):
+        # (2, -1) and (-1, 2) sum to 1 but have no coordinate 1, and
+        # (0, 0, 1) has the wrong length
+        a2 = build("A", 2)
+        for lam in ((2, -1), (-1, 2), (-1, 0), (0, 0, 1)):
+            with pytest.raises(ValueError, match="^weight: must be dominant$"):
+                a2.is_minuscule(lam)
 
 
 class TestLevi:
