@@ -42,12 +42,6 @@ class CheckFailed(AssertionError):
 class CheckResult(Record):
     __slots__ = _fields = ("id", "passed", "seconds", "detail")
 
-    def __init__(self, id: str, passed: bool, seconds: float, detail: str):
-        object.__setattr__(self, "id", id)
-        object.__setattr__(self, "passed", passed)
-        object.__setattr__(self, "seconds", seconds)
-        object.__setattr__(self, "detail", detail)
-
 
 def stated_reducibility_orders(rs, bound: int = 60):
     """Orders at which the short-root determinant is asserted to vanish."""

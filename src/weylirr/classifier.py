@@ -49,10 +49,6 @@ class Sl2Node(Record):
 
     __slots__ = _fields = ("node", "ell")
 
-    def __init__(self, node: int, ell: int):
-        object.__setattr__(self, "node", node)
-        object.__setattr__(self, "ell", ell)
-
     name = "sl2_node"
     citation = "rank-one divided-power criterion at a single node"
 
@@ -63,7 +59,7 @@ class Sl2Node(Record):
                 "ell": self.ell}
 
     def replay(self, rs: RootSystem, lam: Weight, twist: int):
-        if not 1 <= self.node <= rs.rank:
+        if type(self.node) is not int or not 1 <= self.node <= rs.rank:
             raise TraceError(f"node {self.node} out of range for {rs.name}")
         if self.ell < 1:
             raise TraceError("ell must be positive")
@@ -83,14 +79,6 @@ class LeviDescent(Record):
     __slots__ = _fields = ("nodes", "component", "twist", "restricted",
                            "inner")
 
-    def __init__(self, nodes: tuple, component: str, twist: int,
-                 restricted: tuple, inner: tuple):
-        object.__setattr__(self, "nodes", nodes)
-        object.__setattr__(self, "component", component)
-        object.__setattr__(self, "twist", twist)
-        object.__setattr__(self, "restricted", restricted)
-        object.__setattr__(self, "inner", inner)
-
     name = "levi_descent"
     citation = ("reducibility lifts through subdiagram restriction at a "
                 "fixed order")
@@ -104,7 +92,7 @@ class LeviDescent(Record):
     def replay(self, rs: RootSystem, lam: Weight, twist: int):
         if not self.nodes or len(set(self.nodes)) != len(self.nodes):
             raise TraceError("descent nodes must be distinct and nonempty")
-        if any(not isinstance(i, int) or not 1 <= i <= rs.rank
+        if any(type(i) is not int or not 1 <= i <= rs.rank
                for i in self.nodes):
             raise TraceError(f"descent nodes invalid for {rs.name}")
         comps = rs.levi_subsystem(self.nodes)
@@ -140,10 +128,6 @@ class EndNode(Record):
     """
 
     __slots__ = _fields = ("case", "ell")
-
-    def __init__(self, case: str, ell: int):
-        object.__setattr__(self, "case", case)
-        object.__setattr__(self, "ell", ell)
 
     name = "end_node"
 
@@ -207,11 +191,6 @@ class FundWeight(Record):
 
     __slots__ = _fields = ("node", "ell", "tag")
 
-    def __init__(self, node: int, ell: int, tag: str):
-        object.__setattr__(self, "node", node)
-        object.__setattr__(self, "ell", ell)
-        object.__setattr__(self, "tag", tag)
-
     name = "fundamental_weight"
 
     @property
@@ -227,7 +206,7 @@ class FundWeight(Record):
         # the tag is checked first, so a malformed leaf raises whatever
         # the weight is
         self.citation
-        if not 1 <= self.node <= rs.rank:
+        if type(self.node) is not int or not 1 <= self.node <= rs.rank:
             raise TraceError(f"node {self.node} out of range for {rs.name}")
         if lam != rs.fundamental(self.node):
             return False, None
@@ -244,13 +223,6 @@ class Decision(Record):
     # verdict: "globally_irreducible" | "reducible"
     # reason: "minuscule" | "E8_adjoint" | None
     __slots__ = _fields = ("verdict", "reason", "trace", "witness_ell")
-
-    def __init__(self, verdict: str, reason: str | None, trace: tuple,
-                 witness_ell: int | None):
-        object.__setattr__(self, "verdict", verdict)
-        object.__setattr__(self, "reason", reason)
-        object.__setattr__(self, "trace", trace)
-        object.__setattr__(self, "witness_ell", witness_ell)
 
 
 _STEPS = (Sl2Node, LeviDescent, EndNode, FundWeight)
@@ -434,6 +406,7 @@ def classify_global(rs: RootSystem, lam: Weight) -> Decision:
 def trace_json(rs: RootSystem, lam: Weight, trace):
     """JSON-shaped tree for a trace, with per-step replay flags; a descent
     that fails replay is the last node and has no "inner"."""
+    lam = tuple(lam)
     nodes = level = []
     twist = 1
     for step in _chain(trace, empty=True):

@@ -379,6 +379,10 @@ def main(argv=None) -> int:
         # argparse already printed the message; normalize its exit code
         return 0 if exc.code in (0, None) else 2
     try:
+        for dest, value in vars(args).items():
+            if isinstance(value, list):  # argparse reads "--opt=--" as []
+                option = "lambda" if dest == "lam" else dest.replace("_", "-")
+                raise ValueError(f"{option}: expected one value")
         return _DISPATCH[args.command](args)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -98,10 +98,6 @@ class Root(Record):
 
     __slots__ = _fields = ("coords", "d")
 
-    def __init__(self, coords: tuple, d: int):
-        object.__setattr__(self, "coords", coords)
-        object.__setattr__(self, "d", d)
-
     @property
     def is_short(self) -> bool:
         return self.d == 1
@@ -117,11 +113,6 @@ class LeviComponent(Record):
     """
 
     __slots__ = _fields = ("nodes", "system", "twist")
-
-    def __init__(self, nodes: tuple, system: RootSystem, twist: int):
-        object.__setattr__(self, "nodes", nodes)
-        object.__setattr__(self, "system", system)
-        object.__setattr__(self, "twist", twist)
 
     def restrict(self, lam: Weight) -> Weight:
         return tuple(lam[i - 1] for i in self.nodes)

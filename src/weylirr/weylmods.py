@@ -130,17 +130,6 @@ class E8Certificate(Record):
                            "failing_orders", "value_at_one",
                            "value_at_minus_one")
 
-    def __init__(self, detD: LaurentPoly, f: LaurentPoly, factors: tuple,
-                 checked_orders: tuple, failing_orders: tuple,
-                 value_at_one: int, value_at_minus_one: int):
-        object.__setattr__(self, "detD", detD)
-        object.__setattr__(self, "f", f)
-        object.__setattr__(self, "factors", factors)
-        object.__setattr__(self, "checked_orders", checked_orders)
-        object.__setattr__(self, "failing_orders", failing_orders)
-        object.__setattr__(self, "value_at_one", value_at_one)
-        object.__setattr__(self, "value_at_minus_one", value_at_minus_one)
-
     @property
     def certified(self) -> bool:
         return (not self.failing_orders and self.value_at_one != 0

@@ -387,6 +387,26 @@ class TestMalformedTraces:
         assert verify_witness(rs, lam, bad) is False
         assert verify_witness(build("A", 1), (2,), (Sl2Node(1, 3),)) is False
 
+    # (system, weight, depth, changes): the generated witness with the
+    # step at that depth given a bool node, which reads as node 1
+    BOOL_NODES = [
+        (build("A", 3), (2, 0, 0), 0, {"node": True}),
+        (build("B", 3), (0, 1, 0), 1, {"node": True}),
+        (build("A", 3), (1, 1, 0), 0, {"nodes": (True, 2)}),
+    ]
+
+    @pytest.mark.parametrize("rs,lam,depth,changes", BOOL_NODES,
+                             ids=["sl2-node", "fund-weight", "levi-descent"])
+    def test_bool_nodes_are_refused(self, rs, lam, depth, changes):
+        trace = find_witness(rs, lam)
+        assert verify_witness(rs, lam, trace) is True
+        step = _levels(rs, lam, trace)[depth][3]
+        bad = _with_step(trace, depth, _replace(step, **changes))
+        assert bad == trace  # True == 1: only the type tells them apart
+        for read in (verify_witness, trace_json):
+            with pytest.raises(TraceError, match="invalid|out of range"):
+                read(rs, lam, bad)
+
     def test_failed_descent_is_the_last_json_node(self):
         rs, lam, trace = _e6_w3_descent(component="A5")
         node, = trace_json(rs, lam, trace)
@@ -514,6 +534,16 @@ class TestTraceJson:
         assert node["params"] == {"node": 1, "coordinate": 2,
                                   "symmetrizer": 1, "ell": 4}
         assert node["verified"] is True
+
+    @pytest.mark.parametrize("kind,rank,lam", [
+        ("A", 2, (1, 1)), ("B", 3, (0, 1, 0))])
+    def test_list_weight_gives_the_tuple_json(self, kind, rank, lam):
+        rs = build(kind, rank)
+        trace = find_witness(rs, lam)
+        nodes = trace_json(rs, lam, trace)
+        assert trace_json(rs, list(lam), trace) == nodes
+        assert nodes[0]["verified"] is True
+        assert verify_witness(rs, list(lam), trace) is True
 
     def test_citations_deduplicate(self):
         rs = build("E", 7)

@@ -168,6 +168,38 @@ class TestInputErrors:
     def test_unknown_command_exits_two(self, capsys):
         assert run(capsys, "frobnicate")[0] == 2
 
+    # every option that takes a value, with a valid argv for its command
+    OPTION_CASES = [
+        (command, option, base)
+        for command, options, base in [
+            ("classify", ["type", "rank", "weight"],
+             ["--type", "B", "--rank", "8", "--weight", "w1"]),
+            ("witness", ["type", "rank", "weight"],
+             ["--type", "B", "--rank", "8", "--weight", "w1"]),
+            ("det-short", ["type", "rank", "ell"],
+             ["--type", "A", "--rank", "3", "--ell", "4"]),
+            ("sl2", ["lambda", "ell", "d"],
+             ["--lambda", "3", "--ell", "4", "--d", "1"]),
+            ("qbinom", ["n", "m", "ell", "d"],
+             ["--n", "5", "--m", "2", "--ell", "4", "--d", "1"]),
+            ("table-theorem5-1", ["max-rank"], ["--max-rank", "1"]),
+            ("endnodes", ["type", "rank"], ["--type", "A", "--rank", "3"]),
+            ("verify-paper", ["only"], ["--only", "e8-certificate"]),
+        ]
+        for option in options
+    ]
+
+    @pytest.mark.parametrize("command,option,base", OPTION_CASES,
+                             ids=[f"{c}-{o}" for c, o, _ in OPTION_CASES])
+    def test_double_dash_value_exits_two(self, capsys, command, option,
+                                         base):
+        # argparse reads "--opt=--" as an empty list, not as one value
+        argv = list(base)
+        at = argv.index(f"--{option}")
+        argv[at:at + 2] = [f"--{option}=--"]
+        assert run(capsys, command, *argv) == (
+            2, "", f"error: {option}: expected one value\n")
+
 
 class TestInternalErrors:
     @pytest.mark.parametrize("exc,line", [

@@ -89,10 +89,23 @@ class TestRecordSemantics:
         assert not hasattr(cls(*values), "__dict__")
 
     def test_keyword_construction(self, cls, values, other):
-        kwargs = dict(zip(cls._fields, values))
+        fields = cls._fields
+        kwargs = dict(zip(fields, values))
         assert cls(**kwargs) == cls(*values)
-        with pytest.raises(TypeError):
-            cls(*values, values[0])
+        for k in range(len(fields) + 1):
+            mixed = cls(*values[:k], **dict(zip(fields[k:], values[k:])))
+            assert mixed == cls(*values)
+        first = fields[0]
+        bad_calls = [
+            lambda: cls(*values, values[0]),  # one too many
+            lambda: cls(**{f: v for f, v in kwargs.items() if f != first}),
+            lambda: cls(*values, unknown=values[0]),
+            lambda: cls(*values[:1], **kwargs),  # first field twice
+            lambda: cls(),
+        ]
+        for call in bad_calls:
+            with pytest.raises(TypeError, match=cls.__name__):
+                call()
 
 
 def test_spec_order_validates_in_init():
