@@ -2,20 +2,21 @@
 
 classify_global decides whether the Weyl module of a dominant weight stays
 irreducible at every root of unity.  The negative answers come with a trace:
-a chain of reduction steps (rank-one restriction, descent to a subdiagram,
-an end-node wall-crossing fact, or a fundamental-weight leaf) ending at a
-concrete order.  verify_witness replays a trace from scratch, recomputing
-every restriction and every leaf condition.  A descent's replay reads the
-subdiagram decomposition that RootSystem.levi_subsystem keeps per node set
-(the one the search used, since the decomposition is deterministic) and
-still checks every recorded field against it: nodes, component, twist and
+a flat tuple of reduction steps, outermost first, zero or more descents to
+a subdiagram and then one leaf (rank-one restriction, end-node
+wall-crossing fact, or fundamental-weight fact) at a concrete order.
+verify_witness replays a trace from scratch, recomputing every restriction
+and every leaf condition.  A descent's replay reads the subdiagram
+decomposition that RootSystem.levi_subsystem keeps per node set (the one
+the search used, since the decomposition is deterministic) and still
+checks every recorded field against it: nodes, component, twist and
 restricted weight.
 
 Each step class carries its own description: its JSON `name`, its
 `citation` text, its JSON `params` and its `replay`.  _chain alone checks
-a trace's shape, step classes and citations, all before any replay, and
-verify_witness, trace_json, trace_citations and leaf_step are loops over
-its list of steps, so a new replay rule lives in one class body.
+a trace's shape, step classes, citations and leaf order, all before any
+replay, and verify_witness, trace_json, trace_citations and leaf_step loop
+over what it returns, so a new replay rule lives in one class body.
 
 The `twist` parameter threading through this module is the ratio between
 ambient and local symmetrizers: a subdiagram whose nodes are long roots of
@@ -42,7 +43,7 @@ class TraceError(ValueError):
 
 # Every step's replay(rs, lam, twist) returns (holds, sub), where sub is
 # (system, weight, twist) for a descent step that holds, else None; the
-# inner trace is the step's own `inner`.
+# next step of the flat trace replays against sub.
 
 class Sl2Node(Record):
     """Leaf: the coordinate at `node` fails the rank-one criterion at ell."""
@@ -61,23 +62,20 @@ class Sl2Node(Record):
     def replay(self, rs: RootSystem, lam: Weight, twist: int):
         if type(self.node) is not int or not 1 <= self.node <= rs.rank:
             raise TraceError(f"node {self.node} out of range for {rs.name}")
-        if self.ell < 1:
-            raise TraceError("ell must be positive")
         c = lam[self.node - 1]
         d = rs.symm[self.node - 1] * twist
         return not sl2_irreducible(c, self.ell, d), None
 
 
 class LeviDescent(Record):
-    """Restrict to the subdiagram `nodes` and continue with `inner`.
+    """Restrict to the subdiagram `nodes`; the next step replays there.
 
     nodes are ambient indices in the component's own Bourbaki order;
     component names the relabeled type; twist is the component's
     symmetrizer ratio relative to the system the step lives in.
     """
 
-    __slots__ = _fields = ("nodes", "component", "twist", "restricted",
-                           "inner")
+    __slots__ = _fields = ("nodes", "component", "twist", "restricted")
 
     name = "levi_descent"
     citation = ("reducibility lifts through subdiagram restriction at a "
@@ -110,7 +108,6 @@ class LeviDescent(Record):
 
 
 _ENDNODE_CASE = {"A": "a", "B": "b", "C": "c", "F": "d", "G": "e"}
-_ENDNODE_KIND = {case: kind for kind, case in _ENDNODE_CASE.items()}
 
 
 def _two_ends(rs: RootSystem) -> Weight:
@@ -131,14 +128,10 @@ class EndNode(Record):
 
     name = "end_node"
 
-    def _kind(self) -> str:
-        if self.case not in _ENDNODE_KIND:
-            raise TraceError(f"unknown end-node case {self.case!r}")
-        return _ENDNODE_KIND[self.case]
-
     @property
     def citation(self) -> str:
-        self._kind()
+        if self.case not in _ENDNODE_CASE.values():
+            raise TraceError(f"unknown end-node case {self.case!r}")
         if self.case in ("a", "b"):
             return ("end-node wall-crossing; reflection identity and "
                     "alcove membership replayed")
@@ -150,7 +143,7 @@ class EndNode(Record):
                 "arithmetic_replayed": self.case in ("a", "b")}
 
     def replay(self, rs: RootSystem, lam: Weight, twist: int):
-        if (rs.kind != self._kind() or rs.rank < 2
+        if (_ENDNODE_CASE.get(rs.kind) != self.case or rs.rank < 2
                 or lam != _two_ends(rs)):
             return False, None
         if self.case == "a":
@@ -203,9 +196,6 @@ class FundWeight(Record):
         return {"node": self.node, "ell": self.ell, "test": self.tag}
 
     def replay(self, rs: RootSystem, lam: Weight, twist: int):
-        # the tag is checked first, so a malformed leaf raises whatever
-        # the weight is
-        self.citation
         if type(self.node) is not int or not 1 <= self.node <= rs.rank:
             raise TraceError(f"node {self.node} out of range for {rs.name}")
         if lam != rs.fundamental(self.node):
@@ -228,23 +218,24 @@ class Decision(Record):
 _STEPS = (Sl2Node, LeviDescent, EndNode, FundWeight)
 
 
-def _chain(trace, empty: bool = False) -> list:
-    """The steps of a chain trace, outermost first, all checked before any
-    is replayed; with empty=True the trace () gives []."""
+def _chain(trace, empty: bool = False) -> tuple:
+    """The trace, checked before any step replays to be descents and then
+    one leaf at a positive integer order; with empty=True, () passes too."""
     if empty and trace == ():
-        return []
-    steps = []
-    while True:
-        if not isinstance(trace, tuple) or len(trace) != 1:
-            raise TraceError("trace must be a one-step chain at every level")
-        step, = trace
+        return trace
+    if not isinstance(trace, tuple) or not trace:
+        raise TraceError("trace must be descents and then one leaf")
+    last = len(trace) - 1
+    for k, step in enumerate(trace):
         if not isinstance(step, _STEPS):
             raise TraceError(f"unknown trace step {type(step).__name__}")
+        if isinstance(step, LeviDescent) != (k < last):
+            raise TraceError("trace must be descents and then one leaf")
         step.citation  # refuses an unknown end-node case or leaf tag
-        steps.append(step)
-        if not isinstance(step, LeviDescent):
-            return steps
-        trace = step.inner
+    ell = trace[last].ell
+    if type(ell) is not int or ell < 1:
+        raise TraceError("leaf ell must be a positive integer")
+    return trace
 
 
 def _is_e8_adjoint(rs: RootSystem, lam: Weight) -> bool:
@@ -293,13 +284,13 @@ def _descend(rs: RootSystem, lam: Weight, J, twist: int):
             f"{rs.name}: route {J} is not connected")
     comp = comps[0]
     restricted = comp.restrict(lam)
-    inner = find_witness(comp.system, restricted, twist * comp.twist)
-    if inner is None:
+    tail = find_witness(comp.system, restricted, twist * comp.twist)
+    if tail is None:
         raise InternalCheckError(
             f"{rs.name}: descent to {comp.system.name} lost the witness "
             f"for {format_weight(lam)}")
     return (LeviDescent(comp.nodes, comp.system.name, comp.twist,
-                        restricted, inner),)
+                        restricted),) + tail
 
 
 def find_witness(rs: RootSystem, lam: Weight, twist: int = 1):
@@ -365,7 +356,7 @@ def fundamental_weight_witness(rs: RootSystem, i: int):
 
 
 def leaf_step(trace):
-    """The unique leaf of a chain trace."""
+    """The leaf of a trace: its last step."""
     return _chain(trace)[-1]
 
 
@@ -375,9 +366,13 @@ def witness_ell(trace) -> int:
 
 def verify_witness(rs: RootSystem, lam: Weight, trace,
                    twist: int = 1) -> bool:
-    """Replay a trace from scratch; True iff every step holds."""
+    """Replay a trace from scratch; True iff every step holds.  A malformed
+    trace raises TraceError, then a weight not dominant for rs ValueError."""
     lam = tuple(lam)
-    for step in _chain(trace):
+    steps = _chain(trace)
+    if not rs.is_dominant(lam):
+        raise ValueError("weight: must be dominant")
+    for step in steps:
         holds, sub = step.replay(rs, lam, twist)
         if not holds:
             return False
@@ -404,12 +399,16 @@ def classify_global(rs: RootSystem, lam: Weight) -> Decision:
 
 
 def trace_json(rs: RootSystem, lam: Weight, trace):
-    """JSON-shaped tree for a trace, with per-step replay flags; a descent
+    """JSON-shaped tree for a trace, with per-step replay flags: each step
+    after a descent sits under that descent's "inner" key, and a descent
     that fails replay is the last node and has no "inner"."""
     lam = tuple(lam)
+    steps = _chain(trace, empty=True)
+    if not rs.is_dominant(lam):
+        raise ValueError("weight: must be dominant")
     nodes = level = []
     twist = 1
-    for step in _chain(trace, empty=True):
+    for step in steps:
         holds, sub = step.replay(rs, lam, twist)
         node = {"step": step.name, "params": step.params(rs, lam, twist),
                 "citation": step.citation, "verified": bool(holds)}

@@ -9,7 +9,10 @@ reason, and the verify-paper command reports them as FAIL and exits nonzero.
 
 import pytest
 
+from weylirr import classifier
 from weylirr.acceptance import CHECK_IDS, budget_for, run_check
+from weylirr.qarith import InternalCheckError
+from weylirr.rootsystem import build
 
 # criterion id -> substring that must appear in the failure detail
 EXPECTED_RED = {
@@ -45,3 +48,15 @@ def test_criterion(check_id):
 def test_every_criterion_ran():
     assert set(CHECK_IDS) == set(_results)
     assert len(CHECK_IDS) == 9
+
+
+def test_sweep_fails_when_a_witness_fails_replay(monkeypatch):
+    # the sweep does not replay traces itself: it relies on classify_global
+    # raising for any witness that fails replay, and on run_check
+    # reporting that exception
+    monkeypatch.setattr(classifier, "verify_witness", lambda *args: False)
+    with pytest.raises(InternalCheckError, match="failed replay"):
+        classifier.classify_global(build("A", 1), (2,))
+    result = run_check("global-classification-sweep")
+    assert not result.passed
+    assert result.detail.startswith("InternalCheckError: "), result.detail

@@ -39,18 +39,16 @@ def weights(draw, top):
 
 
 def _levels(rs, lam, trace):
-    """(system, weight, twist, step) at each level of a chain trace."""
+    """(system, weight, twist, step) for each step of a trace."""
     out = []
     twist = 1
-    while True:
-        step, = trace
+    for step in trace:
         out.append((rs, lam, twist, step))
         holds, sub = step.replay(rs, lam, twist)
         assert holds
-        if sub is None:
-            return out
-        rs, lam, twist = sub
-        trace = step.inner
+        if sub is not None:
+            rs, lam, twist = sub
+    return out
 
 
 def _replace(step, **changes):
@@ -62,10 +60,7 @@ def _replace(step, **changes):
 
 def _with_step(trace, depth, new):
     """trace with the step at the given depth replaced by new."""
-    step, = trace
-    if depth == 0:
-        return (new,)
-    return (_replace(step, inner=_with_step(step.inner, depth - 1, new)),)
+    return trace[:depth] + (new,) + trace[depth + 1:]
 
 
 def _outcome(rs, lam, trace):
@@ -119,21 +114,20 @@ class TestFindWitness:
 
     def test_fundamental_descent_e6(self):
         trace = find_witness(build("E", 6), (0, 0, 1, 0, 0, 0))
-        step, = trace
+        step, leaf = trace
         assert isinstance(step, LeviDescent)
         assert step.nodes == (1, 3, 4, 2, 5)
         assert step.component == "D5"
         assert step.twist == 1
         assert step.restricted == (0, 1, 0, 0, 0)
-        assert step.inner == (FundWeight(2, 4, "adjoint_short_root"),)
+        assert leaf == FundWeight(2, 4, "adjoint_short_root")
         assert witness_ell(trace) == 4
 
     def test_fundamental_descent_nests(self):
         trace = find_witness(build("E", 7), (0, 0, 0, 0, 1, 0, 0))
         assert witness_ell(trace) == 4
-        step, = trace
+        step, inner = trace[:2]
         assert step.component == "E6"
-        inner, = step.inner
         assert inner.component == "D5"
 
     def test_end_node_cases(self):
@@ -147,18 +141,18 @@ class TestFindWitness:
 
     def test_two_supports_descend_through_the_path(self):
         trace = find_witness(build("C", 5), (1, 0, 1, 0, 0))
-        step, = trace
+        step, leaf = trace
         assert isinstance(step, LeviDescent)
         assert step.nodes == (1, 2, 3)
         assert step.component == "A3"
-        assert step.inner == (EndNode("a", 4),)
+        assert leaf == EndNode("a", 4)
 
     def test_twisted_end_node(self):
         trace = find_witness(build("B", 5), (0, 1, 0, 1, 0))
-        step, = trace
+        step, leaf = trace
         assert step.component == "A3"
         assert step.twist == 2
-        assert step.inner == (EndNode("a", 8),)
+        assert leaf == EndNode("a", 8)
         assert witness_ell(trace) == 8
         assert verify_witness(build("B", 5), (0, 1, 0, 1, 0), trace)
 
@@ -278,9 +272,25 @@ class TestVerifyWitness:
         assert not verify_witness(b5, (1, 0, 0, 0, 1), (EndNode("a", 6),))
         e6 = build("E", 6)
         lam = (0, 0, 1, 0, 0, 0)
-        step, = find_witness(e6, lam)
+        step, leaf = find_witness(e6, lam)
         bad = _replace(step, restricted=(1, 0, 0, 0, 0))
-        assert not verify_witness(e6, lam, (bad,))
+        assert not verify_witness(e6, lam, (bad, leaf))
+
+    @pytest.mark.parametrize("lam,trace", [
+        ((0, 0, 2, 5), (Sl2Node(3, 4),)),
+        ((2, -1, 0), (Sl2Node(1, 4),)),
+        ((2,), (Sl2Node(3, 4),)),
+    ], ids=["too-long", "negative", "too-short"])
+    def test_weight_must_be_dominant_for_the_system(self, lam, trace):
+        a3 = build("A", 3)
+        for read in (verify_witness, trace_json):
+            with pytest.raises(ValueError) as info:
+                read(a3, lam, trace)
+            assert type(info.value) is ValueError
+            assert str(info.value) == "weight: must be dominant"
+            # a malformed trace is refused first
+            with pytest.raises(TraceError):
+                read(a3, lam, trace + trace)
 
     def test_alternative_hand_built_trace(self):
         # the same weight can carry distinct valid witnesses
@@ -329,38 +339,43 @@ class TestVerifyWitness:
             verify_witness(a2, (0, 1), bogus)
 
 
-def _e6_w3_descent(**changes):
-    """(E6, w3, the one-descent trace of w3 with changes to the descent)."""
+def _e6_w3_descent(tail=None, **changes):
+    """(E6, w3, the descent-then-leaf trace of w3 with changes to the
+    descent, and tail in place of the leaf when it is given)."""
     rs = build("E", 6)
     lam = rs.fundamental(3)
-    step, = find_witness(rs, lam)
-    return rs, lam, (_replace(step, **changes),)
+    step, leaf = find_witness(rs, lam)
+    return rs, lam, (_replace(step, **changes),) + (
+        (leaf,) if tail is None else tail)
 
 
-_CHAIN_ERROR = "trace must be a one-step chain at every level"
+_SHAPE_ERROR = "trace must be descents and then one leaf"
 
 # (system, weight, trace, message): each trace function refuses each entry
 # with this TraceError message, whether or not the outer steps replay
 MALFORMED = [
     (build("A", 2), (1, 1), (EndNode("a", 3), EndNode("a", 3)),
-     _CHAIN_ERROR),
-    (build("A", 2), (1, 1), [EndNode("a", 3)], _CHAIN_ERROR),
-    (*_e6_w3_descent(inner=(FundWeight(2, 4, "adjoint_short_root"),) * 2),
-     _CHAIN_ERROR),
-    (*_e6_w3_descent(component="A5", inner="junk"), _CHAIN_ERROR),
-    (*_e6_w3_descent(component="A5", inner=("junk",)),
+     _SHAPE_ERROR),
+    (build("A", 2), (1, 1), [EndNode("a", 3)], _SHAPE_ERROR),
+    (*_e6_w3_descent(tail=(FundWeight(2, 4, "adjoint_short_root"),) * 2),
+     _SHAPE_ERROR),
+    (*_e6_w3_descent(component="A5", tail=()), _SHAPE_ERROR),
+    (*_e6_w3_descent(component="A5", tail=("junk",)),
      "unknown trace step str"),
-    (*_e6_w3_descent(component="A5", inner=(FundWeight(1, 3, "bogus"),)),
+    (*_e6_w3_descent(component="A5", tail=(FundWeight(1, 3, "bogus"),)),
      "unknown leaf tag 'bogus'"),
-    (*_e6_w3_descent(component="A5", inner=(EndNode("z", 4),)),
+    (*_e6_w3_descent(component="A5", tail=(EndNode("z", 4),)),
      "unknown end-node case 'z'"),
+    (build("A", 2), (1, 1),
+     (EndNode("a", 3), LeviDescent((1, 2), "A2", 1, (1, 1))), _SHAPE_ERROR),
 ]
 
 
 class TestMalformedTraces:
     @pytest.mark.parametrize("rs,lam,trace,message", MALFORMED, ids=[
         "two-steps", "list", "two-step-inner", "string-inner",
-        "string-step-inner", "bad-tag-inner", "bad-case-inner"])
+        "string-step-inner", "bad-tag-inner", "bad-case-inner",
+        "leaf-before-descent"])
     def test_every_reader_refuses_alike(self, rs, lam, trace, message):
         readers = (lambda: verify_witness(rs, lam, trace),
                    lambda: trace_json(rs, lam, trace),
@@ -371,13 +386,43 @@ class TestMalformedTraces:
                 read()
             assert str(info.value) == message
 
+    # (system, weight, leaf for an order): the right order replays there
+    LEAVES = [
+        (build("A", 1), (2,), lambda ell: Sl2Node(1, ell)),
+        (build("A", 2), (1, 1), lambda ell: EndNode("a", ell)),
+        (build("B", 2), (1, 0),
+         lambda ell: FundWeight(1, ell, "adjoint_short_root")),
+    ]
+
+    @pytest.mark.parametrize("rs,lam,leaf", LEAVES,
+                             ids=["sl2-node", "end-node", "fund-weight"])
+    @pytest.mark.parametrize("ell", [0, -1, True, 2.0, 3.0, "3", None])
+    def test_leaf_order_must_be_a_positive_integer(self, rs, lam, leaf, ell):
+        descent = _e6_w3_descent()[2][0]
+        for trace in ((leaf(ell),), (descent, leaf(ell))):
+            readers = (lambda: verify_witness(rs, lam, trace),
+                       lambda: trace_json(rs, lam, trace),
+                       lambda: trace_citations(trace),
+                       lambda: leaf_step(trace),
+                       lambda: witness_ell(trace))
+            for read in readers:
+                with pytest.raises(TraceError) as info:
+                    read()
+                assert str(info.value) == "leaf ell must be a positive integer"
+
+    def test_levi_descent_has_no_inner_field(self):
+        assert LeviDescent._fields == ("nodes", "component", "twist",
+                                       "restricted")
+        with pytest.raises(TypeError):
+            LeviDescent((1, 2), "A2", 1, (1, 1), (EndNode("a", 3),))
+
     def test_empty_trace(self):
         a2 = build("A", 2)
         assert trace_json(a2, (1, 0), ()) == []
         assert trace_citations(()) == []
         for read in (lambda: verify_witness(a2, (1, 0), ()),
                      lambda: leaf_step(())):
-            with pytest.raises(TraceError, match=_CHAIN_ERROR):
+            with pytest.raises(TraceError, match=_SHAPE_ERROR):
                 read()
 
     def test_verify_witness_returns_a_bool(self):
@@ -463,6 +508,23 @@ class TestReplayMutations:
         bad = _with_step(trace, len(levels) - 1, Sl2Node(leaf.node, ell))
         assert verify_witness(rs, lam, bad) is (
             not sl2_maximal_vector_oracle(c, ell, d))
+
+
+class TestTraceShape:
+    @settings(max_examples=150, deadline=None)
+    @given(weights(top=2))
+    def test_descents_then_one_leaf(self, case):
+        rs, lam = case
+        trace = find_witness(rs, lam)
+        assume(trace is not None)
+        assert isinstance(trace, tuple) and trace
+        assert all(isinstance(step, LeviDescent) for step in trace[:-1])
+        assert isinstance(trace[-1], (Sl2Node, EndNode, FundWeight))
+        level, depth = trace_json(rs, lam, trace), 0
+        while "inner" in level[0]:
+            level, depth = level[0]["inner"], depth + 1
+        assert len(level) == 1
+        assert depth == len(trace) - 1
 
 
 class TestClassifyGlobal:

@@ -31,8 +31,7 @@ SAMPLES = [
      (qint(3), LaurentPoly({2: 1}), (qint(2),), (3, 60), (60,), 1, -1),
      (qint(3), LaurentPoly({2: 1}), (qint(2),), (3, 60), (), 1, -1)),
     (Sl2Node, (1, 3), (1, 4)),
-    (LeviDescent, ((2, 3), "A2", 1, (1, 0), (Sl2Node(1, 3),)),
-     ((2, 3), "A2", 2, (1, 0), (Sl2Node(1, 3),))),
+    (LeviDescent, ((2, 3), "A2", 1, (1, 0)), ((2, 3), "A2", 2, (1, 0))),
     (EndNode, ("a", 6), ("b", 6)),
     (FundWeight, (2, 3, "adjoint_short_root"), (2, 3, "g2_omega2")),
     (Decision, ("reducible", None, (Sl2Node(1, 3),), 3),
