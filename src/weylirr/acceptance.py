@@ -225,20 +225,19 @@ def _check_qarith_identities() -> str:
                 prod = prod * cyclotomic(d)
         if prod != LaurentPoly({n: 1, 0: -1}):
             raise CheckFailed(f"cyclotomic product fails at {n}")
-    slow = {}
+    specs = [SpecOrder(ell, d) for d in (1, 2, 3) for ell in range(1, 101)]
     agree = 0
-    for d in (1, 2, 3):
-        for ell in range(1, 101):
-            spec = SpecOrder(ell, d)
+    for i in range(1, 501):
+        p = qint(i)
+        slow = {}  # effective order -> vanishes_at(p, spec), for this i
+        for spec in specs:
             e = spec.effective_order
-            for i in range(1, 501):
-                key = (i, e)
-                if key not in slow:
-                    slow[key] = vanishes_at(qint(i), spec)
-                if slow[key] != qint_vanishes_fast(i, spec):
-                    raise CheckFailed(
-                        f"fast vanishing disagrees at i={i}, ell={ell}, d={d}")
-                agree += 1
+            if e not in slow:
+                slow[e] = vanishes_at(p, spec)
+            if slow[e] != qint_vanishes_fast(i, spec):
+                raise CheckFailed(f"fast vanishing disagrees at i={i}, "
+                                  f"ell={spec.ell}, d={spec.d}")
+            agree += 1
     return (f"bar-invariance, three-term and cyclotomic identities hold; "
             f"fast vanishing agrees on {agree} inputs")
 

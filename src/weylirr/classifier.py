@@ -395,7 +395,8 @@ def classify_global(rs: RootSystem, lam: Weight) -> Decision:
         raise InternalCheckError(
             f"{rs.name}: generated witness for {format_weight(lam)} "
             f"failed replay")
-    return Decision("reducible", None, trace, witness_ell(trace))
+    # verify_witness has checked the trace: its last step is the leaf
+    return Decision("reducible", None, trace, trace[-1].ell)
 
 
 def trace_json(rs: RootSystem, lam: Weight, trace):

@@ -3,7 +3,8 @@
 Quantum integers, factorials and binomial coefficients live here, together
 with cyclotomic polynomials and exact vanishing tests at roots of unity.
 Everything runs on arbitrary-precision integers; there is no floating point
-and no numerical tolerance anywhere in this module.
+and no numerical tolerance anywhere in this module.  qint, qfactorial and
+qbinom build their value on each call; no polynomial is cached.
 
 A polynomial is a valuation and a dense tuple of coefficients, and the
 ring operations work on whole slices of it.  vanishes_at decides whether p
@@ -11,8 +12,9 @@ vanishes at a primitive e-th root of unity without building cyclotomic(e)
 and without dividing.  While p is q^a g(q^2), as every quantum integer,
 Gaussian binomial and short-root determinant is, it tests g at the square
 of the root instead, on half the coefficients.  Then it folds modulo
-q^e - 1 and asks whether the folded coefficients, after one coset-sum step
-per prime factor of e but the largest, r, are periodic with period e/r.
+q^e - 1, one slice of length e or one residue class at a time, and asks
+whether the folded coefficients, after one coset-sum step per prime
+factor of e but the largest, r, are periodic with period e/r.
 This is the structure of vanishing sums of roots of unity (Lam and Leung,
 J. Algebra 224 (2000)).
 Since phi(e) >= sqrt(e/2), a polynomial of span s with 2 s^2 < e cannot
@@ -23,7 +25,7 @@ from __future__ import annotations
 
 import math
 from functools import lru_cache
-from itertools import chain, islice, repeat
+from itertools import islice, repeat
 from operator import add, neg, sub
 
 from ._record import Record
@@ -297,7 +299,6 @@ ZERO = LaurentPoly()
 ONE = LaurentPoly({0: 1})
 
 
-@lru_cache(maxsize=None)
 def qint(i: int) -> LaurentPoly:
     """Quantum integer [i] = (q^i - q^-i)/(q - q^-1)."""
     if not isinstance(i, int):
@@ -310,19 +311,16 @@ def qint(i: int) -> LaurentPoly:
     return _canon(1 - i, (1, 0) * (i - 1) + (1,))
 
 
-_QFACT: list[LaurentPoly] = [ONE]
-
-
 def qfactorial(i: int) -> LaurentPoly:
     """Quantum factorial [i]! = [1][2]...[i], with [0]! = 1."""
     if not isinstance(i, int) or i < 0:
         raise ValueError("quantum factorial needs a nonnegative int")
-    while len(_QFACT) <= i:
-        _QFACT.append(_QFACT[-1] * qint(len(_QFACT)))
-    return _QFACT[i]
+    result = ONE
+    for j in range(2, i + 1):
+        result = result * qint(j)
+    return result
 
 
-@lru_cache(maxsize=None)
 def qbinom(n: int, m: int) -> LaurentPoly:
     """Gaussian binomial [n choose m] = [n][n-1]...[n-m+1] / [m]!.
 
@@ -485,9 +483,11 @@ def _fold(coeffs, e: int) -> list[int]:
         return [*coeffs, *repeat(0, e - n)]
     if e * e <= n:
         return [sum(coeffs[i::e]) for i in range(e)]
-    # rows of length e, transposed and summed, with no Python-level loop
-    rows = zip(*[chain(coeffs, repeat(0, -n % e))] * e)
-    return list(map(sum, zip(*rows)))
+    # fewer than e slices of length e, the last one partial, added in turn
+    out = list(coeffs[:e])
+    for start in range(e, n, e):
+        out[:n - start] = map(add, out, coeffs[start:start + e])
+    return out
 
 
 def vanishes_at(p: LaurentPoly, spec: SpecOrder) -> bool:
@@ -512,8 +512,8 @@ def vanishes_at(p: LaurentPoly, spec: SpecOrder) -> bool:
     Fold.  Reducing modulo q^e - 1 moves no e-th root of unity, so p(z^k)
     = F(k) = sum_i f[i] z^(ki) for every k, where f[i] is the sum of the
     c_j with j = i mod e.  _fold takes at most about sqrt(span) Python
-    steps: sum(c[i::e]) for each i when e^2 <= span + 1, else the rows of
-    length e transposed by zip and summed, all at C level.
+    steps: sum(c[i::e]) for each i when e^2 <= span + 1, else each later
+    slice of length e added into the first by one map(add, ...) at C level.
 
     Periodicity.  The conjugates of z are the z^k with k prime to e and p
     has integer coefficients, so p(z) = 0 iff F(k) = 0 for every k prime

@@ -528,6 +528,14 @@ def systems(max_rank: int):
     return out
 
 
+def _is_int_text(text: str, signed: bool = False) -> bool:
+    """text matches [0-9]+, or -?[0-9]+ when signed: int() alone would
+    also take '_' separators, a '+' sign and non-ASCII digits."""
+    if signed and text[:1] == "-":
+        text = text[1:]
+    return text.isascii() and text.isdigit()
+
+
 def parse_type(text: str, rank=None) -> RootSystem:
     """Accepts 'E8' or a bare letter combined with an explicit rank."""
     t = text.strip().upper()
@@ -536,10 +544,9 @@ def parse_type(text: str, rank=None) -> RootSystem:
     if len(t) > 1:
         if rank is not None and str(rank) != t[1:]:
             raise ValueError(f"type: rank given twice ({text!r} and {rank})")
-        try:
-            rank = int(t[1:])
-        except ValueError:
-            raise ValueError(f"type: unknown root-system type {text!r}") from None
+        if not _is_int_text(t[1:]):
+            raise ValueError(f"type: unknown root-system type {text!r}")
+        rank = int(t[1:])
     if rank is None:
         raise ValueError(f"type: rank required with bare letter {text!r}")
     if int(rank) > MAX_RANK:
@@ -563,26 +570,23 @@ def parse_weight(text: str, rank: int) -> Weight:
         if len(parts) != rank:
             raise ValueError(
                 f"weight: expected {rank} coordinates, got {len(parts)}")
-        try:
-            return tuple(int(p) for p in parts)
-        except ValueError:
-            raise ValueError(f"weight: bad coordinate in {text!r}") from None
+        if not all(_is_int_text(p, signed=True) for p in parts):
+            raise ValueError(f"weight: bad coordinate in {text!r}")
+        return tuple(map(int, parts))
     coords = [0] * rank
     body = t.lower().replace("-", "+-")
     for term in body.split("+"):
         if not term:
             continue
         head, sep, tail = term.partition("w")
-        if not sep or not tail.isdigit():
+        if not sep or not _is_int_text(tail):
             raise ValueError(f"weight: bad term {term!r} in {text!r}")
         if head in ("", "-"):
             coeff = -1 if head == "-" else 1
+        elif _is_int_text(head, signed=True):
+            coeff = int(head)
         else:
-            try:
-                coeff = int(head)
-            except ValueError:
-                raise ValueError(
-                    f"weight: bad coefficient {head!r} in {text!r}") from None
+            raise ValueError(f"weight: bad coefficient {head!r} in {text!r}")
         node = int(tail)
         if not 1 <= node <= rank:
             raise ValueError(

@@ -165,6 +165,23 @@ class TestInputErrors:
         assert (code, out, err) == (2, "", "error: weight: must be "
                                            "dominant\n")
 
+    # int() would read these as A10, A3, A3, 10w1, 10w1, w3 and, for w²,
+    # fail with a message that names no field
+    @pytest.mark.parametrize("type_text, weight, message", [
+        ("A1_0", "w1", "type: unknown root-system type 'A1_0'"),
+        ("A\u0663", "w1", "type: unknown root-system type 'A\u0663'"),
+        ("A+3", "w1", "type: unknown root-system type 'A+3'"),
+        ("A3", "1_0,0,0", "weight: bad coordinate in '1_0,0,0'"),
+        ("A3", "1_0w1", "weight: bad coefficient '1_0' in '1_0w1'"),
+        ("A3", "w\u0663", "weight: bad term 'w\u0663' in 'w\u0663'"),
+        ("A3", "w\u00b2", "weight: bad term 'w\u00b2' in 'w\u00b2'"),
+    ])
+    def test_numbers_are_ascii_digits(self, capsys, type_text, weight,
+                                      message):
+        code, out, err = run(capsys, "classify", "--type", type_text,
+                             "--weight", weight)
+        assert (code, out, err) == (2, "", f"error: {message}\n")
+
     def test_unknown_command_exits_two(self, capsys):
         assert run(capsys, "frobnicate")[0] == 2
 

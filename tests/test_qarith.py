@@ -1,11 +1,12 @@
 """Exact-arithmetic layer: frozen values, ring laws, vanishing rules."""
 
 import math
+import random
 import time
 from fractions import Fraction
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from weylirr.qarith import (
@@ -15,6 +16,7 @@ from weylirr.qarith import (
     ONE,
     SpecOrder,
     ZERO,
+    _fold,
     cyclotomic,
     euler_phi,
     qbinom,
@@ -342,6 +344,28 @@ class TestVanishing:
         e = spec.effective_order
         p = (LaurentPoly(base) * cyclotomic(e) ** power).shift(shift)
         assert vanishes_at(p, spec) == _vanishes_reference(p, e)
+
+    # _fold has three branches: pad when n <= e, strided sums when
+    # e^2 <= n, and slices of length e added in turn in between
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(1, 200), st.sampled_from(["pad", "strided", "slices"]),
+           st.integers(0, 10**6), st.integers(0, 2**32))
+    @example(7, "pad", 7, 0)
+    @example(54, "strided", 84, 1)
+    @example(200, "slices", 2799, 2)
+    def test_fold_matches_residue_sums(self, e, branch, pick, seed):
+        if branch == "pad":
+            n = pick % (e + 1)
+        elif branch == "strided":
+            e = 1 + (e - 1) % 54  # so that e^2 <= 3000
+            n = e * e + pick % (3001 - e * e)
+        else:
+            assume(e >= 2)
+            n = e + 1 + pick % (min(e * e, 3001) - e - 1)
+        rnd = random.Random(seed)
+        c = tuple(rnd.randint(-10**12, 10**12) for _ in range(n))
+        want = [sum(c[j] for j in range(i, n, e)) for i in range(e)]
+        assert _fold(c, e) == want
 
     def test_vanishes_at_both_sides_of_the_order(self):
         phi12 = cyclotomic(12)  # span 4

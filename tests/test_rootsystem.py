@@ -480,7 +480,9 @@ class TestParsing:
         assert parse_weight("w1+2w3", 3) == (1, 0, 2)
         assert parse_weight("2w1-w2", 2) == (2, -1)
         assert parse_weight("w2", 4) == (0, 1, 0, 0)
-        for bad in ["", "1,2", "w5", "wx", "q1+w2"]:
+        # int() alone would also take '_', a '+' sign and non-ASCII digits
+        for bad in ["", "1,2", "w5", "wx", "q1+w2", "1_0,0,0,0", "+1,0,0,0",
+                    "1_0w1", "w\u0663", "w\u00b2"]:
             with pytest.raises(ValueError):
                 parse_weight(bad, 4)
 
