@@ -53,11 +53,9 @@ from .classifier import (
     classify_global,
     endnode_witness,
     find_witness,
-    fundamental_weight_witness,
     trace_citations,
     trace_json,
     verify_witness,
-    witness_ell,
 )
 
 __version__ = "0.1.0"
@@ -88,7 +86,6 @@ __all__ = [
     "euler_phi",
     "find_witness",
     "format_weight",
-    "fundamental_weight_witness",
     "g2_omega2_reducible_at",
     "parse_type",
     "parse_weight",
@@ -105,5 +102,4 @@ __all__ = [
     "trace_json",
     "vanishes_at",
     "verify_witness",
-    "witness_ell",
 ]

@@ -15,8 +15,8 @@ restricted weight.
 Each step class carries its own description: its JSON `name`, its
 `citation` text, its JSON `params` and its `replay`.  _chain alone checks
 a trace's shape, step classes, citations and leaf order, all before any
-replay, and verify_witness, trace_json, trace_citations and leaf_step loop
-over what it returns, so a new replay rule lives in one class body.
+replay, and verify_witness, trace_json and trace_citations loop over what
+it returns, so a new replay rule lives in one class body.
 
 The `twist` parameter threading through this module is the ratio between
 ambient and local symmetrizers: a subdiagram whose nodes are long roots of
@@ -344,24 +344,6 @@ def endnode_witness(rs: RootSystem):
     lam = _two_ends(rs)
     step, = find_witness(rs, lam)
     return lam, step.ell, step.case
-
-
-def fundamental_weight_witness(rs: RootSystem, i: int):
-    """(ell, leaf tag) for the i-th fundamental weight, or None."""
-    trace = find_witness(rs, rs.fundamental(i))
-    if trace is None:
-        return None
-    leaf = leaf_step(trace)
-    return leaf.ell, leaf.tag
-
-
-def leaf_step(trace):
-    """The leaf of a trace: its last step."""
-    return _chain(trace)[-1]
-
-
-def witness_ell(trace) -> int:
-    return leaf_step(trace).ell
 
 
 def verify_witness(rs: RootSystem, lam: Weight, trace,

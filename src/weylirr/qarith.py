@@ -61,7 +61,7 @@ class LaurentPoly:
     most 200,000.
     """
 
-    __slots__ = ("_low", "_coeffs", "_hash")
+    __slots__ = ("_low", "_coeffs")
 
     def __init__(self, terms=None):
         data: dict[int, int] = {}
@@ -126,11 +126,7 @@ class LaurentPoly:
         return self._low == other._low and self._coeffs == other._coeffs
 
     def __hash__(self) -> int:
-        h = self._hash
-        if h is None:
-            h = hash((self._low, self._coeffs))
-            object.__setattr__(self, "_hash", h)
-        return h
+        return hash((self._low, self._coeffs))
 
     def __neg__(self) -> "LaurentPoly":
         return _canon(self._low, tuple(map(neg, self._coeffs)))
@@ -274,7 +270,6 @@ class LaurentPoly:
 def _fill(p: LaurentPoly, low: int, coeffs: tuple) -> None:
     object.__setattr__(p, "_low", low)
     object.__setattr__(p, "_coeffs", coeffs)
-    object.__setattr__(p, "_hash", None)
 
 
 def _canon(low: int, coeffs) -> LaurentPoly:
@@ -481,9 +476,10 @@ def _fold(coeffs, e: int) -> list[int]:
     n = len(coeffs)
     if n <= e:
         return [*coeffs, *repeat(0, e - n)]
-    if e * e <= n:
+    if 6 * e <= n:
         return [sum(coeffs[i::e]) for i in range(e)]
-    # fewer than e slices of length e, the last one partial, added in turn
+    # fewer than six whole slices of length e, and maybe a partial one,
+    # added in turn; from six whole slices up the strided sums are faster
     out = list(coeffs[:e])
     for start in range(e, n, e):
         out[:n - start] = map(add, out, coeffs[start:start + e])
@@ -511,9 +507,10 @@ def vanishes_at(p: LaurentPoly, spec: SpecOrder) -> bool:
 
     Fold.  Reducing modulo q^e - 1 moves no e-th root of unity, so p(z^k)
     = F(k) = sum_i f[i] z^(ki) for every k, where f[i] is the sum of the
-    c_j with j = i mod e.  _fold takes at most about sqrt(span) Python
-    steps: sum(c[i::e]) for each i when e^2 <= span + 1, else each later
-    slice of length e added into the first by one map(add, ...) at C level.
+    c_j with j = i mod e.  From six whole slices of length e up, when
+    6 e <= span + 1, _fold takes one strided sum(c[i::e]) for each i;
+    below that it adds each later slice into the first by one
+    map(add, ...), at most five Python steps.  Each step runs at C level.
 
     Periodicity.  The conjugates of z are the z^k with k prime to e and p
     has integer coefficients, so p(z) = 0 iff F(k) = 0 for every k prime

@@ -5,11 +5,16 @@ highest short root, the single affine dot-reflection used by the
 classifier, Weyl dimensions, minuscule nodes, and the decomposition of
 induced subdiagrams into relabeled irreducible pieces.
 
-A system stores its Dynkin diagram as an edge list.  Every reader of the
-Cartan matrix needs only its diagonal, which is 2, and its entries on the
-edges, so those are kept as a bond dict with one entry per edge direction
-and read through cartan(i, j); a rank-n system holds O(n) data, never an
-n x n matrix.
+_diagram is the one statement of the Bourbaki numbering: the edges and
+symmetrizers of each type.  A system keeps its diagram as neighbour lists.
+Every reader of the Cartan matrix needs only its diagonal, which is 2, and
+its entries on the edges, so those are kept as a bond dict with one entry
+per edge direction, made by _bonds and read through cartan(i, j); a rank-n
+system holds O(n) data, never an n x n matrix.
+
+A connected piece of a subdiagram is relabeled by matching it against
+_diagram of each type of its rank, so the piece's nodes come out in that
+type's Bourbaki order with no shape rule of their own.
 
 Construction computes only what the classifier reads: the diagram, the
 bonds, the symmetrizers, the minuscule nodes, and the highest short root
@@ -64,6 +69,26 @@ _MINUSCULE_NODES = {
     "F": lambda n: (),
     "G": lambda n: (),
 }
+
+
+def _bonds(edges, symm):
+    """Cartan entries a_ij = <alpha_j, alpha_i^vee> on both directions of
+    each edge, from the symmetrizers: a_ij = -(max(d_i, d_j) // d_i)."""
+    bond = {}
+    for a, b in edges:
+        top = max(symm[a - 1], symm[b - 1])
+        bond[a, b] = -(top // symm[a - 1])
+        bond[b, a] = -(top // symm[b - 1])
+    return bond
+
+
+def _adjacency(edges, rank):
+    """Sorted tuple of the neighbours of each node 1..rank."""
+    nbrs = {i: [] for i in range(1, rank + 1)}
+    for a, b in edges:
+        nbrs[a].append(b)
+        nbrs[b].append(a)
+    return {i: tuple(sorted(v)) for i, v in nbrs.items()}
 
 
 def _diagram(kind: str, rank: int):
@@ -121,11 +146,11 @@ class LeviComponent(Record):
 class RootSystem:
     """Immutable root-system data built by :func:`build`.
 
-    The slots are set by the constructor.  `edges` lists the diagram's
-    edges as sorted 1-based node pairs, and `_bond[i, j]` holds the Cartan
-    entry a_ij = <alpha_j, alpha_i^vee> for both directions of each edge;
-    :meth:`cartan` reads any entry from them.  `positive_roots` is cached
-    on first use, in the instance `__dict__`.
+    The slots are set by the constructor.  `_neighbors[i]` is the sorted
+    tuple of the diagram neighbours of node i, and `_bond[i, j]` holds the
+    Cartan entry a_ij = <alpha_j, alpha_i^vee> for both directions of each
+    edge; :meth:`cartan` reads any entry from them.  `positive_roots` is
+    cached on first use, in the instance `__dict__`.
 
     The `levi_subsystem` memo lives there too.  Its key is the sorted tuple
     of distinct nodes, taken after the nodes are validated, and only
@@ -137,7 +162,7 @@ class RootSystem:
     """
 
     __slots__ = (
-        "kind", "rank", "symm", "edges", "_bond",
+        "kind", "rank", "symm", "_bond",
         "alpha0", "alpha0_weight", "minuscule_nodes",
         "_neighbors", "__dict__",
     )
@@ -149,17 +174,8 @@ class RootSystem:
         self.kind = kind
         self.rank = rank
         self.symm = symm
-        self.edges = tuple(sorted(tuple(sorted(e)) for e in edges))
-        nbrs = {i: [] for i in range(1, rank + 1)}
-        for a, b in self.edges:
-            nbrs[a].append(b)
-            nbrs[b].append(a)
-        self._neighbors = {i: tuple(sorted(v)) for i, v in nbrs.items()}
-        self._bond = {}
-        for a, b in self.edges:
-            top = max(symm[a - 1], symm[b - 1])
-            self._bond[a, b] = -(top // symm[a - 1])
-            self._bond[b, a] = -(top // symm[b - 1])
+        self._neighbors = _adjacency(edges, rank)
+        self._bond = _bonds(edges, symm)
         self.alpha0 = self._find_alpha0()
         self.alpha0_weight = self.omega_coords(self.alpha0)
         self.minuscule_nodes = frozenset(_MINUSCULE_NODES[kind](rank))
@@ -390,124 +406,64 @@ class RootSystem:
         return tuple(self._retype(comp) for comp in comps)
 
     def _retype(self, comp) -> LeviComponent:
-        kind, ordered = self._identify(comp)
-        child = build(kind, len(comp))
-        # the piece's bonds in the child's numbering; diagonals are 2 on both
-        pos = {a: k for k, a in enumerate(ordered, 1)}
-        bonds = {(pos[a], pos[b]): self._bond[a, b]
-                 for a in ordered for b in self._neighbors[a] if b in pos}
-        if bonds != child._bond:
-            raise InternalCheckError(
-                f"{self.name}: relabeled subdiagram {ordered} does "
-                f"not match {child.name}")
-        symms = [self.symm[a - 1] for a in ordered]
-        if kind in ("A", "D", "E"):
-            if len(set(symms)) != 1:
-                raise InternalCheckError(
-                    f"{self.name}: mixed symmetrizers on {child.name} piece")
-            twist = symms[0]
-        else:
-            if tuple(symms) != child.symm:
-                raise InternalCheckError(
-                    f"{self.name}: symmetrizers of {ordered} do not match "
-                    f"{child.name}")
-            twist = 1
-        return LeviComponent(tuple(ordered), child, twist)
-
-    def _identify(self, comp):
-        """Type letter and Bourbaki-ordered node list for a connected piece."""
         m = len(comp)
-        if m == 1:
-            return "A", tuple(comp)
-        in_comp = set(comp)
-        adj = {a: [b for b in self._neighbors[a] if b in in_comp]
-               for a in comp}
-        mult = {}
-        for a in comp:
-            for b in adj[a]:
-                if a < b:
-                    mult[(a, b)] = self._bond[a, b] * self._bond[b, a]
-        top = max(mult.values())
-        if top == 3:
-            if m != 2:
-                raise InternalCheckError("triple edge in a piece of rank > 2")
-            a, b = comp
-            # node 1 of G2 is the short root
-            return "G", (a, b) if self.symm[a - 1] < self.symm[b - 1] else (b, a)
-        if top == 2:
-            return self._identify_doubly_laced(comp, adj, mult)
-        return self._identify_simply_laced(comp, adj)
-
-    def _chain_order(self, comp, adj):
-        ends = [a for a in comp if len(adj[a]) == 1]
-        if len(ends) != 2 or any(len(adj[a]) > 2 for a in comp):
-            raise InternalCheckError("subdiagram piece is not a chain")
-        path = [min(ends)]
-        while len(path) < len(comp):
-            nxt = [b for b in adj[path[-1]] if b not in path]
-            path.append(nxt[0])
-        return path
-
-    def _identify_doubly_laced(self, comp, adj, mult):
-        m = len(comp)
-        path = self._chain_order(comp, adj)
-        pos = next(k for k in range(m - 1)
-                   if mult[tuple(sorted((path[k], path[k + 1])))] == 2)
-        if 0 < pos < m - 2:
-            if m != 4 or pos != 1:
-                raise InternalCheckError("double edge misplaced in a chain")
-            # F4 lists its long roots first
-            if self.symm[path[0] - 1] < self.symm[path[3] - 1]:
-                path.reverse()
-            return "F", tuple(path)
-        if pos == 0:
-            path.reverse()
-        last, before = path[-1], path[-2]
-        if m == 2:
-            # rank-2 case is called B2, written long root first
-            if self.symm[last - 1] > self.symm[before - 1]:
-                path.reverse()
-            return "B", tuple(path)
-        kind = "B" if self.symm[last - 1] < self.symm[before - 1] else "C"
-        return kind, tuple(path)
-
-    def _identify_simply_laced(self, comp, adj):
-        m = len(comp)
-        branch_nodes = [a for a in comp if len(adj[a]) >= 3]
-        if not branch_nodes:
-            return "A", tuple(self._chain_order(comp, adj))
-        if len(branch_nodes) > 1 or len(adj[branch_nodes[0]]) > 3:
-            raise InternalCheckError("impossible branching in a subdiagram")
-        t = branch_nodes[0]
-        branches = []
-        for nb in adj[t]:
-            walk = [nb]
-            prev = t
-            while True:
-                ahead = [b for b in adj[walk[-1]] if b != prev]
-                if not ahead:
-                    break
-                prev = walk[-1]
-                walk.append(ahead[0])
-            branches.append(walk)
-        branches.sort(key=len)
-        lens = [len(b) for b in branches]
-        if lens[0] == 1 and lens[1] == 1:
-            # type D: two pendants off the branch node
-            if lens[2] == 1:
-                p1, p2, p3 = sorted(b[0] for b in branches)
-                return "D", (p1, t, p2, p3)
-            arm = branches[2]
-            p1, p2 = sorted((branches[0][0], branches[1][0]))
-            return "D", tuple(reversed(arm)) + (t, p1, p2)
-        if lens[0] == 1 and lens[1] == 2 and m in (6, 7, 8):
-            short_arm, long_arm = branches[1], branches[2]
-            if len(long_arm) == 2 and long_arm[-1] < short_arm[-1]:
-                short_arm, long_arm = long_arm, short_arm
-            ordered = (short_arm[1], branches[0][0], short_arm[0], t)
-            return "E", ordered + tuple(long_arm)
+        for kind, admits in _ADMISSIBLE.items():
+            found = admits(m) and self._relabel(comp, kind)
+            if found:
+                nodes, twist = found
+                return LeviComponent(nodes, build(kind, m), twist)
         raise InternalCheckError(
-            f"{self.name}: branches {lens} match no finite type")
+            f"{self.name}: subdiagram {tuple(comp)} matches no finite type")
+
+    def _relabel(self, comp, kind):
+        """(nodes, twist) with nodes[k-1] playing node k of _diagram(kind,
+        len(comp)), or None when the connected piece comp is not that kind.
+
+        The diagram is walked out from node 1, each node after its parent.
+        Node 1 goes to each node of comp in increasing order, and every
+        later node to the smallest unused neighbour of its parent's image
+        with the same degree inside the piece, the same Cartan entries
+        both ways, and the diagram's symmetrizer times twist, which node 1
+        fixes.  What freedom is left is a diagram symmetry, so taking the
+        smallest node each time lists the smaller ambient node first.
+        """
+        m = len(comp)
+        edges, symm = _diagram(kind, m)
+        bond = _bonds(edges, symm)
+        adj = _adjacency(edges, m)
+        walk, parent = [1], {1: None}
+        for k in walk:
+            for c in adj[k]:
+                if c not in parent:
+                    parent[c] = k
+                    walk.append(c)
+        inside = set(comp)
+        degree = {a: len(inside.intersection(self._neighbors[a]))
+                  for a in comp}
+
+        def fits(a, k):
+            return (degree[a] == len(adj[k])
+                    and self.symm[a - 1] == symm[k - 1] * twist)
+
+        for start in comp:
+            twist = self.symm[start - 1] // symm[0]
+            if not fits(start, 1):
+                continue
+            image, used = {1: start}, {start}
+            for k in walk[1:]:
+                p = parent[k]
+                q = image[p]
+                near = [a for a in self._neighbors[q]
+                        if a in degree and a not in used and fits(a, k)
+                        and (self._bond[a, q], self._bond[q, a])
+                        == (bond[k, p], bond[p, k])]
+                if not near:
+                    break
+                image[k] = near[0]
+                used.add(near[0])
+            else:
+                return tuple(image[k] for k in range(1, m + 1)), twist
+        return None
 
 
 @lru_cache(maxsize=None)

@@ -16,12 +16,9 @@ from weylirr.classifier import (
     classify_global,
     endnode_witness,
     find_witness,
-    fundamental_weight_witness,
-    leaf_step,
     trace_citations,
     trace_json,
     verify_witness,
-    witness_ell,
 )
 from weylirr.rootsystem import RootSystem, build, parse_type, parse_weight
 from weylirr.weylmods import sl2_maximal_vector_oracle
@@ -121,11 +118,10 @@ class TestFindWitness:
         assert step.twist == 1
         assert step.restricted == (0, 1, 0, 0, 0)
         assert leaf == FundWeight(2, 4, "adjoint_short_root")
-        assert witness_ell(trace) == 4
 
     def test_fundamental_descent_nests(self):
         trace = find_witness(build("E", 7), (0, 0, 0, 0, 1, 0, 0))
-        assert witness_ell(trace) == 4
+        assert trace[-1].ell == 4
         step, inner = trace[:2]
         assert step.component == "E6"
         assert inner.component == "D5"
@@ -153,7 +149,7 @@ class TestFindWitness:
         assert step.component == "A3"
         assert step.twist == 2
         assert leaf == EndNode("a", 8)
-        assert witness_ell(trace) == 8
+        assert trace[-1].ell == 8
         assert verify_witness(build("B", 5), (0, 1, 0, 1, 0), trace)
 
     def test_list_input_is_normalized(self):
@@ -181,16 +177,15 @@ class TestFundamentalWeights:
     def test_witness_orders(self, kind, rank):
         rs = build(kind, rank)
         for i, expected in FUNDAMENTAL_TABLE[(kind, rank)].items():
-            got = fundamental_weight_witness(rs, i)
+            trace = find_witness(rs, rs.fundamental(i))
             if expected is None:
-                assert got is None, (rs.name, i)
+                assert trace is None, (rs.name, i)
             else:
-                ell, tag = got
-                assert ell == expected, (rs.name, i, got)
+                assert trace[-1].ell == expected, (rs.name, i, trace)
 
     def test_tags(self):
-        assert fundamental_weight_witness(build("G", 2), 2)[1] == "g2_omega2"
-        assert fundamental_weight_witness(build("B", 4), 2)[1] \
+        assert find_witness(build("G", 2), (0, 1))[-1].tag == "g2_omega2"
+        assert find_witness(build("B", 4), (0, 1, 0, 0))[-1].tag \
             == "adjoint_short_root"
 
     def test_every_nontrivial_witness_replays(self):
@@ -379,8 +374,7 @@ class TestMalformedTraces:
     def test_every_reader_refuses_alike(self, rs, lam, trace, message):
         readers = (lambda: verify_witness(rs, lam, trace),
                    lambda: trace_json(rs, lam, trace),
-                   lambda: trace_citations(trace),
-                   lambda: leaf_step(trace))
+                   lambda: trace_citations(trace))
         for read in readers:
             with pytest.raises(TraceError) as info:
                 read()
@@ -402,9 +396,7 @@ class TestMalformedTraces:
         for trace in ((leaf(ell),), (descent, leaf(ell))):
             readers = (lambda: verify_witness(rs, lam, trace),
                        lambda: trace_json(rs, lam, trace),
-                       lambda: trace_citations(trace),
-                       lambda: leaf_step(trace),
-                       lambda: witness_ell(trace))
+                       lambda: trace_citations(trace))
             for read in readers:
                 with pytest.raises(TraceError) as info:
                     read()
@@ -420,10 +412,8 @@ class TestMalformedTraces:
         a2 = build("A", 2)
         assert trace_json(a2, (1, 0), ()) == []
         assert trace_citations(()) == []
-        for read in (lambda: verify_witness(a2, (1, 0), ()),
-                     lambda: leaf_step(())):
-            with pytest.raises(TraceError, match=_SHAPE_ERROR):
-                read()
+        with pytest.raises(TraceError, match=_SHAPE_ERROR):
+            verify_witness(a2, (1, 0), ())
 
     def test_verify_witness_returns_a_bool(self):
         rs, lam, good = _e6_w3_descent()
@@ -550,8 +540,7 @@ class TestClassifyGlobal:
                                 ("C", 8, (0, 0, 0, 1, 0, 0, 0, 0)),
                                 ("F", 4, (1, 1, 0, 0))]:
             decision = classify_global(build(kind, rank), lam)
-            assert decision.witness_ell \
-                == leaf_step(decision.trace).ell
+            assert decision.witness_ell == decision.trace[-1].ell
 
     def test_e8_adjoint_conflict_is_recorded(self):
         # This records a known contradiction between two parts of the

@@ -346,22 +346,23 @@ class TestVanishing:
         assert vanishes_at(p, spec) == _vanishes_reference(p, e)
 
     # _fold has three branches: pad when n <= e, strided sums when
-    # e^2 <= n, and slices of length e added in turn in between
+    # 6e <= n, and slices of length e added in turn in between; the last
+    # two examples sit on either side of that boundary, n = 6e - 1 and 6e
     @settings(max_examples=200, deadline=None)
     @given(st.integers(1, 200), st.sampled_from(["pad", "strided", "slices"]),
            st.integers(0, 10**6), st.integers(0, 2**32))
     @example(7, "pad", 7, 0)
-    @example(54, "strided", 84, 1)
-    @example(200, "slices", 2799, 2)
+    @example(200, "slices", 998, 2)
+    @example(54, "strided", 0, 1)
     def test_fold_matches_residue_sums(self, e, branch, pick, seed):
         if branch == "pad":
             n = pick % (e + 1)
         elif branch == "strided":
-            e = 1 + (e - 1) % 54  # so that e^2 <= 3000
-            n = e * e + pick % (3001 - e * e)
+            n = 6 * e + pick % (3001 - 6 * e)
         else:
-            assume(e >= 2)
-            n = e + 1 + pick % (min(e * e, 3001) - e - 1)
+            n = e + 1 + pick % (5 * e - 1)
+        assert {"pad": n <= e, "strided": 6 * e <= n,
+                "slices": e < n < 6 * e}[branch]
         rnd = random.Random(seed)
         c = tuple(rnd.randint(-10**12, 10**12) for _ in range(n))
         want = [sum(c[j] for j in range(i, n, e)) for i in range(e)]

@@ -440,14 +440,60 @@ class TestLevi:
         assert [type(i) for i in comp.nodes] == [int, int]
 
     def test_a_wrong_bond_fails_the_retype_check(self):
-        # B3 with its double bond turned round: the piece still reads as
-        # B3 by multiplicities and symmetrizers, but its bonds do not match
+        # B3 with its double bond turned round: the symmetrizers still read
+        # as B3, but no type of rank 3 has those Cartan entries
         b3 = RootSystem("B", 3)
         b3._bond[2, 3], b3._bond[3, 2] = b3._bond[3, 2], b3._bond[2, 3]
         with pytest.raises(InternalCheckError,
-                           match=r"B3: relabeled subdiagram \(1, 2, 3\) "
-                                 r"does not match B3"):
+                           match=r"^B3: subdiagram \(1, 2, 3\) matches no "
+                                 r"finite type$"):
             b3.levi_subsystem([1, 2, 3])
+
+    @pytest.mark.parametrize("nodes", [[1, 2, 3], [1, 2]])
+    def test_a_wrong_symmetrizer_fails_the_retype_check(self, nodes):
+        # B3's bonds with node 1 made short: the bonds are right, but no
+        # type times one twist has these symmetrizers
+        b3 = RootSystem("B", 3)
+        b3.symm = (1, 2, 1)
+        with pytest.raises(InternalCheckError, match=r"^B3: "):
+            b3.levi_subsystem(nodes)
+
+    def test_every_piece_is_a_bourbaki_relabeling(self):
+        # nodes[k-1] plays node k of the piece's system: every Cartan entry
+        # and every symmetrizer (times the twist) carries over, and of the
+        # relabelings a diagram symmetry allows, nodes is the smallest
+        def symmetries(kind, m):
+            ident = tuple(range(1, m + 1))
+            if kind == "A":
+                return [ident[::-1]]
+            if kind == "D" and m == 4:
+                return [(a, 2, b, c)
+                        for a, b, c in itertools.permutations((1, 3, 4))]
+            if kind == "D":
+                return [ident[:-2] + (m, m - 1)]
+            if kind == "E" and m == 6:
+                return [(6, 2, 5, 4, 3, 1)]
+            return []
+
+        for rs in systems(9):
+            for size in range(1, rs.rank + 1):
+                for J in itertools.combinations(range(1, rs.rank + 1), size):
+                    comps = rs.levi_subsystem(J)
+                    assert sorted(a for c in comps for a in c.nodes) \
+                        == list(J)
+                    for c, other in itertools.permutations(comps, 2):
+                        assert not any(rs.cartan(a, b) for a in c.nodes
+                                       for b in other.nodes), (rs.name, J)
+                    for c in comps:
+                        child, nodes, m = c.system, c.nodes, len(c.nodes)
+                        for i, j in itertools.product(range(1, m + 1),
+                                                      repeat=2):
+                            assert rs.cartan(nodes[i - 1], nodes[j - 1]) \
+                                == child.cartan(i, j), (rs.name, J, i, j)
+                        assert [rs.symm[a - 1] for a in nodes] \
+                            == [c.twist * d for d in child.symm], (rs.name, J)
+                        for sigma in symmetries(child.kind, m):
+                            assert nodes <= tuple(nodes[k - 1] for k in sigma)
 
     def test_tree_path(self):
         e8 = build("E", 8)
