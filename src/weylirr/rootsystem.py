@@ -6,21 +6,22 @@ classifier, Weyl dimensions, minuscule nodes, and the decomposition of
 induced subdiagrams into relabeled irreducible pieces.
 
 _diagram is the one statement of the Bourbaki numbering: the edges and
-symmetrizers of each type.  A system keeps its diagram as neighbour lists.
-Every reader of the Cartan matrix needs only its diagonal, which is 2, and
-its entries on the edges, so those are kept as a bond dict with one entry
-per edge direction, made by _bonds and read through cartan(i, j); a rank-n
-system holds O(n) data, never an n x n matrix.
+symmetrizers of each type; only RootSystem.__init__ reads it.  A system
+keeps its diagram as neighbour lists.  Every reader of the Cartan matrix
+needs only its diagonal, which is 2, and its entries on the edges, so those
+are kept in a bond mapping with one entry per edge direction, read through
+cartan(i, j); a rank-n system holds O(n) data, never an n x n matrix.
 
 A connected piece of a subdiagram is relabeled by matching it against
-_diagram of each type of its rank, so the piece's nodes come out in that
-type's Bourbaki order with no shape rule of their own.
+build(kind, m) for each type of its rank, so the piece's nodes come out in
+that type's Bourbaki order with no shape rule of their own.
 
 Construction computes only what the classifier reads: the diagram, the
-bonds, the symmetrizers, the minuscule nodes, and the highest short root
-with its weight.  The highest short root is found by a walk to dominance,
-not by enumerating roots.  The positive-root closure is computed on first
-use, by Weyl dimensions, and cached on the instance.
+bonds, the symmetrizers, the highest short root alpha0 with its weight,
+and the minuscule nodes.  alpha0 is found by a walk to dominance, not by
+enumerating roots.  Its coroot is the highest coroot, so w_i is minuscule
+exactly when <w_i, alpha0^vee> = c_i d_i is 1.  The positive-root closure
+is computed on first use, by Weyl dimensions, and cached on the instance.
 
 levi_subsystem is a pure function of the system and a node set, so each
 instance keeps its answers in a memo keyed by the sorted node set; the
@@ -39,6 +40,7 @@ length 2, so in simply-laced systems every root counts as short.
 from __future__ import annotations
 
 from functools import cached_property, lru_cache
+from types import MappingProxyType
 
 from ._record import Record
 from .qarith import InternalCheckError
@@ -58,38 +60,6 @@ _ADMISSIBLE = {
     "F": lambda n: n == 4,
     "G": lambda n: n == 2,
 }
-
-# fundamental weights that are dominance-minimal, per kind
-_MINUSCULE_NODES = {
-    "A": lambda n: range(1, n + 1),
-    "B": lambda n: (n,),
-    "C": lambda n: (1,),
-    "D": lambda n: (1, n - 1, n),
-    "E": lambda n: {6: (1, 6), 7: (7,), 8: ()}[n],
-    "F": lambda n: (),
-    "G": lambda n: (),
-}
-
-
-def _bonds(edges, symm):
-    """Cartan entries a_ij = <alpha_j, alpha_i^vee> on both directions of
-    each edge, from the symmetrizers: a_ij = -(max(d_i, d_j) // d_i)."""
-    bond = {}
-    for a, b in edges:
-        top = max(symm[a - 1], symm[b - 1])
-        bond[a, b] = -(top // symm[a - 1])
-        bond[b, a] = -(top // symm[b - 1])
-    return bond
-
-
-def _adjacency(edges, rank):
-    """Sorted tuple of the neighbours of each node 1..rank."""
-    nbrs = {i: [] for i in range(1, rank + 1)}
-    for a, b in edges:
-        nbrs[a].append(b)
-        nbrs[b].append(a)
-    return {i: tuple(sorted(v)) for i, v in nbrs.items()}
-
 
 def _diagram(kind: str, rank: int):
     """Edge list (1-based node pairs) and per-node symmetrizers."""
@@ -146,11 +116,14 @@ class LeviComponent(Record):
 class RootSystem:
     """Immutable root-system data built by :func:`build`.
 
-    The slots are set by the constructor.  `_neighbors[i]` is the sorted
-    tuple of the diagram neighbours of node i, and `_bond[i, j]` holds the
-    Cartan entry a_ij = <alpha_j, alpha_i^vee> for both directions of each
-    edge; :meth:`cartan` reads any entry from them.  `positive_roots` is
-    cached on first use, in the instance `__dict__`.
+    The constructor sets the slots; assigning or deleting one afterwards
+    raises AttributeError, so the instances build shares are safe to read
+    anywhere.  `_neighbors[i]` is the sorted tuple of the diagram
+    neighbours of node i, and `_bond[i, j]` holds the Cartan entry a_ij =
+    <alpha_j, alpha_i^vee> for both directions of each edge; both are
+    read-only mappings, and :meth:`cartan` reads any entry from them.
+    `positive_roots` is cached on first use, in the instance `__dict__`,
+    which the guard does not cover.
 
     The `levi_subsystem` memo lives there too.  Its key is the sorted tuple
     of distinct nodes, taken after the nodes are validated, and only
@@ -171,14 +144,35 @@ class RootSystem:
         if kind not in _ADMISSIBLE or not _ADMISSIBLE[kind](rank):
             raise ValueError(f"type: no root system {kind}{rank}")
         edges, symm = _diagram(kind, rank)
-        self.kind = kind
-        self.rank = rank
-        self.symm = symm
-        self._neighbors = _adjacency(edges, rank)
-        self._bond = _bonds(edges, symm)
-        self.alpha0 = self._find_alpha0()
-        self.alpha0_weight = self.omega_coords(self.alpha0)
-        self.minuscule_nodes = frozenset(_MINUSCULE_NODES[kind](rank))
+        # the neighbour lists, and the Cartan entries on both directions of
+        # each edge: a_ij = -(max(d_i, d_j) // d_i)
+        nbrs = {i: [] for i in range(1, rank + 1)}
+        bond = {}
+        for a, b in edges:
+            nbrs[a].append(b)
+            nbrs[b].append(a)
+            top = max(symm[a - 1], symm[b - 1])
+            bond[a, b] = -(top // symm[a - 1])
+            bond[b, a] = -(top // symm[b - 1])
+        init = object.__setattr__
+        init(self, "kind", kind)
+        init(self, "rank", rank)
+        init(self, "symm", symm)
+        init(self, "_neighbors", MappingProxyType(
+            {i: tuple(sorted(v)) for i, v in nbrs.items()}))
+        init(self, "_bond", MappingProxyType(bond))
+        alpha0 = self._find_alpha0()
+        init(self, "alpha0", alpha0)
+        init(self, "alpha0_weight", self.omega_coords(alpha0))
+        # <w_i, alpha0^vee> = c_i d_i, and alpha0^vee is the highest coroot
+        init(self, "minuscule_nodes", frozenset(
+            i for i, (c, d) in enumerate(zip(alpha0.coords, symm), 1)
+            if c * d == 1))
+
+    def __setattr__(self, name, value=None):
+        raise AttributeError(f"RootSystem is immutable: {name!r}")
+
+    __delattr__ = __setattr__
 
     # -- construction -------------------------------------------------
 
@@ -406,46 +400,46 @@ class RootSystem:
         return tuple(self._retype(comp) for comp in comps)
 
     def _retype(self, comp) -> LeviComponent:
-        m = len(comp)
-        for kind, admits in _ADMISSIBLE.items():
-            found = admits(m) and self._relabel(comp, kind)
-            if found:
-                nodes, twist = found
-                return LeviComponent(nodes, build(kind, m), twist)
-        raise InternalCheckError(
-            f"{self.name}: subdiagram {tuple(comp)} matches no finite type")
-
-    def _relabel(self, comp, kind):
-        """(nodes, twist) with nodes[k-1] playing node k of _diagram(kind,
-        len(comp)), or None when the connected piece comp is not that kind.
-
-        The diagram is walked out from node 1, each node after its parent.
-        Node 1 goes to each node of comp in increasing order, and every
-        later node to the smallest unused neighbour of its parent's image
-        with the same degree inside the piece, the same Cartan entries
-        both ways, and the diagram's symmetrizer times twist, which node 1
-        fixes.  What freedom is left is a diagram symmetry, so taking the
-        smallest node each time lists the smaller ambient node first.
-        """
-        m = len(comp)
-        edges, symm = _diagram(kind, m)
-        bond = _bonds(edges, symm)
-        adj = _adjacency(edges, m)
-        walk, parent = [1], {1: None}
-        for k in walk:
-            for c in adj[k]:
-                if c not in parent:
-                    parent[c] = k
-                    walk.append(c)
         inside = set(comp)
         degree = {a: len(inside.intersection(self._neighbors[a]))
                   for a in comp}
+        m = len(comp)
+        for kind, admits in _ADMISSIBLE.items():
+            if admits(m):
+                model = build(kind, m)
+                found = self._relabel(degree, model)
+                if found:
+                    return LeviComponent(found[0], model, found[1])
+        raise InternalCheckError(
+            f"{self.name}: subdiagram {tuple(comp)} matches no finite type")
+
+    def _relabel(self, degree, model):
+        """(nodes, twist) with nodes[k-1] playing node k of model, or None
+        when the connected piece is not model's type.  degree maps each
+        node of the piece, in increasing order, to its degree inside it.
+
+        model's diagram is walked out from node 1, each node after its
+        parent.  Node 1 goes to each node of the piece in increasing order,
+        and every later node to the smallest unused neighbour of its
+        parent's image with the same degree inside the piece, the same
+        Cartan entries both ways, and model's symmetrizer times twist,
+        which node 1 fixes.  What freedom is left is a diagram symmetry, so
+        taking the smallest node each time lists the smaller ambient node
+        first.
+        """
+        nbrs, bond, symm = model._neighbors, model._bond, model.symm
+        walk, parent = [1], {1: None}
+        for k in walk:
+            for c in nbrs[k]:
+                if c not in parent:
+                    parent[c] = k
+                    walk.append(c)
 
         def fits(a, k):
-            return (degree[a] == len(adj[k])
+            return (degree[a] == len(nbrs[k])
                     and self.symm[a - 1] == symm[k - 1] * twist)
 
-        for start in comp:
+        for start in degree:
             twist = self.symm[start - 1] // symm[0]
             if not fits(start, 1):
                 continue
@@ -462,7 +456,7 @@ class RootSystem:
                 image[k] = near[0]
                 used.add(near[0])
             else:
-                return tuple(image[k] for k in range(1, m + 1)), twist
+                return tuple(image[k] for k in range(1, model.rank + 1)), twist
         return None
 
 

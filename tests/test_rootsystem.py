@@ -190,6 +190,28 @@ class TestConstruction:
             assert rs.pairing(rs.alpha0_weight, rs.alpha0) == 2
             assert rs.pairing((1,) * rs.rank, rs.alpha0) == coxeter(rs) - 1
 
+    def test_slots_can_be_neither_assigned_nor_deleted(self):
+        slots = [s for s in RootSystem.__slots__ if s != "__dict__"]
+        for kind, n in (("A", 2), ("B", 3), ("C", 4), ("D", 5), ("E", 6),
+                        ("F", 4), ("G", 2)):
+            rs = build(kind, n)
+            before = {s: getattr(rs, s) for s in slots}
+            for s in slots:
+                with pytest.raises(AttributeError):
+                    setattr(rs, s, before[s])
+                with pytest.raises(AttributeError):
+                    delattr(rs, s)
+            with pytest.raises(AttributeError):
+                rs.extra = 1
+            with pytest.raises(TypeError):
+                rs._bond[1, 2] = 0
+            with pytest.raises(TypeError):
+                rs._neighbors[1] = ()
+            assert {s: getattr(rs, s) for s in slots} == before
+            # the cached values are still written, to the instance __dict__
+            assert rs.positive_roots and rs.levi_subsystem([1])
+            assert {"positive_roots", "_levi_memo"} <= set(vars(rs))
+
 
 class TestWeights:
     def test_dominance(self):
@@ -258,6 +280,18 @@ class TestWeights:
             for i in range(1, rank + 1):
                 assert rs.is_minuscule(rs.fundamental(i)) == (i in nodes)
             assert not rs.is_minuscule(rs.alpha0_weight) or kind == "X"
+        # an independent reference: w_i is minuscule when <w_i, beta^vee>
+        # is at most 1 on the whole positive-root closure
+        for rs in systems(12):
+            top = {i: max(rs.pairing(rs.fundamental(i), beta)
+                          for beta in rs.positive_roots)
+                   for i in range(1, rs.rank + 1)}
+            assert rs.minuscule_nodes == {i for i, t in top.items()
+                                          if t == 1}, rs.name
+        n = 3000
+        for kind, nodes in (("A", range(1, n + 1)), ("B", {n}), ("C", {1}),
+                            ("D", {1, n - 1, n})):
+            assert build(kind, n).minuscule_nodes == frozenset(nodes)
 
     def test_minuscule_nodes_are_dominance_minimal(self):
         # no dominant weight may sit strictly below a claimed-minuscule one
@@ -443,20 +477,26 @@ class TestLevi:
         # B3 with its double bond turned round: the symmetrizers still read
         # as B3, but no type of rank 3 has those Cartan entries
         b3 = RootSystem("B", 3)
-        b3._bond[2, 3], b3._bond[3, 2] = b3._bond[3, 2], b3._bond[2, 3]
+        bond = dict(b3._bond)
+        bond[2, 3], bond[3, 2] = bond[3, 2], bond[2, 3]
+        object.__setattr__(b3, "_bond", bond)
         with pytest.raises(InternalCheckError,
                            match=r"^B3: subdiagram \(1, 2, 3\) matches no "
                                  r"finite type$"):
             b3.levi_subsystem([1, 2, 3])
+        # the corrupted copy is its own; the shared B3 is untouched
+        assert build("B", 3)._bond[3, 2] == -2
+        assert build("B", 3).symm == (2, 2, 1)
 
     @pytest.mark.parametrize("nodes", [[1, 2, 3], [1, 2]])
     def test_a_wrong_symmetrizer_fails_the_retype_check(self, nodes):
         # B3's bonds with node 1 made short: the bonds are right, but no
         # type times one twist has these symmetrizers
         b3 = RootSystem("B", 3)
-        b3.symm = (1, 2, 1)
+        object.__setattr__(b3, "symm", (1, 2, 1))
         with pytest.raises(InternalCheckError, match=r"^B3: "):
             b3.levi_subsystem(nodes)
+        assert build("B", 3).symm == (2, 2, 1)
 
     def test_every_piece_is_a_bourbaki_relabeling(self):
         # nodes[k-1] plays node k of the piece's system: every Cartan entry
