@@ -290,21 +290,32 @@ class RootSystem:
                 f"{self.name}: non-integral coroot pairing")
         return t // root.d
 
-    def dot_reflect_alpha0(self, ell: int, lam: Weight) -> Weight:
-        """Affine dot-reflection of lam in the wall <x+rho, alpha0^vee> = ell."""
-        if ell < 1:
-            raise ValueError("ell: must be a positive integer")
+    def dot_reflect_alpha0(self, level: int, lam: Weight) -> Weight:
+        """Affine dot-reflection of lam in the wall <x+rho, alpha0^vee> =
+        level.
+
+        level is a wall level, not the order of zeta: at order ell the
+        first wall is at the vanishing modulus s, not at ell.
+        """
+        if level < 1:
+            raise ValueError("level: must be a positive integer")
         shifted = tuple(c + 1 for c in lam)
-        t = self.pairing(shifted, self.alpha0) - ell
+        t = self.pairing(shifted, self.alpha0) - level
         return tuple(c - t * a for c, a in zip(lam, self.alpha0_weight))
 
-    def in_bottom_alcove_closure(self, ell: int, lam: Weight) -> bool:
-        if ell < 1:
-            raise ValueError("ell: must be a positive integer")
+    def in_bottom_alcove_closure(self, level: int, lam: Weight) -> bool:
+        """Whether dominant lam lies on the near side of the wall
+        <x+rho, alpha0^vee> = level, i.e. <lam+rho, alpha0^vee> <= level.
+
+        level is a wall level, not the order of zeta: at order ell the
+        first wall is at the vanishing modulus s, not at ell.
+        """
+        if level < 1:
+            raise ValueError("level: must be a positive integer")
         if not self.is_dominant(lam):
             raise ValueError("weight: must be dominant")
         shifted = tuple(c + 1 for c in lam)
-        return self.pairing(shifted, self.alpha0) <= ell
+        return self.pairing(shifted, self.alpha0) <= level
 
     def weyl_dimension(self, lam: Weight) -> int:
         if not self.is_dominant(lam):

@@ -203,6 +203,14 @@ def sl2_maximal_vector_oracle(lam: int, ell: int, d: int = 1) -> bool:
     annihilated by every divided power, i.e. iff for each j < lam some
     1 <= m <= lam-j has a nonvanishing coefficient.
 
+    The scan runs by power.  The v_j still pending are those on which
+    every E^(m) tried so far vanishes; for m = 1, 2, ... it drops each
+    pending j whose [j+m, m] is nonzero.  E^(m) exists on v_j only while
+    j + m <= lam, and j + m is largest for the largest pending j, so that
+    v_j is the first to run out of divided powers: once it has, it is
+    annihilated by all of them and the module is reducible.  An empty
+    list means every v_j below the top was moved.
+
     s is read once per call.  At s = 1 (q = +-1) no quantum integer
     vanishes.  For s > 1 each [k] vanishes at zeta^d exactly when s
     divides k, with a simple root, so [j+m, m] vanishes iff (j, j+m]
@@ -215,13 +223,14 @@ def sl2_maximal_vector_oracle(lam: int, ell: int, d: int = 1) -> bool:
     s = SpecOrder(ell, d).s
     if s == 1:
         return True
-    for j in range(lam):
-        below = j // s
-        for m in range(1, lam - j + 1):
-            if (j + m) // s - below == m // s:
-                break
-        else:
+    pending = list(range(lam))
+    m = 0
+    while pending:
+        m += 1
+        if pending[-1] + m > lam:
             return False
+        carries = m // s
+        pending = [j for j in pending if (j + m) // s - j // s != carries]
     return True
 
 

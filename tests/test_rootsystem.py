@@ -240,15 +240,26 @@ class TestWeights:
 
     def test_alcove_closure(self):
         a2 = build("A", 2)
-        # the zero weight sits on the wall exactly at ell = h - 1
+        # the zero weight sits on the wall exactly at level h - 1
         assert a2.in_bottom_alcove_closure(2, (0, 0))
         assert a2.in_bottom_alcove_closure(3, (0, 0))
         assert not a2.in_bottom_alcove_closure(3, (1, 1))
         assert a2.in_bottom_alcove_closure(4, (1, 1))
         with pytest.raises(ValueError):
             a2.in_bottom_alcove_closure(3, (-1, 0))
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="^level: "):
             a2.in_bottom_alcove_closure(0, (0, 0))
+        with pytest.raises(ValueError, match="^level: "):
+            a2.dot_reflect_alpha0(0, (0, 0))
+
+    def test_alcove_closure_takes_a_level_not_an_order(self):
+        # <theta+rho, theta^vee> = h + 1 = 31 for E8: theta is outside the
+        # closed bottom alcove at level 30 (s at order 60), inside at 31
+        e8 = build("E", 8)
+        theta = e8.alpha0_weight
+        assert theta == e8.fundamental(8)
+        assert not e8.in_bottom_alcove_closure(30, theta)
+        assert e8.in_bottom_alcove_closure(31, theta)
 
     def test_weyl_dimensions(self):
         cases = [

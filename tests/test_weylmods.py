@@ -5,7 +5,7 @@ from types import SimpleNamespace
 
 import pytest
 
-from weylirr import weylmods
+from weylirr import acceptance, qarith, weylmods
 from weylirr.qarith import (
     LaurentPoly,
     ONE,
@@ -290,6 +290,54 @@ class TestSl2:
         for ell in (1, 2, 3, 4):
             assert sl2_irreducible(5, ell)
         assert not sl2_irreducible(5, 5)
+
+    def test_oracle_reads_none_of_the_criterion(self, monkeypatch):
+        # the oracle is the criterion's independent check: it must answer
+        # with the closed form, its s cache and the binomial carry test
+        # all unavailable
+        expected = {(lam, ell, d): _oracle_reference(lam, SpecOrder(ell, d))
+                    for d in (1, 2, 3) for ell in range(1, 25)
+                    for lam in range(61)}
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("the oracle read the criterion")
+
+        monkeypatch.setattr(weylmods, "sl2_irreducible", refuse)
+        monkeypatch.setattr(weylmods, "_s_of_order", refuse)
+        monkeypatch.setattr(qarith, "qbinom_vanishes_fast", refuse)
+        for (lam, ell, d), want in expected.items():
+            assert sl2_maximal_vector_oracle(lam, ell, d) == want, \
+                (lam, ell, d)
+
+    def test_oracle_pins(self):
+        # at s = 5 only v_4, the top v_j below v_5, is annihilated: [5] = 0,
+        # while E^(1) moves v_0..v_3
+        spec = SpecOrder(5)
+        assert not sl2_maximal_vector_oracle(5, 5)
+        assert qbinom_vanishes_fast(5, 1, spec)
+        assert not any(qbinom_vanishes_fast(j + 1, 1, spec) for j in range(4))
+        for ell in range(1, 13):
+            for d in (1, 2, 3):
+                assert sl2_maximal_vector_oracle(0, ell, d)
+
+    def test_equivalence_check_calls_both_sides_on_every_pair(
+            self, monkeypatch):
+        calls = {"sl2_irreducible": 0, "sl2_maximal_vector_oracle": 0}
+
+        def counted(name):
+            inner = getattr(acceptance, name)
+
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return inner(*args, **kwargs)
+            return wrapper
+
+        for name in calls:
+            monkeypatch.setattr(acceptance, name, counted(name))
+        assert (acceptance._check_sl2_equivalence()
+                == "criterion and oracle agree on all 18060 pairs")
+        assert calls == {"sl2_irreducible": 18060,
+                         "sl2_maximal_vector_oracle": 18060}
 
 
 def _oracle_reference(lam, spec):
