@@ -260,11 +260,7 @@ def _fundamental_route(rs: RootSystem, i: int):
     kind, n = rs.kind, rs.rank
     if kind == "B":
         return tuple(range(i, n + 1))
-    if kind == "C":
-        if i == n:
-            return (n - 1, n)
-        return tuple(range(i - 1, n + 1))
-    if kind == "D":
+    if kind in ("C", "D"):
         return tuple(range(i - 1, n + 1))
     if kind == "E":
         if n == 6:

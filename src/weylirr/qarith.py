@@ -356,18 +356,6 @@ def qbinom(n: int, m: int) -> LaurentPoly:
     return _canon(-k * rest, dense)
 
 
-def _divisors(n: int) -> list[int]:
-    small, large = [], []
-    k = 1
-    while k * k <= n:
-        if n % k == 0:
-            small.append(k)
-            if k * k != n:
-                large.append(n // k)
-        k += 1
-    return small + large[::-1]
-
-
 @lru_cache(maxsize=None)
 def _prime_factors(n: int) -> tuple[int, ...]:
     """Distinct prime factors of n >= 1, increasing, by trial division."""
@@ -420,14 +408,20 @@ def _dense_exact_div(num: list[int], den: tuple[int, ...]) -> list[int]:
 
 @lru_cache(maxsize=None)
 def _cyclo_coeffs(n: int) -> tuple[int, ...]:
-    if n == 1:
-        return (-1, 1)
-    num = [0] * (n + 1)
-    num[0] = -1
-    num[n] = 1
-    for d in _divisors(n)[:-1]:
-        num = _dense_exact_div(num, _cyclo_coeffs(d))
-    return tuple(num)
+    """Ascending coefficients of Phi_n.  With r the product of the distinct
+    primes of n, Phi_n(q) = Phi_r(q^(n/r)), and Phi_r is built one prime
+    at a time: Phi_mp(q) = Phi_m(q^p) / Phi_m(q) for p prime not dividing m.
+    """
+    def spread(coeffs, k):  # the coefficients of f(q^k)
+        out = [0] * (k * (len(coeffs) - 1) + 1)
+        out[::k] = coeffs
+        return out
+
+    primes = _prime_factors(n)
+    coeffs = [-1, 1]
+    for p in primes:
+        coeffs = _dense_exact_div(spread(coeffs, p), coeffs)
+    return tuple(spread(coeffs, n // math.prod(primes)))
 
 
 def cyclotomic(ell: int) -> LaurentPoly:

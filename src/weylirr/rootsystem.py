@@ -14,7 +14,9 @@ cartan(i, j); a rank-n system holds O(n) data, never an n x n matrix.
 
 A connected piece of a subdiagram is relabeled by matching it against
 build(kind, m) for each type of its rank, so the piece's nodes come out in
-that type's Bourbaki order with no shape rule of their own.
+that type's Bourbaki order with no shape rule of their own.  walk is the
+one breadth-first walk of the diagram: tree_path, the split into pieces,
+the relabeling and the short-root determinant all read it.
 
 Construction computes only what the classifier reads: the diagram, the
 bonds, the symmetrizers, the highest short root alpha0 with its weight,
@@ -196,29 +198,24 @@ class RootSystem:
     @cached_property
     def positive_roots(self):
         """Every positive root, sorted by height, simple roots first."""
+        # reflection closure: each positive root above height 1 pairs to
+        # some k > 0 with a simple alpha_i, and s_i of it is a lower
+        # positive root b with <b, alpha_i^vee> = -k; so adding
+        # b - <b, alpha_i^vee> alpha_i wherever the pairing is negative,
+        # from the simple roots up, reaches every positive root
         n = self.rank
         simple = [tuple(int(j == i) for j in range(n)) for i in range(n)]
         found = set(simple)
-        layer = simple
-        while layer:
-            nxt = []
-            for b in layer:
-                for i in range(n):
-                    up = b[:i] + (b[i] + 1,) + b[i + 1:]
-                    if up in found:
-                        continue
-                    # alpha_i-string through b: extends up by p - <b, a_i^v>
-                    p = 0
-                    down = list(b)
-                    while True:
-                        down[i] -= 1
-                        if tuple(down) not in found:
-                            break
-                        p += 1
-                    if p - self.root_pairing(b, i + 1) >= 1:
+        todo = simple
+        while todo:
+            b = todo.pop()
+            for i in range(n):
+                k = self.root_pairing(b, i + 1)
+                if k < 0:
+                    up = b[:i] + (b[i] - k,) + b[i + 1:]
+                    if up not in found:
                         found.add(up)
-                        nxt.append(up)
-            layer = nxt
+                        todo.append(up)
         roots = []
         for coords in sorted(found, key=lambda c: (sum(c), c)):
             norm = self._root_norm(coords)
@@ -345,24 +342,26 @@ class RootSystem:
 
     # -- subdiagrams -----------------------------------------------------
 
+    def walk(self, root: int, inside=None):
+        """(order, parent): the nodes reachable from root through the node
+        set inside (default: every node) in breadth-first order, and each
+        one's parent on the way out from root, None for root itself.
+        Neighbours are visited in increasing order."""
+        order, parent = [root], {root: None}
+        for v in order:
+            for nb in self._neighbors[v]:
+                if nb not in parent and (inside is None or nb in inside):
+                    parent[nb] = v
+                    order.append(nb)
+        return order, parent
+
     def tree_path(self, i: int, j: int):
         """Nodes on the unique diagram path from i to j, inclusive."""
-        prev = {i: None}
-        queue = [i]
-        while queue:
-            cur = queue.pop(0)
-            if cur == j:
-                break
-            for nb in self._neighbors[cur]:
-                if nb not in prev:
-                    prev[nb] = cur
-                    queue.append(nb)
-        path = []
-        cur = j
-        while cur is not None:
-            path.append(cur)
-            cur = prev[cur]
-        return tuple(reversed(path))
+        parent = self.walk(j)[1]
+        path = [i]
+        while path[-1] != j:
+            path.append(parent[path[-1]])
+        return tuple(path)
 
     def levi_subsystem(self, J):
         """Split the subdiagram on J into relabeled irreducible components.
@@ -391,24 +390,13 @@ class RootSystem:
 
     def _split(self, nodes):
         """Connected pieces of the sorted node tuple, each retyped."""
-        inside = set(nodes)
-        seen = set()
-        comps = []
+        inside, seen, comps = set(nodes), set(), []
         for start in nodes:
-            if start in seen:
-                continue
-            comp = []
-            stack = [start]
-            seen.add(start)
-            while stack:
-                cur = stack.pop()
-                comp.append(cur)
-                for nb in self._neighbors[cur]:
-                    if nb in inside and nb not in seen:
-                        seen.add(nb)
-                        stack.append(nb)
-            comps.append(sorted(comp))
-        return tuple(self._retype(comp) for comp in comps)
+            if start not in seen:
+                comp = self.walk(start, inside)[0]
+                seen.update(comp)
+                comps.append(self._retype(sorted(comp)))
+        return tuple(comps)
 
     def _retype(self, comp) -> LeviComponent:
         inside = set(comp)
@@ -439,12 +427,7 @@ class RootSystem:
         first.
         """
         nbrs, bond, symm = model._neighbors, model._bond, model.symm
-        walk, parent = [1], {1: None}
-        for k in walk:
-            for c in nbrs[k]:
-                if c not in parent:
-                    parent[c] = k
-                    walk.append(c)
+        walk, parent = model.walk(1)
 
         def fits(a, k):
             return (degree[a] == len(nbrs[k])

@@ -19,6 +19,7 @@ from .qarith import (
     LaurentPoly,
     ONE,
     SpecOrder,
+    ZERO,
     cyclotomic,
     euler_phi,
     qint,
@@ -33,50 +34,43 @@ def det_short_matrix(rs: RootSystem) -> LaurentPoly:
 
     The short simple nodes span a forest inside the Dynkin diagram: a
     chain for B, C, F and G, the whole diagram for A, D and E.  The matrix
-    is [2] on the diagonal and 1 on each short-short edge.  Each tree is
-    rooted at its first node and walked children first, from an explicit
-    stack, so nothing recurses as deep as the rank.  For a node v let D(v)
-    be the determinant on the subtree under v and D'(v) the product of
-    D(c) over its children c, the same subtree without v.  Expanding along
-    the row and column of v gives
+    is [2] on the diagonal and 1 on each short-short edge.  For a node v
+    let D(v) be the determinant on the subtree under v and D'(v) the
+    product of D(c) over its children c, the same subtree without v.
+    Expanding along the row and column of v gives
 
-        D(v) = [2] D'(v) - sum_c D'(c) prod_{c' != c} D(c'),
+        D(v) = [2] P - S,  D'(v) = P,
 
-    and the determinant is the product of D over the roots: O(rank)
-    polynomial operations and no division.
+    with P the product of D(c) over the children and S the sum over them
+    of D'(c) prod_{c' != c} D(c').  Each tree is walked breadth first from
+    its first node and folded in reverse order, so every child is done
+    before its parent and nothing recurses as deep as the rank.  A finished
+    child c updates its parent's pair (P, S) to (P D(c), S D(c) + P D'(c));
+    the first child sets it to (D(c), D'(c)), and a leaf reads (1, 0).  The
+    determinant is the product of D over the roots: O(rank) polynomial
+    operations and no division.
     """
     short = set(rs.short_simple_nodes)
     two = qint(2)
     det = ONE
     seen = set()
-    full, minus = {}, {}  # D(v) and D'(v) for nodes whose parent is pending
     for root in rs.short_simple_nodes:
         if root in seen:
             continue
-        seen.add(root)
-        order, children, stack = [], {}, [root]
-        while stack:
-            v = stack.pop()
-            order.append(v)
-            kids = [c for c in rs.neighbors(v) if c in short and c not in seen]
-            seen.update(kids)
-            children[v] = kids
-            stack.extend(kids)
+        order, parent = rs.walk(root, short)
+        seen.update(order)
+        pairs = {}  # (P, S) over the finished children of each node
         for v in reversed(order):
-            below = [full.pop(c) for c in children[v]]
-            inner = [minus.pop(c) for c in children[v]]
-            prod = below[0] if below else ONE
-            for d in below[1:]:
-                prod = prod * d
-            value = two * prod
-            for k, d_inner in enumerate(inner):
-                for j, d in enumerate(below):
-                    if j != k:
-                        d_inner = d_inner * d
-                value = value - d_inner
-            full[v], minus[v] = value, prod
-        det = det * full.pop(root)
-        del minus[root]
+            prod, total = pairs.pop(v, (ONE, ZERO))
+            full = two * prod - total
+            up = parent[v]
+            if up is None:
+                det = det * full
+            elif up in pairs:
+                p, t = pairs[up]
+                pairs[up] = p * full, t * full + p * prod
+            else:
+                pairs[up] = full, prod
     return det
 
 
@@ -171,26 +165,17 @@ def e8_certificate() -> E8Certificate:
                          at_one, at_minus_one)
 
 
-@lru_cache(maxsize=256)
+@lru_cache(maxsize=256, typed=True)
 def _s_of_order(ell: int, d: int) -> int:
-    # keyed by value, so (1.0, 1) and (True, 1) find (1, 1): callers check
-    # types first
+    # typed, so 1.0 and True miss the key of 1 and SpecOrder refuses them
     return SpecOrder(ell, d).s
 
 
 def sl2_irreducible(lam: int, ell: int, d: int = 1) -> bool:
     """Rank-one criterion: irreducible iff lam < s or lam = -1 mod s,
-    where s is the vanishing modulus of the effective order of zeta^d.
-
-    Every input is checked before s is looked up by (ell, d): a float or
-    bool equal to a cached key must still be refused.
-    """
+    where s is the vanishing modulus of the effective order of zeta^d."""
     if not isinstance(lam, int) or lam < 0:
         raise ValueError("lambda: must be a nonnegative integer")
-    if type(ell) is not int or ell < 1:
-        raise ValueError("ell: must be a positive integer")
-    if type(d) is not int or d not in (1, 2, 3):
-        raise ValueError("d: must be 1, 2 or 3")
     s = _s_of_order(ell, d)
     return lam < s or lam % s == s - 1
 

@@ -256,10 +256,21 @@ class TestDetShort:
         assert json.loads(out)["vanishes"] is True
 
 
+def child_env():
+    """os.environ with this checkout's src first on PYTHONPATH, so a child
+    process imports the code under test whether or not PYTHONPATH is set."""
+    src = str(Path(cli.__file__).resolve().parent.parent)
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [src, *filter(None, [env.get("PYTHONPATH")])])
+    return env
+
+
 def run_bounded(seconds, *argv):
     """A fresh `python -m weylirr` process, killed after `seconds`."""
     return subprocess.run([sys.executable, "-m", "weylirr", *argv],
-                          capture_output=True, text=True, timeout=seconds)
+                          capture_output=True, text=True, timeout=seconds,
+                          env=child_env())
 
 
 class TestBoundedTime:
@@ -429,14 +440,10 @@ class TestEntryPoint:
         # a fresh process, so modules loaded by the tests do not count;
         # the bench tracer wraps functions in all six submodules right
         # after `import weylirr.cli`, so that import must load them all
-        src = str(Path(cli.__file__).resolve().parent.parent)
-        env = dict(os.environ)
-        env["PYTHONPATH"] = os.pathsep.join(
-            [src, *filter(None, [env.get("PYTHONPATH")])])
         code = ("import json, sys, weylirr.cli; "
                 "print(json.dumps(sorted(sys.modules)))")
         proc = subprocess.run([sys.executable, "-c", code],
-                              capture_output=True, text=True, env=env)
+                              capture_output=True, text=True, env=child_env())
         assert proc.returncode == 0, proc.stderr
         loaded = set(json.loads(proc.stdout))
         assert not loaded & {"dataclasses", "inspect", "fractions"}
@@ -448,6 +455,6 @@ class TestEntryPoint:
         proc = subprocess.run(
             [sys.executable, "-m", "weylirr", "sl2", "--lambda", "2",
              "--ell", "4"],
-            capture_output=True, text=True)
+            capture_output=True, text=True, env=child_env())
         assert proc.returncode == 0
         assert "irreducible: false" in proc.stdout

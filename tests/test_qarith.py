@@ -4,6 +4,7 @@ import math
 import random
 import time
 from fractions import Fraction
+from functools import lru_cache
 
 import pytest
 from hypothesis import assume, example, given, settings
@@ -16,6 +17,8 @@ from weylirr.qarith import (
     ONE,
     SpecOrder,
     ZERO,
+    _cyclo_coeffs,
+    _dense_exact_div,
     _fold,
     cyclotomic,
     euler_phi,
@@ -270,6 +273,19 @@ class TestCyclotomic:
 
     def test_coefficient_two_at_105(self):
         assert min(cyclotomic(105).terms().values()) == -2
+
+    def test_prime_factor_build_matches_the_divisor_quotients(self):
+        # the reference divides q^n - 1 by Phi_d for every proper divisor d
+        @lru_cache(maxsize=None)
+        def reference(n):
+            num = [-1] + [0] * (n - 1) + [1]
+            for d in range(1, n):
+                if n % d == 0:
+                    num = _dense_exact_div(num, reference(d))
+            return tuple(num)
+
+        for n in range(1, 1001):
+            assert _cyclo_coeffs(n) == reference(n), n
 
     def test_euler_phi(self):
         assert [euler_phi(n) for n in (1, 2, 12, 17, 60)] == [1, 1, 4, 16, 16]

@@ -552,6 +552,23 @@ class TestLevi:
         assert e8.tree_path(2, 6) == (2, 4, 5, 6)
         assert e8.tree_path(3, 3) == (3,)
 
+    def test_walk_pins(self):
+        order, parent = build("E", 8).walk(1)
+        assert order == [1, 3, 4, 2, 5, 6, 7, 8]
+        assert parent == {1: None, 3: 1, 4: 3, 2: 4, 5: 4, 6: 5, 7: 6, 8: 7}
+        assert build("D", 4).walk(1, {1, 2, 3}) == (
+            [1, 2, 3], {1: None, 2: 1, 3: 2})
+
+    def test_tree_path_is_the_unique_path(self):
+        for rs in systems(9):
+            for i, j in itertools.product(range(1, rs.rank + 1), repeat=2):
+                path = rs.tree_path(i, j)
+                assert (path[0], path[-1]) == (i, j), (rs.name, i, j)
+                assert all(b in rs.neighbors(a)
+                           for a, b in zip(path, path[1:])), (rs.name, i, j)
+                assert len(set(path)) == len(path), (rs.name, i, j)
+                assert path == rs.tree_path(j, i)[::-1], (rs.name, i, j)
+
 
 class TestParsing:
     def test_parse_type(self):
