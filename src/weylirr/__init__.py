@@ -4,8 +4,8 @@ The package decides, for a dominant integral weight of a complex simple Lie
 algebra, whether the corresponding quantum Weyl module stays irreducible at
 every root of unity, and otherwise produces a concrete order together with a
 machine-checkable reduction trace.  All arithmetic is exact: Laurent
-polynomials over the integers, cyclotomic divisibility, and rational
-arithmetic for dimension formulas.
+polynomials over the integers, cyclotomic divisibility, and integer
+products for dimension formulas.
 """
 
 from .qarith import (

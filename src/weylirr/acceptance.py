@@ -43,12 +43,13 @@ class CheckResult(Record):
     __slots__ = _fields = ("id", "passed", "seconds", "detail")
 
 
-def stated_reducibility_orders(rs, bound: int = 60):
-    """Orders at which the short-root determinant is asserted to vanish."""
+def stated_reducibility_orders(rs):
+    """Orders up to 60 at which the short-root determinant is asserted to
+    vanish."""
     if rs.kind == "A":
-        return [l for l in range(3, bound + 1) if (rs.rank + 1) % l == 0]
+        return [l for l in range(3, 61) if (rs.rank + 1) % l == 0]
     if rs.kind == "C":
-        return [l for l in range(3, bound + 1) if rs.rank % l == 0]
+        return [l for l in range(3, 61) if rs.rank % l == 0]
     if rs.kind in ("B", "D", "G") or (rs.kind, rs.rank) == ("E", 7):
         return [4]
     if rs.kind == "F" or (rs.kind, rs.rank) == ("E", 6):
@@ -137,7 +138,8 @@ def _check_sl2_unbounded_instance() -> str:
     return "lambda=5 irreducible at orders 1..4 and reducible at 5, per both"
 
 
-# kept deliberately separate from the table inside rootsystem
+# the minuscule nodes stated per type, as the reference for the sweep:
+# RootSystem derives its own from alpha0, so the two are independent
 _SWEEP_MINUSCULE = {
     "A": lambda n: set(range(1, n + 1)),
     "B": lambda n: {n},

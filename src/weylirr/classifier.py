@@ -110,6 +110,17 @@ class LeviDescent(Record):
 _ENDNODE_CASE = {"A": "a", "B": "b", "C": "c", "F": "d", "G": "e"}
 
 
+def _endnode_order(rs: RootSystem, twist: int):
+    """The order of rs's end-node case at twist, or None where the case
+    cannot occur: only the chain case a survives a twist."""
+    case = _ENDNODE_CASE[rs.kind]
+    if case == "a":
+        return (rs.rank + 1) * twist
+    if twist != 1:
+        return None
+    return 2 * rs.rank + 1 if case == "b" else 4
+
+
 def _two_ends(rs: RootSystem) -> Weight:
     """The weight with coordinate 1 at both ends of a chain diagram."""
     return tuple(int(i in (0, rs.rank - 1)) for i in range(rs.rank))
@@ -144,27 +155,20 @@ class EndNode(Record):
 
     def replay(self, rs: RootSystem, lam: Weight, twist: int):
         if (_ENDNODE_CASE.get(rs.kind) != self.case or rs.rank < 2
-                or lam != _two_ends(rs)):
+                or lam != _two_ends(rs)
+                or self.ell != _endnode_order(rs, twist)):
             return False, None
         if self.case == "a":
-            base = rs.rank + 1
-            if self.ell != base * twist:
+            if rs.alpha0_weight != lam:
                 return False, None
-            zero = rs.zero_weight()
-            ok = (rs.dot_reflect_alpha0(base, zero) == rs.alpha0_weight
-                  and rs.alpha0_weight == lam
-                  and rs.in_bottom_alcove_closure(base, zero))
-            return ok, None
-        if twist != 1:
-            return False, None
-        if self.case == "b":
-            if self.ell != 2 * rs.rank + 1:
-                return False, None
-            source = rs.fundamental(rs.rank)
-            ok = (rs.dot_reflect_alpha0(self.ell, source) == lam
-                  and rs.in_bottom_alcove_closure(self.ell, source))
-            return ok, None
-        return self.ell == 4, None
+            level, source = rs.rank + 1, rs.zero_weight()
+        elif self.case == "b":
+            level, source = self.ell, rs.fundamental(rs.rank)
+        else:
+            return True, None
+        ok = (rs.dot_reflect_alpha0(level, source) == lam
+              and rs.in_bottom_alcove_closure(level, source))
+        return ok, None
 
 
 _LEAF_TAGS = {
@@ -262,14 +266,8 @@ def _fundamental_route(rs: RootSystem, i: int):
         return tuple(range(i, n + 1))
     if kind in ("C", "D"):
         return tuple(range(i - 1, n + 1))
-    if kind == "E":
-        if n == 6:
-            return (2, 3, 4, 5, 6) if i == 5 else (1, 2, 3, 4, 5)
-        if n == 7:
-            return (2, 3, 4, 5, 6, 7) if i == 6 else (1, 2, 3, 4, 5, 6)
-        return (2, 3, 4, 5, 6, 7, 8) if i == 7 else (1, 2, 3, 4, 5, 6, 7)
-    if kind == "F":
-        return (2, 3, 4) if i == 3 else (1, 2, 3)
+    if kind in ("E", "F"):
+        return tuple(range(2, n + 1) if i == n - 1 else range(1, n))
     raise InternalCheckError(f"{rs.name}: no route for w{i}")
 
 
@@ -316,18 +314,15 @@ def find_witness(rs: RootSystem, lam: Weight, twist: int = 1):
         return _descend(rs, lam, path, twist)
     # the two lowest supports span the whole diagram: must be a chain
     # with exactly the two ends marked, one of the five end-node shapes
-    if (len(support) != 2 or support != [1, rs.rank]
-            or rs.kind not in _ENDNODE_CASE or rs.rank < 2):
+    if support != [1, rs.rank] or rs.kind not in _ENDNODE_CASE:
         raise InternalCheckError(
             f"{rs.name}: unexpected two-node configuration "
             f"{format_weight(lam)}")
     case = _ENDNODE_CASE[rs.kind]
-    if case == "a":
-        return (EndNode("a", (rs.rank + 1) * twist),)
-    if twist != 1:
+    ell = _endnode_order(rs, twist)
+    if ell is None:
         raise InternalCheckError(
             f"{rs.name}: twisted end-node case {case} cannot occur")
-    ell = {"b": 2 * rs.rank + 1, "c": 4, "d": 4, "e": 4}[case]
     return (EndNode(case, ell),)
 
 
@@ -342,14 +337,14 @@ def endnode_witness(rs: RootSystem):
     return lam, step.ell, step.case
 
 
-def verify_witness(rs: RootSystem, lam: Weight, trace,
-                   twist: int = 1) -> bool:
+def verify_witness(rs: RootSystem, lam: Weight, trace) -> bool:
     """Replay a trace from scratch; True iff every step holds.  A malformed
     trace raises TraceError, then a weight not dominant for rs ValueError."""
     lam = tuple(lam)
     steps = _chain(trace)
     if not rs.is_dominant(lam):
         raise ValueError("weight: must be dominant")
+    twist = 1
     for step in steps:
         holds, sub = step.replay(rs, lam, twist)
         if not holds:

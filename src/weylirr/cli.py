@@ -35,10 +35,9 @@ from .weylmods import (
     sl2_irreducible,
 )
 
-# the symbolic Gaussian binomial is expanded on demand only for |n| up to
-# this limit and degree m(n - m) up to the next one; the expansion's work
-# grows like min(m, n - m) times its degree
-_QBINOM_SYMBOLIC_LIMIT = 2000
+# the symbolic Gaussian binomial is expanded on demand only for degree
+# m(n - m) up to this limit; the expansion's work grows like min(m, n - m)
+# times its degree
 _QBINOM_DEGREE_LIMIT = 100_000
 
 # table-theorem5-1 builds and expands the determinant of every system up to
@@ -226,16 +225,14 @@ def _cmd_qbinom(args) -> int:
     lines = [f"n: {args.n}", f"m: {args.m}"]
     # [n choose m] = +-[-n+m-1 choose m] for negative n
     top = args.n if args.n >= 0 else -args.n + args.m - 1
-    small = (abs(args.n) <= _QBINOM_SYMBOLIC_LIMIT
-             and args.m * (top - args.m) <= _QBINOM_DEGREE_LIMIT)
+    small = args.m * (top - args.m) <= _QBINOM_DEGREE_LIMIT
     if small:
         value = qbinom(args.n, args.m)
         doc["value"] = repr(value)
         lines.append(f"value: {value!r}")
     elif args.ell is None:
         raise ValueError(
-            f"n: symbolic expansion limited to |n| <= "
-            f"{_QBINOM_SYMBOLIC_LIMIT} and degree m(n - m) <= "
+            f"n: symbolic expansion limited to degree m(n - m) <= "
             f"{_QBINOM_DEGREE_LIMIT}; pass --ell for the vanishing test")
     if args.ell is not None:
         spec = SpecOrder(args.ell, args.d)

@@ -42,6 +42,7 @@ length 2, so in simply-laced systems every root counts as short.
 from __future__ import annotations
 
 from functools import cached_property, lru_cache
+from math import prod
 from types import MappingProxyType
 
 from ._record import Record
@@ -294,7 +295,7 @@ class RootSystem:
         level is a wall level, not the order of zeta: at order ell the
         first wall is at the vanishing modulus s, not at ell.
         """
-        if level < 1:
+        if type(level) is not int or level < 1:
             raise ValueError("level: must be a positive integer")
         shifted = tuple(c + 1 for c in lam)
         t = self.pairing(shifted, self.alpha0) - level
@@ -307,7 +308,7 @@ class RootSystem:
         level is a wall level, not the order of zeta: at order ell the
         first wall is at the vanishing modulus s, not at ell.
         """
-        if level < 1:
+        if type(level) is not int or level < 1:
             raise ValueError("level: must be a positive integer")
         if not self.is_dominant(lam):
             raise ValueError("weight: must be dominant")
@@ -315,19 +316,17 @@ class RootSystem:
         return self.pairing(shifted, self.alpha0) <= level
 
     def weyl_dimension(self, lam: Weight) -> int:
+        """prod <lam+rho, a^vee> / prod <rho, a^vee> over positive a."""
         if not self.is_dominant(lam):
             raise ValueError("weight: must be dominant")
-        from fractions import Fraction
-
-        dim = Fraction(1)
-        for root in self.positive_roots:
-            num = sum(b * d * (c + 1)
-                      for b, d, c in zip(root.coords, self.symm, lam))
-            den = sum(b * d for b, d in zip(root.coords, self.symm))
-            dim *= Fraction(num, den)
-        if dim.denominator != 1:
+        shifted = tuple(c + 1 for c in lam)
+        rho = (1,) * self.rank
+        roots = self.positive_roots
+        dim, rem = divmod(prod(self.pairing(shifted, a) for a in roots),
+                          prod(self.pairing(rho, a) for a in roots))
+        if rem:
             raise InternalCheckError(f"{self.name}: non-integral dimension")
-        return int(dim)
+        return dim
 
     # -- minuscule weights ----------------------------------------------
 
@@ -463,13 +462,8 @@ def build(kind: str, rank: int) -> RootSystem:
 def systems(max_rank: int):
     """Every system of rank <= max_rank, in table order: A, B, C and D by
     rank, then F4, G2, E6, E7 and E8."""
-    out = []
-    for kind, low in (("A", 1), ("B", 2), ("C", 3), ("D", 4)):
-        out += [build(kind, n) for n in range(low, max_rank + 1)]
-    for kind, n in (("F", 4), ("G", 2), ("E", 6), ("E", 7), ("E", 8)):
-        if n <= max_rank:
-            out.append(build(kind, n))
-    return out
+    return [build(kind, n) for kind in "ABCDFGE"
+            for n in range(1, max_rank + 1) if _ADMISSIBLE[kind](n)]
 
 
 def _is_int_text(text: str, signed: bool = False) -> bool:

@@ -183,6 +183,23 @@ class TestFundamentalWeights:
             else:
                 assert trace[-1].ell == expected, (rs.name, i, trace)
 
+    def test_e_and_f_routes_match_the_rank_table(self):
+        # the route of each E and F node, listed per rank
+        table = {
+            ("E", 6): lambda i: (2, 3, 4, 5, 6) if i == 5
+            else (1, 2, 3, 4, 5),
+            ("E", 7): lambda i: (2, 3, 4, 5, 6, 7) if i == 6
+            else (1, 2, 3, 4, 5, 6),
+            ("E", 8): lambda i: (2, 3, 4, 5, 6, 7, 8) if i == 7
+            else (1, 2, 3, 4, 5, 6, 7),
+            ("F", 4): lambda i: (2, 3, 4) if i == 3 else (1, 2, 3),
+        }
+        for (kind, rank), route in table.items():
+            rs = build(kind, rank)
+            for i in range(1, rank + 1):
+                assert classifier._fundamental_route(rs, i) == route(i), \
+                    (rs.name, i)
+
     def test_tags(self):
         assert find_witness(build("G", 2), (0, 1))[-1].tag == "g2_omega2"
         assert find_witness(build("B", 4), (0, 1, 0, 0))[-1].tag \
@@ -227,6 +244,26 @@ class TestEndNodes:
         assert endnode_witness(build("C", 5)) == ((1, 0, 0, 0, 1), 4, "c")
         assert endnode_witness(build("F", 4)) == ((1, 0, 0, 1), 4, "d")
         assert endnode_witness(build("G", 2)) == ((1, 1), 4, "e")
+
+    @pytest.mark.parametrize("twist", [1, 2, 3])
+    def test_order_matches_the_case_table(self, twist):
+        # the order of each case stated on its own; only the chain case
+        # a takes a twist, and the twisted cases b to e cannot occur
+        table = {"b": lambda n: 2 * n + 1, "c": lambda n: 4,
+                 "d": lambda n: 4, "e": lambda n: 4}
+        systems = ([build("A", n) for n in range(2, 13)]
+                   + [build("B", n) for n in range(2, 13)]
+                   + [build("C", n) for n in range(3, 13)]
+                   + [build("F", 4), build("G", 2)])
+        for rs in systems:
+            case = classifier._ENDNODE_CASE[rs.kind]
+            if case == "a":
+                want = (rs.rank + 1) * twist
+            elif twist != 1:
+                want = None
+            else:
+                want = table[case](rs.rank)
+            assert classifier._endnode_order(rs, twist) == want, rs.name
 
     def test_inadmissible_types(self):
         with pytest.raises(ValueError):

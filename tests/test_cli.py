@@ -299,6 +299,13 @@ class TestBoundedTime:
         else:
             assert doc["decision"]["verdict"] == "reducible"
 
+    # the degree limit alone bounds the symbolic expansion: with |n| above
+    # 2000, degree m(n - m) <= 100000 leaves min(m, n - m) at most 51
+    def test_large_n_small_degree_qbinom_in_ten_seconds(self):
+        proc = run_bounded(10, "qbinom", "--n", "4000", "--m", "25")
+        assert proc.returncode == 0 and proc.stderr == ""
+        assert "\nvalue: q^99375 + " in proc.stdout
+
     # the largest rank the CLI accepts
     def test_rank_limit_in_ten_seconds(self):
         proc = run_bounded(10, "witness", "--type", "D3000", "--weight",

@@ -87,6 +87,21 @@ class TestConstruction:
         for rs in systems(12):
             assert len(rs.positive_roots) == expected[rs.kind](rs.rank), rs.name
 
+    def test_systems_match_the_per_type_construction(self):
+        # the table order stated per type, not read from _ADMISSIBLE
+        def reference(max_rank):
+            out = []
+            for kind, low in (("A", 1), ("B", 2), ("C", 3), ("D", 4)):
+                out += [build(kind, n) for n in range(low, max_rank + 1)]
+            for kind, n in (("F", 4), ("G", 2), ("E", 6), ("E", 7),
+                            ("E", 8)):
+                if n <= max_rank:
+                    out.append(build(kind, n))
+            return out
+
+        for k in range(31):
+            assert systems(k) == reference(k), k
+
     def test_coxeter_numbers(self):
         expected = {"A": lambda n: n + 1,
                     "B": lambda n: 2 * n,
@@ -252,6 +267,14 @@ class TestWeights:
         with pytest.raises(ValueError, match="^level: "):
             a2.dot_reflect_alpha0(0, (0, 0))
 
+    @pytest.mark.parametrize("level", [2.5, True, 3.0])
+    def test_level_must_be_an_int(self, level):
+        a2 = build("A", 2)
+        with pytest.raises(ValueError, match="^level: "):
+            a2.dot_reflect_alpha0(level, (0, 0))
+        with pytest.raises(ValueError, match="^level: "):
+            a2.in_bottom_alcove_closure(level, (0, 0))
+
     def test_alcove_closure_takes_a_level_not_an_order(self):
         # <theta+rho, theta^vee> = h + 1 = 31 for E8: theta is outside the
         # closed bottom alcove at level 30 (s at order 60), inside at 31
@@ -279,6 +302,24 @@ class TestWeights:
             assert rs.weyl_dimension(rs.zero_weight()) == 1
         with pytest.raises(ValueError):
             build("A", 2).weyl_dimension((-1, 0))
+
+    def test_weyl_dimension_matches_the_rational_product(self):
+        # the product of the rational factors <lam+rho, a^vee> /
+        # <rho, a^vee>, each summed here from the root's coordinates
+        def reference(rs, lam):
+            dim = Fraction(1)
+            for root in rs.positive_roots:
+                num = sum(b * d * (c + 1)
+                          for b, d, c in zip(root.coords, rs.symm, lam))
+                den = sum(b * d for b, d in zip(root.coords, rs.symm))
+                dim *= Fraction(num, den)
+            assert dim.denominator == 1
+            return int(dim)
+
+        for rs in systems(6):
+            for lam in itertools.product((0, 1, 2), repeat=rs.rank):
+                assert rs.weyl_dimension(lam) == reference(rs, lam), \
+                    (rs.name, lam)
 
     def test_minuscule_tables(self):
         expected = {("A", 3): {1, 2, 3}, ("B", 3): {3}, ("C", 3): {1},
