@@ -29,7 +29,7 @@ from functools import lru_cache
 
 from ._record import Record
 from .qarith import InternalCheckError
-from .rootsystem import RootSystem, Weight, format_weight
+from .rootsystem import RootSystem, Weight, format_weight, int_weight
 from .weylmods import (
     adjoint_short_reducible_at,
     g2_omega2_reducible_at,
@@ -301,6 +301,8 @@ def find_witness(rs: RootSystem, lam: Weight, twist: int = 1):
         if c >= 2:
             return (Sl2Node(i, 2 * c * rs.symm[i - 1] * twist),)
     support = [i for i, c in enumerate(lam, 1) if c == 1]
+    if not support:  # a dominant int weight here has a coordinate 1
+        raise ValueError("weight: coordinates must be integers")
     if len(support) == 1:
         i = support[0]
         if lam == rs.alpha0_weight:
@@ -357,9 +359,10 @@ def verify_witness(rs: RootSystem, lam: Weight, trace) -> bool:
 def classify_global(rs: RootSystem, lam: Weight) -> Decision:
     """The top-level decision: irreducible at every order, or a witness.
 
-    Raises ValueError("weight: must be dominant") for other weights.
+    Raises ValueError("weight: ...") for a weight that is not dominant or
+    has a coordinate that is not an int.
     """
-    lam = tuple(lam)
+    lam = int_weight(lam)
     trace = find_witness(rs, lam)
     if trace is None:
         reason = "E8_adjoint" if _is_e8_adjoint(rs, lam) else "minuscule"

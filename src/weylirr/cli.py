@@ -4,6 +4,11 @@ Every subcommand prints a short human-readable report by default and a
 deterministic JSON document with --json.  Exit codes: 0 success, 1 internal
 check failure or any other internal error, 2 invalid input.  Failures print
 one line to stderr, never a traceback.
+
+_build_parser is the one table of subcommands; each subparser carries its
+handler as `run`.  A handler returns the JSON document and the report
+lines, and main prints one of them inside its error handling, exiting 1
+only when the document says all_passed is false (verify-paper).
 """
 
 from __future__ import annotations
@@ -52,71 +57,69 @@ def _build_parser() -> argparse.ArgumentParser:
                     "with machine-checkable reduction witnesses.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_system(p, weight=False):
-        p.add_argument("--type", required=True,
-                       help="root-system type, e.g. E8 or a bare letter")
-        p.add_argument("--rank", type=int, default=None)
-        if weight:
-            p.add_argument("--weight", required=True,
-                           help="'0,0,1', 'w3' or 'w1+2w3'")
-        p.add_argument("--json", action="store_true")
+    def command(name, run, help, system=False, weight=False):
+        # --json follows a system command's --type, --rank (and --weight);
+        # every other command adds it last, as each --help has listed it
+        p = sub.add_parser(name, help=help)
+        p.set_defaults(run=run)
+        if system:
+            p.add_argument("--type", required=True,
+                           help="root-system type, e.g. E8 or a bare letter")
+            p.add_argument("--rank", type=int, default=None)
+            if weight:
+                p.add_argument("--weight", required=True,
+                               help="'0,0,1', 'w3' or 'w1+2w3'")
+            p.add_argument("--json", action="store_true")
+        return p
 
-    p = sub.add_parser("classify",
-                       help="decide global irreducibility of a weight")
-    add_system(p, weight=True)
+    command("classify", _cmd_classify,
+            "decide global irreducibility of a weight",
+            system=True, weight=True)
 
-    p = sub.add_parser("witness",
-                       help="print the reduction witness trace for a weight")
-    add_system(p, weight=True)
+    command("witness", _cmd_witness,
+            "print the reduction witness trace for a weight",
+            system=True, weight=True)
 
-    p = sub.add_parser("det-short",
-                       help="short-root determinant, optionally tested at "
-                            "an order")
-    add_system(p)
+    p = command("det-short", _cmd_det_short,
+                "short-root determinant, optionally tested at an order",
+                system=True)
     p.add_argument("--ell", type=int, default=None)
 
-    p = sub.add_parser("sl2", help="rank-one irreducibility at a given order")
+    p = command("sl2", _cmd_sl2, "rank-one irreducibility at a given order")
     p.add_argument("--lambda", dest="lam", type=int, required=True)
     p.add_argument("--ell", type=int, required=True)
     p.add_argument("--d", type=int, default=1,
                    help="node symmetrizer twist (1, 2 or 3)")
     p.add_argument("--json", action="store_true")
 
-    p = sub.add_parser("qbinom", help="Gaussian binomial, optionally tested "
-                                      "for vanishing at an order")
+    p = command("qbinom", _cmd_qbinom,
+                "Gaussian binomial, optionally tested for vanishing at an "
+                "order")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--m", type=int, required=True)
     p.add_argument("--ell", type=int, default=None)
     p.add_argument("--d", type=int, default=1)
     p.add_argument("--json", action="store_true")
 
-    p = sub.add_parser("table-theorem5-1",
-                       help="determinants and vanishing orders per type")
+    p = command("table-theorem5-1", _cmd_table,
+                "determinants and vanishing orders per type")
     p.add_argument("--max-rank", dest="max_rank", type=int, default=12)
     p.add_argument("--json", action="store_true")
 
-    p = sub.add_parser("endnodes",
-                       help="the end-node reduction case for a type")
-    add_system(p)
+    command("endnodes", _cmd_endnodes,
+            "the end-node reduction case for a type", system=True)
 
-    p = sub.add_parser("e8-certificate",
-                       help="irreducibility certificate for the rank-8 "
-                            "exceptional adjoint weight")
+    p = command("e8-certificate", _cmd_e8_certificate,
+                "irreducibility certificate for the rank-8 exceptional "
+                "adjoint weight")
     p.add_argument("--json", action="store_true")
 
-    p = sub.add_parser("verify-paper",
-                       help="run the full acceptance suite")
+    p = command("verify-paper", _cmd_verify_paper,
+                "run the full acceptance suite")
     p.add_argument("--only", default=None,
                    help="comma-separated check ids")
     p.add_argument("--json", action="store_true")
     return parser
-
-
-def _emit(args, doc, lines) -> None:
-    if args.json:
-        print(json.dumps(doc, indent=2))
-    else:
-        print("\n".join(lines))
 
 
 def _render_trace(nodes, pad="  "):
@@ -133,47 +136,44 @@ def _render_trace(nodes, pad="  "):
     return lines
 
 
-def _decision_doc(command: str, rs, lam):
+def _decision_doc(args):
+    """classify's and witness's decision on --type and --weight: the
+    decision, its JSON document and the report's type and weight lines."""
+    rs = parse_type(args.type, args.rank)
+    lam = parse_weight(args.weight, rs.rank)
+    weight = format_weight(lam)
     decision = classify_global(rs, lam)
-    nodes = trace_json(rs, lam, decision.trace)
-    return decision, {
+    doc = {
         "input": {
-            "command": command,
+            "command": args.command,
             "type": rs.name,
-            "weight": format_weight(lam),
+            "weight": weight,
         },
         "decision": {
             "verdict": decision.verdict,
             "reason": decision.reason,
         },
-        "trace": nodes,
+        "trace": trace_json(rs, lam, decision.trace),
         "witness_ell": decision.witness_ell,
         "citations": trace_citations(decision.trace),
     }
+    return decision, doc, [f"type: {rs.name}", f"weight: {weight}"]
 
 
-def _cmd_classify(args) -> int:
-    rs = parse_type(args.type, args.rank)
-    lam = parse_weight(args.weight, rs.rank)
-    decision, doc = _decision_doc("classify", rs, lam)
-    lines = [f"type: {rs.name}",
-             f"weight: {format_weight(lam)}",
-             f"decision: {decision.verdict}"]
+def _cmd_classify(args):
+    decision, doc, lines = _decision_doc(args)
+    lines.append(f"decision: {decision.verdict}")
     if decision.reason is not None:
         lines.append(f"reason: {decision.reason}")
     if decision.witness_ell is not None:
         lines.append(f"witness ell: {decision.witness_ell}")
         lines.append("trace:")
         lines.extend(_render_trace(doc["trace"]))
-    _emit(args, doc, lines)
-    return 0
+    return doc, lines
 
 
-def _cmd_witness(args) -> int:
-    rs = parse_type(args.type, args.rank)
-    lam = parse_weight(args.weight, rs.rank)
-    decision, doc = _decision_doc("witness", rs, lam)
-    lines = [f"type: {rs.name}", f"weight: {format_weight(lam)}"]
+def _cmd_witness(args):
+    decision, doc, lines = _decision_doc(args)
     if decision.verdict == "globally_irreducible":
         lines.append(f"no reduction witness: globally irreducible "
                      f"({decision.reason})")
@@ -183,11 +183,10 @@ def _cmd_witness(args) -> int:
         lines.extend(_render_trace(doc["trace"]))
         lines.append("citations:")
         lines.extend(f"  - {c}" for c in doc["citations"])
-    _emit(args, doc, lines)
-    return 0
+    return doc, lines
 
 
-def _cmd_det_short(args) -> int:
+def _cmd_det_short(args):
     rs = parse_type(args.type, args.rank)
     det = det_short_matrix(rs)
     doc = {
@@ -200,11 +199,10 @@ def _cmd_det_short(args) -> int:
         doc["vanishes"] = vanishes
         lines.append(f"ell: {args.ell}")
         lines.append(f"vanishes: {str(vanishes).lower()}")
-    _emit(args, doc, lines)
-    return 0
+    return doc, lines
 
 
-def _cmd_sl2(args) -> int:
+def _cmd_sl2(args):
     irreducible = sl2_irreducible(args.lam, args.ell, args.d)
     doc = {
         "input": {"command": "sl2", "lambda": args.lam, "ell": args.ell,
@@ -213,11 +211,10 @@ def _cmd_sl2(args) -> int:
     }
     lines = [f"lambda: {args.lam}", f"ell: {args.ell}", f"d: {args.d}",
              f"irreducible: {str(irreducible).lower()}"]
-    _emit(args, doc, lines)
-    return 0
+    return doc, lines
 
 
-def _cmd_qbinom(args) -> int:
+def _cmd_qbinom(args):
     if args.m < 0:
         raise ValueError("m: must be a nonnegative integer")
     doc = {"input": {"command": "qbinom", "n": args.n, "m": args.m,
@@ -243,11 +240,10 @@ def _cmd_qbinom(args) -> int:
         doc["vanishes"] = vanishes
         lines.append(f"ell: {args.ell}")
         lines.append(f"vanishes: {str(vanishes).lower()}")
-    _emit(args, doc, lines)
-    return 0
+    return doc, lines
 
 
-def _cmd_table(args) -> int:
+def _cmd_table(args):
     if not 1 <= args.max_rank <= _TABLE_MAX_RANK:
         raise ValueError(
             f"max-rank: must be an integer from 1 to {_TABLE_MAX_RANK}")
@@ -266,39 +262,39 @@ def _cmd_table(args) -> int:
         lines.append(f"{row['type']}")
         lines.append(f"  det: {row['det']}")
         lines.append(f"  vanishing orders <= 60: {orders}")
-    _emit(args, doc, lines)
-    return 0
+    return doc, lines
 
 
-def _cmd_endnodes(args) -> int:
+def _cmd_endnodes(args):
     rs = parse_type(args.type, args.rank)
     lam, ell, case = endnode_witness(rs)
     trace = (EndNode(case, ell),)
     nodes = trace_json(rs, lam, trace)
     verified = nodes[0]["verified"]
+    weight = format_weight(lam)
     doc = {
         "input": {"command": "endnodes", "type": rs.name},
         "case": case,
-        "weight": format_weight(lam),
+        "weight": weight,
         "ell": ell,
         "verified": verified,
         "trace": nodes,
         "citations": trace_citations(trace),
     }
     lines = [f"type: {rs.name}", f"case: {case}",
-             f"weight: {format_weight(lam)}", f"ell: {ell}",
+             f"weight: {weight}", f"ell: {ell}",
              f"verified: {str(verified).lower()}"]
-    _emit(args, doc, lines)
-    return 0
+    return doc, lines
 
 
-def _cmd_e8_certificate(args) -> int:
+def _cmd_e8_certificate(args):
     cert = e8_certificate()
+    f16 = cert.detD.shift(8)
     doc = {
         "input": {"command": "e8-certificate"},
         "det": repr(cert.detD),
         "f": repr(cert.f),
-        "f16": repr(cert.detD.shift(8)),
+        "f16": repr(f16),
         "factors": [repr(p) for p in cert.factors],
         "orders_checked": len(cert.checked_orders),
         "failing_orders": list(cert.failing_orders),
@@ -310,7 +306,7 @@ def _cmd_e8_certificate(args) -> int:
     lines = [
         f"det: {cert.detD!r}",
         f"f: {cert.f!r}",
-        f"f16: {cert.detD.shift(8)!r}",
+        f"f16: {f16!r}",
         "factors:",
         *(f"  - {p!r}" for p in cert.factors),
         f"orders checked: {len(cert.checked_orders)} "
@@ -320,52 +316,33 @@ def _cmd_e8_certificate(args) -> int:
         f"det value at -1: {cert.value_at_minus_one}",
         f"certified: {str(cert.certified).lower()}",
     ]
-    _emit(args, doc, lines)
-    return 0
+    return doc, lines
 
 
-def _cmd_verify_paper(args) -> int:
+def _cmd_verify_paper(args):
     only = None
     if args.only:
         only = [part.strip() for part in args.only.split(",") if part.strip()]
         if not only:
             raise ValueError("only: no check ids given")
     results = run_all(only)
-    doc = {
-        "input": {"command": "verify-paper", "only": only},
-        "results": [
-            {"id": r.id, "passed": r.passed, "detail": r.detail,
-             "budget_seconds": budget_for(r.id)}
-            for r in results
-        ],
-        "all_passed": all(r.passed for r in results),
-    }
-    lines = []
+    rows, lines = [], []
     for r in results:
+        budget = budget_for(r.id)
+        rows.append({"id": r.id, "passed": r.passed, "detail": r.detail,
+                     "budget_seconds": budget})
         tag = "PASS" if r.passed else "FAIL"
         lines.append(f"[{tag}] {r.id}  ({r.seconds:.2f}s, "
-                     f"budget {budget_for(r.id):g}s)")
+                     f"budget {budget:g}s)")
         lines.append(f"       {r.detail}")
     failed = sum(1 for r in results if not r.passed)
     if failed:
         lines.append(f"{failed} of {len(results)} checks failed")
     else:
         lines.append(f"all {len(results)} checks passed")
-    _emit(args, doc, lines)
-    return 1 if failed else 0
-
-
-_DISPATCH = {
-    "classify": _cmd_classify,
-    "witness": _cmd_witness,
-    "det-short": _cmd_det_short,
-    "sl2": _cmd_sl2,
-    "qbinom": _cmd_qbinom,
-    "table-theorem5-1": _cmd_table,
-    "endnodes": _cmd_endnodes,
-    "e8-certificate": _cmd_e8_certificate,
-    "verify-paper": _cmd_verify_paper,
-}
+    doc = {"input": {"command": "verify-paper", "only": only},
+           "results": rows, "all_passed": not failed}
+    return doc, lines
 
 
 def main(argv=None) -> int:
@@ -380,7 +357,10 @@ def main(argv=None) -> int:
             if isinstance(value, list):  # argparse reads "--opt=--" as []
                 option = "lambda" if dest == "lam" else dest.replace("_", "-")
                 raise ValueError(f"{option}: expected one value")
-        return _DISPATCH[args.command](args)
+        doc, lines = args.run(args)
+        print(json.dumps(doc, indent=2) if args.json else "\n".join(lines))
+        # only verify-paper's document carries all_passed
+        return 1 if doc.get("all_passed") is False else 0
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -34,9 +34,12 @@ systems(max_rank) is the one list of systems up to a rank that the CLI
 table and the acceptance checks sweep.  parse_type, the reader of
 command-line types, refuses ranks above MAX_RANK.
 
-Weights are plain integer tuples in the fundamental-weight basis.  Roots
-carry their simple-root coordinates.  Short roots are normalized to squared
-length 2, so in simply-laced systems every root counts as short.
+Weights are plain integer tuples in the fundamental-weight basis;
+int_weight refuses any other coordinates, once per classify_global call
+and in the Weyl dimension and the alpha0-wall methods, never in the
+witness search's own predicates.  Roots carry their simple-root
+coordinates.  Short roots are normalized to squared length 2, so in
+simply-laced systems every root counts as short.
 """
 
 from __future__ import annotations
@@ -288,35 +291,35 @@ class RootSystem:
                 f"{self.name}: non-integral coroot pairing")
         return t // root.d
 
-    def dot_reflect_alpha0(self, level: int, lam: Weight) -> Weight:
-        """Affine dot-reflection of lam in the wall <x+rho, alpha0^vee> =
-        level.
+    def _alpha0_height(self, level: int, lam: Weight) -> int:
+        """<lam+rho, alpha0^vee>, once level and lam's coordinates are
+        checked.
 
         level is a wall level, not the order of zeta: at order ell the
         first wall is at the vanishing modulus s, not at ell.
         """
         if type(level) is not int or level < 1:
             raise ValueError("level: must be a positive integer")
-        shifted = tuple(c + 1 for c in lam)
-        t = self.pairing(shifted, self.alpha0) - level
+        shifted = tuple(c + 1 for c in int_weight(lam))
+        return self.pairing(shifted, self.alpha0)
+
+    def dot_reflect_alpha0(self, level: int, lam: Weight) -> Weight:
+        """Affine dot-reflection of lam in the wall <x+rho, alpha0^vee> =
+        level."""
+        t = self._alpha0_height(level, lam) - level
         return tuple(c - t * a for c, a in zip(lam, self.alpha0_weight))
 
     def in_bottom_alcove_closure(self, level: int, lam: Weight) -> bool:
         """Whether dominant lam lies on the near side of the wall
-        <x+rho, alpha0^vee> = level, i.e. <lam+rho, alpha0^vee> <= level.
-
-        level is a wall level, not the order of zeta: at order ell the
-        first wall is at the vanishing modulus s, not at ell.
-        """
-        if type(level) is not int or level < 1:
-            raise ValueError("level: must be a positive integer")
+        <x+rho, alpha0^vee> = level, i.e. <lam+rho, alpha0^vee> <= level."""
+        height = self._alpha0_height(level, lam)
         if not self.is_dominant(lam):
             raise ValueError("weight: must be dominant")
-        shifted = tuple(c + 1 for c in lam)
-        return self.pairing(shifted, self.alpha0) <= level
+        return height <= level
 
     def weyl_dimension(self, lam: Weight) -> int:
         """prod <lam+rho, a^vee> / prod <rho, a^vee> over positive a."""
+        lam = int_weight(lam)
         if not self.is_dominant(lam):
             raise ValueError("weight: must be dominant")
         shifted = tuple(c + 1 for c in lam)
@@ -451,6 +454,14 @@ class RootSystem:
             else:
                 return tuple(image[k] for k in range(1, model.rank + 1)), twist
         return None
+
+
+def int_weight(lam) -> Weight:
+    """lam as a tuple; a coordinate that is not an int is refused."""
+    lam = tuple(lam)
+    if not set(map(type, lam)) <= {int}:
+        raise ValueError("weight: coordinates must be integers")
+    return lam
 
 
 @lru_cache(maxsize=None)

@@ -597,6 +597,20 @@ class TestClassifyGlobal:
         with pytest.raises(ValueError):
             classify_global(build("A", 2), (-1, 0))
 
+    # (1.5, 2) once gave a replayed Sl2Node witness, (1.5, 0) an
+    # IndexError from find_witness and ('1', 0) a TypeError
+    @pytest.mark.parametrize("lam", [(1.5, 2), (1.5, 0), ("1", 0),
+                                     (1, 0.0), (True, 0)])
+    def test_rejects_coordinates_that_are_not_ints(self, lam):
+        with pytest.raises(ValueError,
+                           match="^weight: coordinates must be integers$"):
+            classify_global(build("A", 2), lam)
+
+    def test_search_refuses_a_weight_with_no_coordinate_one(self):
+        with pytest.raises(ValueError,
+                           match="^weight: coordinates must be integers$"):
+            find_witness(build("A", 2), (1.5, 0))
+
 
 class TestTraceJson:
     def test_node_shape(self):

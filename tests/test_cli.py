@@ -228,12 +228,72 @@ class TestInternalErrors:
         def fail(args):
             raise exc
 
-        monkeypatch.setitem(cli._DISPATCH, "classify", fail)
+        monkeypatch.setattr(cli, "_cmd_classify", fail)
         code, out, err = run(capsys, "classify", "--type", "A2",
                              "--weight", "w1")
         assert code == 1
         assert out == ""
         assert err == line + "\n"
+
+    def test_failed_write_is_one_line_and_exit_one(self, capsys,
+                                                   monkeypatch):
+        class ClosedPipe:
+            def write(self, text):
+                raise BrokenPipeError("closed")
+
+            def flush(self):
+                pass
+
+        monkeypatch.setattr(sys, "stdout", ClosedPipe())
+        code = main(["sl2", "--lambda", "2", "--ell", "4"])
+        monkeypatch.undo()
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.out == ""
+        assert captured.err == "internal error: BrokenPipeError: closed\n"
+
+
+def _subcommands():
+    """name -> subparser, read from the parser itself."""
+    action, = (a for a in cli._build_parser()._actions
+               if a.dest == "command")
+    return action.choices
+
+
+class TestSubcommands:
+    # each subcommand's handler and its smallest quick request
+    REQUESTS = {
+        "classify": ("_cmd_classify", ["--type", "A2", "--weight", "w1"]),
+        "witness": ("_cmd_witness", ["--type", "A2", "--weight", "w1"]),
+        "det-short": ("_cmd_det_short", ["--type", "G2"]),
+        "sl2": ("_cmd_sl2", ["--lambda", "2", "--ell", "4"]),
+        "qbinom": ("_cmd_qbinom", ["--n", "5", "--m", "2"]),
+        "table-theorem5-1": ("_cmd_table", ["--max-rank", "1"]),
+        "endnodes": ("_cmd_endnodes", ["--type", "A2"]),
+        "e8-certificate": ("_cmd_e8_certificate", []),
+        "verify-paper": ("_cmd_verify_paper",
+                         ["--only", "det-closed-form-equality"]),
+    }
+
+    def test_every_subcommand_names_its_own_handler(self):
+        parsers = _subcommands()
+        assert sorted(parsers) == sorted(self.REQUESTS)
+        for command, parser in parsers.items():
+            handler = getattr(cli, self.REQUESTS[command][0])
+            assert parser.get_default("run") is handler, command
+
+    @pytest.mark.parametrize("command", sorted(REQUESTS))
+    def test_each_subcommand_runs_its_own_handler(self, capsys, command):
+        code, out, err = run(capsys, command, *self.REQUESTS[command][1],
+                             "--json")
+        assert (code, err) == (0, "")
+        assert json.loads(out)["input"]["command"] == command
+
+    @pytest.mark.parametrize("command", sorted(REQUESTS))
+    def test_help_exits_zero(self, capsys, command):
+        code, out, err = run(capsys, command, "--help")
+        assert (code, err) == (0, "")
+        assert out.startswith(f"usage: weylirr {command} [-h]")
 
 
 class TestDetShort:

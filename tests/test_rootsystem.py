@@ -275,6 +275,19 @@ class TestWeights:
         with pytest.raises(ValueError, match="^level: "):
             a2.in_bottom_alcove_closure(level, (0, 0))
 
+    @pytest.mark.parametrize("lam", [(1.5, 0), (1, 0.0), ("1", 0)])
+    def test_weight_coordinates_must_be_ints(self, lam):
+        # weyl_dimension((1, 0.0)) once returned 3.0, and the alcove test
+        # on (1.5, 0) raised InternalCheckError for this bad input
+        a2 = build("A", 2)
+        message = "^weight: coordinates must be integers$"
+        with pytest.raises(ValueError, match=message):
+            a2.weyl_dimension(lam)
+        with pytest.raises(ValueError, match=message):
+            a2.in_bottom_alcove_closure(3, lam)
+        with pytest.raises(ValueError, match=message):
+            a2.dot_reflect_alpha0(3, lam)
+
     def test_alcove_closure_takes_a_level_not_an_order(self):
         # <theta+rho, theta^vee> = h + 1 = 31 for E8: theta is outside the
         # closed bottom alcove at level 30 (s at order 60), inside at 31

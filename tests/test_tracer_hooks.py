@@ -2,11 +2,16 @@
 
 bench/tracer.py rebinds weylirr functions by name, so renaming or
 inlining one of them would silently drop its span from `--trace 1` runs.
-These tests run two CLI requests under the tracer and check the spans and
-the restore.
+These tests run CLI requests under the tracer and check the spans and the
+restore, and check in a fresh process that `import weylirr.cli` alone
+loads everything the tracer wraps.
 """
 
+import ast
 import importlib.util
+import json
+import os
+import subprocess
 import sys
 from pathlib import Path
 
@@ -67,3 +72,55 @@ def test_spans_recorded_and_originals_restored(capsys):
     changed = [key for key, value in before.items()
                if after[key] is not value]
     assert changed == []
+
+
+def test_spans_recorded_per_acceptance_check(capsys):
+    tracer_module = _load_tracer()
+    tracer = tracer_module.Tracer()
+    restore = tracer.install()
+    try:
+        assert weylirr.cli.main(
+            ["verify-paper", "--only",
+             "det-closed-form-equality,end-node-reflection-arithmetic"]) == 0
+    finally:
+        restore()
+    capsys.readouterr()
+    spans = tracer_module.flatten(tracer.to_json()["phases"]["main"])
+    for check_id in ("det-closed-form-equality",
+                     "end-node-reflection-arithmetic"):
+        assert spans[f"acceptance.{check_id}"][0] == 1, check_id
+
+
+def _traced_names():
+    """The tracer's TRACED pairs, read from its source without running it."""
+    tree = ast.parse(TRACER_PATH.read_text())
+    for node in tree.body:
+        if (isinstance(node, ast.Assign)
+                and [t.id for t in node.targets] == ["TRACED"]):
+            return ast.literal_eval(node.value)
+    raise AssertionError("bench/tracer.py defines no TRACED")
+
+
+def test_cli_import_loads_every_traced_function():
+    # the tracer looks each module up in sys.modules after importing
+    # weylirr.cli, so a lazy import would drop its spans; in this process
+    # the other test modules have already loaded everything
+    traced = _traced_names()
+    code = (
+        "import functools, json, sys, weylirr.cli\n"
+        "missing = []\n"
+        "for mod, attr in json.loads(sys.argv[1]):\n"
+        "    module = sys.modules.get('weylirr.' + mod)\n"
+        "    try:\n"
+        "        functools.reduce(getattr, attr.split('.'), module)\n"
+        "    except AttributeError:\n"
+        "        missing.append(mod + '.' + attr)\n"
+        "print(json.dumps(missing))\n")
+    src = str(Path(weylirr.cli.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [src, *filter(None, [env.get("PYTHONPATH")])])
+    proc = subprocess.run([sys.executable, "-c", code, json.dumps(traced)],
+                          capture_output=True, text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout) == []
