@@ -341,9 +341,10 @@ def endnode_witness(rs: RootSystem):
 
 def verify_witness(rs: RootSystem, lam: Weight, trace) -> bool:
     """Replay a trace from scratch; True iff every step holds.  A malformed
-    trace raises TraceError, then a weight not dominant for rs ValueError."""
-    lam = tuple(lam)
+    trace raises TraceError; after that, a weight with a coordinate that is
+    not an int, or one not dominant for rs, raises ValueError."""
     steps = _chain(trace)
+    lam = int_weight(lam)
     if not rs.is_dominant(lam):
         raise ValueError("weight: must be dominant")
     twist = 1
@@ -378,9 +379,10 @@ def classify_global(rs: RootSystem, lam: Weight) -> Decision:
 def trace_json(rs: RootSystem, lam: Weight, trace):
     """JSON-shaped tree for a trace, with per-step replay flags: each step
     after a descent sits under that descent's "inner" key, and a descent
-    that fails replay is the last node and has no "inner"."""
-    lam = tuple(lam)
+    that fails replay is the last node and has no "inner".  Bad input
+    raises as in verify_witness."""
     steps = _chain(trace, empty=True)
+    lam = int_weight(lam)
     if not rs.is_dominant(lam):
         raise ValueError("weight: must be dominant")
     nodes = level = []

@@ -4,7 +4,10 @@ Quantum integers, factorials and binomial coefficients live here, together
 with cyclotomic polynomials and exact vanishing tests at roots of unity.
 Everything runs on arbitrary-precision integers; there is no floating point
 and no numerical tolerance anywhere in this module.  qint, qfactorial and
-qbinom build their value on each call; no polynomial is cached.
+qbinom build their value on each call, and no table of polynomials or of
+answers is kept.  The one value stored is per polynomial: the first time p
+is tested, vanishes_at keeps its q^2 reduction of p in p itself, so the
+tests of p at later orders skip that scan.
 
 A polynomial is a valuation and a dense tuple of coefficients, and the
 ring operations work on whole slices of it.  vanishes_at decides whether p
@@ -59,9 +62,15 @@ class LaurentPoly:
     ValueError before it allocates anything; the largest polynomials the
     CLI builds, its biggest qbinom and the rank-3000 determinants, span at
     most 200,000.
+
+    A third slot, _reduced, is outside equality: ==, hash, repr and terms
+    never read it, and the arithmetic never sets it.  vanishes_at fills it
+    on the first test of a polynomial with (g, h), where p = q^_low g(x)
+    at x = q^(2^h) and g is the coefficient tuple that remains; it is
+    unset until then.
     """
 
-    __slots__ = ("_low", "_coeffs")
+    __slots__ = ("_low", "_coeffs", "_reduced")
 
     def __init__(self, terms=None):
         data: dict[int, int] = {}
@@ -492,6 +501,10 @@ def vanishes_at(p: LaurentPoly, spec: SpecOrder) -> bool:
     primitive root of order e / gcd(e, 2); so p(z) = 0 iff g(z^2) = 0,
     and the tests below run on g and that order.  The scan for a nonzero
     odd slot stops at the first one, so no other polynomial pays a copy.
+    The scan depends on p alone, so it runs on the first test of p only:
+    the reduced tuple and the number h of halvings go into p's _reduced
+    slot, and every test divides e by gcd(e, 2^h), which is h steps of
+    e //= gcd(e, 2) at once.
 
     Degree exits.  cyclotomic(e), the minimal polynomial of z, has degree
     phi(e) >= sqrt(e/2), and no nonzero polynomial of lower degree
@@ -525,13 +538,19 @@ def vanishes_at(p: LaurentPoly, spec: SpecOrder) -> bool:
     """
     if not isinstance(p, LaurentPoly):
         raise TypeError("vanishes_at expects a LaurentPoly")
-    coeffs = p._coeffs
-    if not coeffs:
+    if not p._coeffs:
         return True
+    reduced = getattr(p, "_reduced", None)
+    if reduced is None:
+        coeffs, h = p._coeffs, 0
+        while len(coeffs) > 1 and not any(islice(coeffs, 1, None, 2)):
+            coeffs = coeffs[::2]
+            h += 1
+        reduced = coeffs, h
+        object.__setattr__(p, "_reduced", reduced)
+    coeffs, h = reduced
     e = spec.effective_order
-    while len(coeffs) > 1 and not any(islice(coeffs, 1, None, 2)):
-        coeffs = coeffs[::2]
-        e //= math.gcd(e, 2)
+    e //= math.gcd(e, 1 << h)
     n = len(coeffs)
     span = n - 1
     if 2 * span * span < e or (span < e and span < euler_phi(e)):

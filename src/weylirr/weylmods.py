@@ -188,6 +188,20 @@ def sl2_maximal_vector_oracle(lam: int, ell: int, d: int = 1) -> bool:
     annihilated by every divided power, i.e. iff for each j < lam some
     1 <= m <= lam-j has a nonvanishing coefficient.
 
+    s is read once per call.  At s = 1 (q = +-1) no quantum integer
+    vanishes.  For s > 1 each [k] vanishes at zeta^d exactly when s
+    divides k, with a simple root, so [j+m, m] vanishes iff (j, j+m]
+    holds more multiples of s than [1, m] does.  It never holds fewer, as
+    floor((j+m)/s) >= floor(j/s) + floor(m/s); so the binomial is nonzero
+    iff (j+m)//s - j//s == m//s.
+
+    Only the top s - 1 vectors below v_lam can be annihilated.  For
+    j <= lam - s the power E^(s) exists on v_j, and (j+s)//s - j//s == 1
+    == s//s, so [j+s, s] != 0 and E^(s) moves v_j.  The scan therefore
+    starts from the v_j with lam - s < j < lam, at most s - 1 of them:
+    the others would leave it by m = s, before their powers run out, so
+    no answer changes, and the cost of a call does not grow with lam.
+
     The scan runs by power.  The v_j still pending are those on which
     every E^(m) tried so far vanishes; for m = 1, 2, ... it drops each
     pending j whose [j+m, m] is nonzero.  E^(m) exists on v_j only while
@@ -195,20 +209,13 @@ def sl2_maximal_vector_oracle(lam: int, ell: int, d: int = 1) -> bool:
     v_j is the first to run out of divided powers: once it has, it is
     annihilated by all of them and the module is reducible.  An empty
     list means every v_j below the top was moved.
-
-    s is read once per call.  At s = 1 (q = +-1) no quantum integer
-    vanishes.  For s > 1 each [k] vanishes at zeta^d exactly when s
-    divides k, with a simple root, so [j+m, m] vanishes iff (j, j+m]
-    holds more multiples of s than [1, m] does.  It never holds fewer, as
-    floor((j+m)/s) >= floor(j/s) + floor(m/s); so the binomial is nonzero
-    iff (j+m)//s - j//s == m//s.
     """
     if not isinstance(lam, int) or lam < 0:
         raise ValueError("lambda: must be a nonnegative integer")
     s = SpecOrder(ell, d).s
     if s == 1:
         return True
-    pending = list(range(lam))
+    pending = list(range(max(0, lam - s + 1), lam))
     m = 0
     while pending:
         m += 1

@@ -324,6 +324,21 @@ class TestVerifyWitness:
             with pytest.raises(TraceError):
                 read(a3, lam, trace + trace)
 
+    @pytest.mark.parametrize("lam", [(1.5, 2), (1.5, 0), ("1", 0),
+                                     (1, 0.0), (True, 0)])
+    def test_replay_refuses_coordinates_that_are_not_ints(self, lam):
+        # (1.5, 2) once replayed Sl2Node(2, 4) as verified: the leaf read
+        # only the coordinate 2
+        a2 = build("A", 2)
+        trace = (Sl2Node(2, 4),)
+        for read in (verify_witness, trace_json):
+            with pytest.raises(ValueError,
+                               match="^weight: coordinates must be integers$"):
+                read(a2, lam, trace)
+            # a malformed trace is refused first
+            with pytest.raises(TraceError):
+                read(a2, lam, trace + trace)
+
     def test_alternative_hand_built_trace(self):
         # the same weight can carry distinct valid witnesses
         a5 = build("A", 5)

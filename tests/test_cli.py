@@ -27,6 +27,11 @@ DESCENT_GOLDEN = json.loads(
 # recorded while the oracle still called qbinom_vanishes_fast per binomial
 RANK_ONE_GOLDEN = json.loads(
     (Path(__file__).parent / "golden" / "rank_one_cli.json").read_text())
+# the full verify-paper --json document and its exit code, recorded
+# before the oracle scanned only the top basis vectors and before
+# vanishes_at kept its q^2 reduction in the polynomial
+VERIFY_GOLDEN = json.loads(
+    (Path(__file__).parent / "golden" / "verify_paper.json").read_text())
 
 
 def run(capsys, *argv):
@@ -125,6 +130,13 @@ class TestGolden:
         code, out, _ = run(capsys, *case["argv"])
         assert code == case["exit"]
         assert out == case["stdout"]
+
+    def test_verify_paper_matches_golden_output(self, capsys):
+        # every check's detail string, counts included; only the two
+        # order-60 checks fail, so the exit code is 1
+        code, out, _ = run(capsys, *VERIFY_GOLDEN["argv"])
+        assert code == VERIFY_GOLDEN["exit"] == 1
+        assert out == VERIFY_GOLDEN["stdout"]
 
 
 class TestInputErrors:

@@ -30,6 +30,8 @@ from weylirr.qarith import (
     s_value,
     vanishes_at,
 )
+from weylirr.rootsystem import systems
+from weylirr.weylmods import det_short_matrix
 
 Q = LaurentPoly({1: 1})
 
@@ -523,6 +525,60 @@ class TestVanishing:
     def test_qbinom_fast_bad_lower_index(self):
         with pytest.raises(ValueError):
             qbinom_vanishes_fast(4, -2, SpecOrder(3))
+
+
+def _reduction_cases():
+    """Polynomials in q^2, q^4 and q, one with an odd term, and constants."""
+    return ([qint(i) for i in (-6, 1, 2, 5, 17)]
+            + [qbinom(n, m) for n, m in ((6, 3), (9, 4), (-5, 3), (12, 1))]
+            + [det_short_matrix(rs) for rs in systems(8)]
+            + [LaurentPoly({8: 1, 0: -1}), cyclotomic(15).shift(-3),
+               qint(3) + LaurentPoly({5: 1}), LaurentPoly({7: -2}), ONE,
+               ZERO])
+
+
+class TestStoredReduction:
+    # vanishes_at keeps the q^2 reduction of p in p itself; the stored
+    # value must answer as a fresh copy does and stay out of sight
+
+    SPECS = [SpecOrder(ell, d) for d in (1, 2, 3) for ell in range(1, 61)]
+
+    def test_one_polynomial_answers_as_fresh_copies(self):
+        for p in _reduction_cases():
+            for spec in self.SPECS:
+                fresh = LaurentPoly(p.terms())
+                assert vanishes_at(p, spec) == vanishes_at(fresh, spec), \
+                    (p, spec)
+
+    def test_arithmetic_leaves_the_slot_unset(self):
+        a, b = qint(4), qbinom(7, 2)
+        results = [a, b, a + b, a - b, a * b, -a, a ** 2, a.bar(),
+                   a.shift(3), (a * b).exact_div(b), LaurentPoly({2: 1}),
+                   cyclotomic(12)]
+        for p in results:
+            assert getattr(p, "_reduced", None) is None, p
+        vanishes_at(a, SpecOrder(8))
+        assert getattr(a + b, "_reduced", None) is None
+
+    def test_equality_hash_repr_and_terms_ignore_the_slot(self):
+        for p in _reduction_cases():
+            fresh = LaurentPoly(p.terms())
+            before = hash(p), repr(p), p.terms()
+            for spec in self.SPECS[:12]:
+                vanishes_at(p, spec)
+            assert (hash(p), repr(p), p.terms()) == before
+            assert p == fresh and hash(p) == hash(fresh)
+            assert repr(p) == repr(fresh) and p.terms() == fresh.terms()
+
+    @pytest.mark.parametrize("tested", [False, True])
+    def test_still_immutable(self, tested):
+        p = qint(6)
+        if tested:
+            vanishes_at(p, SpecOrder(12))
+        for name in ("_low", "_coeffs", "_reduced", "_terms"):
+            with pytest.raises(AttributeError):
+                setattr(p, name, None)
+        assert p == qint(6)
 
 
 def _vanishes_reference(p, e):

@@ -320,6 +320,46 @@ class TestSl2:
             for d in (1, 2, 3):
                 assert sl2_maximal_vector_oracle(0, ell, d)
 
+    def test_only_the_top_s_minus_one_vectors_can_be_annihilated(self):
+        # the oracle's window: for j <= lam - s, E^(s) moves v_j because
+        # [j+s, s] is nonzero, checked here on the expanded binomials
+        binom = {}
+        seen = set()
+        for d in (1, 2, 3):
+            for ell in range(1, 73):
+                spec = SpecOrder(ell, d)
+                key = spec.s, spec.effective_order
+                if not 2 <= spec.s <= 12 or key in seen:
+                    continue
+                seen.add(key)
+                for j in range(41):
+                    if (j, spec.s) not in binom:
+                        binom[j, spec.s] = qbinom(j + spec.s, spec.s)
+                    assert not vanishes_at(binom[j, spec.s], spec), \
+                        (j, ell, d)
+        assert {s for s, _ in seen} == set(range(2, 13))
+
+    def test_oracle_matches_the_full_scan(self):
+        # the windowed scan against the scan over every v_j below the top;
+        # both read only s, so one order per value of s
+        orders = {}
+        for d in (1, 2, 3):
+            for ell in range(1, 121):
+                orders.setdefault(SpecOrder(ell, d).s, (ell, d))
+        for s, (ell, d) in orders.items():
+            for lam in range(400):
+                assert (sl2_maximal_vector_oracle(lam, ell, d)
+                        == _full_scan_oracle(lam, s)), (lam, ell, d)
+
+    @pytest.mark.parametrize("lam", [10**4 - 1, 10**4, 10**6 + 3])
+    def test_oracle_agrees_at_large_weights(self, lam):
+        # the scan touches at most s - 1 vectors, so lam = 10^6 is as
+        # cheap as lam = 10
+        for d in (1, 2, 3):
+            for ell in range(1, 61):
+                assert (sl2_maximal_vector_oracle(lam, ell, d)
+                        == sl2_irreducible(lam, ell, d)), (lam, ell, d)
+
     def test_equivalence_check_calls_both_sides_on_every_pair(
             self, monkeypatch):
         calls = {"sl2_irreducible": 0, "sl2_maximal_vector_oracle": 0}
@@ -351,6 +391,22 @@ def _oracle_reference(lam, spec):
                 break
         if not alive:
             return False
+    return True
+
+
+def _full_scan_oracle(lam, s):
+    """The by-power scan started from every v_j below the top, with s
+    read from the order: the oracle before its window."""
+    if s == 1:
+        return True
+    pending = list(range(lam))
+    m = 0
+    while pending:
+        m += 1
+        if pending[-1] + m > lam:
+            return False
+        carries = m // s
+        pending = [j for j in pending if (j + m) // s - j // s != carries]
     return True
 
 
