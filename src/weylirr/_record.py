@@ -1,17 +1,22 @@
-"""Frozen value records, the package's small stand-in for frozen dataclasses.
+"""Frozen objects: the base of every immutable type, and its one slot writer.
 
-Importing dataclasses (which imports inspect) and generating each class
-costs a fresh process several milliseconds, more than a typical CLI query
-spends computing, so the value types use this base instead.
+Frozen is the base of Record, LaurentPoly and RootSystem: its __setattr__
+and __delattr__ raise AttributeError.  A slot is written only through
+_setattr (object.__setattr__), by a constructor or by vanishes_at's store
+of a polynomial's reduction; no other module names object.__setattr__.
 
-A subclass declares its fields once, as ``__slots__ = _fields = (...)``,
-and Record.__init__ is the one constructor: it reads ``_fields`` and takes
-positional and keyword arguments in that order.  A subclass writes its own
-``__init__`` only to validate or derive values, as SpecOrder does.  Two
-records are equal when they are of the same class and their field tuples
-are equal; the hash is the hash of the field tuple; repr reads
-``QualName(field=value!r, ...)`` in field order.  Fields can be neither
-assigned nor deleted, and instances have no ``__dict__``.
+Record is the package's small stand-in for frozen dataclasses.  Importing
+dataclasses (which imports inspect) and generating each class costs a
+fresh process several milliseconds, more than a typical CLI query spends
+computing, so the value types use this base instead.  A subclass declares
+its fields once, as ``__slots__ = _fields = (...)``, and Record.__init__
+is the one constructor: it reads ``_fields`` and takes positional and
+keyword arguments in that order.  A subclass writes its own ``__init__``
+only to validate or derive values, as SpecOrder does.  Two records are
+equal when they are of the same class and their field tuples are equal;
+the hash is the hash of the field tuple; repr reads
+``QualName(field=value!r, ...)`` in field order.  Instances have no
+``__dict__``.
 """
 
 
@@ -35,7 +40,17 @@ def _bind(cls, args: tuple, kwargs: dict) -> tuple:
     return args + tuple([kwargs[f] for f in rest])
 
 
-class Record:
+class Frozen:
+    __slots__ = ()
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+
+class Record(Frozen):
     __slots__ = ()
     _fields = ()
 
@@ -60,9 +75,3 @@ class Record:
     def __repr__(self) -> str:
         body = ", ".join(f"{f}={getattr(self, f)!r}" for f in self._fields)
         return f"{type(self).__qualname__}({body})"
-
-    def __setattr__(self, name, value):
-        raise AttributeError(f"cannot assign to field {name!r}")
-
-    def __delattr__(self, name):
-        raise AttributeError(f"cannot delete field {name!r}")

@@ -15,8 +15,10 @@ restricted weight.
 Each step class carries its own description: its JSON `name`, its
 `citation` text, its JSON `params` and its `replay`.  _chain alone checks
 a trace's shape, step classes, citations and leaf order, all before any
-replay, and verify_witness, trace_json and trace_citations loop over what
-it returns, so a new replay rule lives in one class body.
+replay.  _replay is the one walk: it checks the weight, then threads
+(system, weight, twist) through the steps up to the first that fails,
+and verify_witness and trace_json read the list of steps it walked.  So
+a new replay rule lives in one class body.
 
 The `twist` parameter threading through this module is the ratio between
 ambient and local symmetrizers: a subdiagram whose nodes are long roots of
@@ -25,7 +27,7 @@ the ambient system sees the quantum parameter raised to that power.
 
 from __future__ import annotations
 
-from functools import lru_cache
+from functools import lru_cache, reduce
 
 from ._record import Record
 from .qarith import InternalCheckError
@@ -45,6 +47,12 @@ class TraceError(ValueError):
 # (system, weight, twist) for a descent step that holds, else None; the
 # next step of the flat trace replays against sub.
 
+def _check_node(rs: RootSystem, node) -> None:
+    """Refuse a leaf's node that is not an int in 1..rs.rank."""
+    if type(node) is not int or not 1 <= node <= rs.rank:
+        raise TraceError(f"node {node} out of range for {rs.name}")
+
+
 class Sl2Node(Record):
     """Leaf: the coordinate at `node` fails the rank-one criterion at ell."""
 
@@ -60,8 +68,7 @@ class Sl2Node(Record):
                 "ell": self.ell}
 
     def replay(self, rs: RootSystem, lam: Weight, twist: int):
-        if type(self.node) is not int or not 1 <= self.node <= rs.rank:
-            raise TraceError(f"node {self.node} out of range for {rs.name}")
+        _check_node(rs, self.node)
         c = lam[self.node - 1]
         d = rs.symm[self.node - 1] * twist
         return not sl2_irreducible(c, self.ell, d), None
@@ -200,8 +207,7 @@ class FundWeight(Record):
         return {"node": self.node, "ell": self.ell, "test": self.tag}
 
     def replay(self, rs: RootSystem, lam: Weight, twist: int):
-        if type(self.node) is not int or not 1 <= self.node <= rs.rank:
-            raise TraceError(f"node {self.node} out of range for {rs.name}")
+        _check_node(rs, self.node)
         if lam != rs.fundamental(self.node):
             return False, None
         if self.tag == "adjoint_short_root":
@@ -339,22 +345,30 @@ def endnode_witness(rs: RootSystem):
     return lam, step.ell, step.case
 
 
+def _replay(rs: RootSystem, lam: Weight, trace, empty: bool = False):
+    """(step, rs, lam, twist, holds) for each step replayed, up to and
+    including the first that fails.  Bad input raises as in verify_witness;
+    with empty=True the trace () passes and walks as []."""
+    steps = _chain(trace, empty)
+    lam = int_weight(lam)
+    if not rs.is_dominant(lam):
+        raise ValueError("weight: must be dominant")
+    walked = []
+    twist = 1
+    for step in steps:
+        holds, sub = step.replay(rs, lam, twist)
+        walked.append((step, rs, lam, twist, holds))
+        if sub is None:
+            break
+        rs, lam, twist = sub
+    return walked
+
+
 def verify_witness(rs: RootSystem, lam: Weight, trace) -> bool:
     """Replay a trace from scratch; True iff every step holds.  A malformed
     trace raises TraceError; after that, a weight with a coordinate that is
     not an int, or one not dominant for rs, raises ValueError."""
-    steps = _chain(trace)
-    lam = int_weight(lam)
-    if not rs.is_dominant(lam):
-        raise ValueError("weight: must be dominant")
-    twist = 1
-    for step in steps:
-        holds, sub = step.replay(rs, lam, twist)
-        if not holds:
-            return False
-        if sub is not None:
-            rs, lam, twist = sub
-    return True
+    return _replay(rs, lam, trace)[-1][-1]
 
 
 def classify_global(rs: RootSystem, lam: Weight) -> Decision:
@@ -376,27 +390,22 @@ def classify_global(rs: RootSystem, lam: Weight) -> Decision:
     return Decision("reducible", None, trace, trace[-1].ell)
 
 
+def _nest(inner: list, walked_step) -> list:
+    """The JSON node of one walked step, holding `inner` if nonempty."""
+    step, rs, lam, twist, holds = walked_step
+    node = {"step": step.name, "params": step.params(rs, lam, twist),
+            "citation": step.citation, "verified": bool(holds)}
+    if inner:
+        node["inner"] = inner
+    return [node]
+
+
 def trace_json(rs: RootSystem, lam: Weight, trace):
     """JSON-shaped tree for a trace, with per-step replay flags: each step
     after a descent sits under that descent's "inner" key, and a descent
     that fails replay is the last node and has no "inner".  Bad input
     raises as in verify_witness."""
-    steps = _chain(trace, empty=True)
-    lam = int_weight(lam)
-    if not rs.is_dominant(lam):
-        raise ValueError("weight: must be dominant")
-    nodes = level = []
-    twist = 1
-    for step in steps:
-        holds, sub = step.replay(rs, lam, twist)
-        node = {"step": step.name, "params": step.params(rs, lam, twist),
-                "citation": step.citation, "verified": bool(holds)}
-        level.append(node)
-        if sub is None:
-            break
-        rs, lam, twist = sub
-        level = node["inner"] = []
-    return nodes
+    return reduce(_nest, reversed(_replay(rs, lam, trace, empty=True)), [])
 
 
 def trace_citations(trace):

@@ -31,7 +31,7 @@ from functools import lru_cache
 from itertools import islice, repeat
 from operator import add, neg, sub
 
-from ._record import Record
+from ._record import Frozen, Record, _setattr
 
 
 # the largest span LaurentPoly's public constructor accepts; storage is
@@ -47,8 +47,8 @@ class InternalCheckError(RuntimeError):
     """An internal consistency check failed: a bug, never bad user input."""
 
 
-class LaurentPoly:
-    """Immutable Laurent polynomial with integer coefficients.
+class LaurentPoly(Frozen):
+    """Laurent polynomial with integer coefficients.
 
     Terms are stored densely: _low is the valuation and _coeffs the tuple
     of coefficients of q^_low, q^(_low + 1), ..., with no zero at either
@@ -93,9 +93,6 @@ class LaurentPoly:
         for exp, c in data.items():
             coeffs[exp - low] = c
         _fill(self, low, tuple(coeffs))
-
-    def __setattr__(self, name, value):
-        raise AttributeError("LaurentPoly is immutable")
 
     def terms(self) -> dict[int, int]:
         """Copy of the exponent -> nonzero coefficient map."""
@@ -277,8 +274,8 @@ class LaurentPoly:
 
 
 def _fill(p: LaurentPoly, low: int, coeffs: tuple) -> None:
-    object.__setattr__(p, "_low", low)
-    object.__setattr__(p, "_coeffs", coeffs)
+    _setattr(p, "_low", low)
+    _setattr(p, "_coeffs", coeffs)
 
 
 def _canon(low: int, coeffs) -> LaurentPoly:
@@ -467,11 +464,10 @@ class SpecOrder(Record):
             raise ValueError("ell: must be a positive integer")
         if type(d) is not int or d not in (1, 2, 3):
             raise ValueError("d: must be 1, 2 or 3")
+        Record.__init__(self, ell, d)
         e = ell // math.gcd(ell, d)
-        object.__setattr__(self, "ell", ell)
-        object.__setattr__(self, "d", d)
-        object.__setattr__(self, "effective_order", e)
-        object.__setattr__(self, "s", s_value(e))
+        _setattr(self, "effective_order", e)
+        _setattr(self, "s", s_value(e))
 
 
 def _fold(coeffs, e: int) -> list[int]:
@@ -547,7 +543,7 @@ def vanishes_at(p: LaurentPoly, spec: SpecOrder) -> bool:
             coeffs = coeffs[::2]
             h += 1
         reduced = coeffs, h
-        object.__setattr__(p, "_reduced", reduced)
+        _setattr(p, "_reduced", reduced)
     coeffs, h = reduced
     e = spec.effective_order
     e //= math.gcd(e, 1 << h)

@@ -48,7 +48,7 @@ from functools import cached_property, lru_cache
 from math import prod
 from types import MappingProxyType
 
-from ._record import Record
+from ._record import Frozen, Record, _setattr
 from .qarith import InternalCheckError
 
 Weight = tuple
@@ -119,17 +119,15 @@ class LeviComponent(Record):
         return tuple(lam[i - 1] for i in self.nodes)
 
 
-class RootSystem:
-    """Immutable root-system data built by :func:`build`.
+class RootSystem(Frozen):
+    """Root-system data built by :func:`build`.
 
-    The constructor sets the slots; assigning or deleting one afterwards
-    raises AttributeError, so the instances build shares are safe to read
-    anywhere.  `_neighbors[i]` is the sorted tuple of the diagram
-    neighbours of node i, and `_bond[i, j]` holds the Cartan entry a_ij =
-    <alpha_j, alpha_i^vee> for both directions of each edge; both are
-    read-only mappings, and :meth:`cartan` reads any entry from them.
-    `positive_roots` is cached on first use, in the instance `__dict__`,
-    which the guard does not cover.
+    Only the constructor sets the slots, so the instances build shares
+    are safe to read anywhere.  `_neighbors[i]` is the sorted tuple of the
+    diagram neighbours of node i, and `_bond[i, j]` holds the Cartan entry
+    a_ij = <alpha_j, alpha_i^vee> for both directions of each edge; both
+    are read-only mappings, and :meth:`cartan` reads any entry from them.
+    `positive_roots` is cached on first use, in the instance `__dict__`.
 
     The `levi_subsystem` memo lives there too.  Its key is the sorted tuple
     of distinct nodes, taken after the nodes are validated, and only
@@ -160,25 +158,19 @@ class RootSystem:
             top = max(symm[a - 1], symm[b - 1])
             bond[a, b] = -(top // symm[a - 1])
             bond[b, a] = -(top // symm[b - 1])
-        init = object.__setattr__
-        init(self, "kind", kind)
-        init(self, "rank", rank)
-        init(self, "symm", symm)
-        init(self, "_neighbors", MappingProxyType(
+        _setattr(self, "kind", kind)
+        _setattr(self, "rank", rank)
+        _setattr(self, "symm", symm)
+        _setattr(self, "_neighbors", MappingProxyType(
             {i: tuple(sorted(v)) for i, v in nbrs.items()}))
-        init(self, "_bond", MappingProxyType(bond))
+        _setattr(self, "_bond", MappingProxyType(bond))
         alpha0 = self._find_alpha0()
-        init(self, "alpha0", alpha0)
-        init(self, "alpha0_weight", self.omega_coords(alpha0))
+        _setattr(self, "alpha0", alpha0)
+        _setattr(self, "alpha0_weight", self.omega_coords(alpha0))
         # <w_i, alpha0^vee> = c_i d_i, and alpha0^vee is the highest coroot
-        init(self, "minuscule_nodes", frozenset(
+        _setattr(self, "minuscule_nodes", frozenset(
             i for i, (c, d) in enumerate(zip(alpha0.coords, symm), 1)
             if c * d == 1))
-
-    def __setattr__(self, name, value=None):
-        raise AttributeError(f"RootSystem is immutable: {name!r}")
-
-    __delattr__ = __setattr__
 
     # -- construction -------------------------------------------------
 
@@ -524,9 +516,9 @@ def parse_weight(text: str, rank: int) -> Weight:
         return tuple(map(int, parts))
     coords = [0] * rank
     body = t.lower().replace("-", "+-")
+    if t.startswith("-"):  # the one empty term that is not refused
+        body = body[1:]
     for term in body.split("+"):
-        if not term:
-            continue
         head, sep, tail = term.partition("w")
         if not sep or not _is_int_text(tail):
             raise ValueError(f"weight: bad term {term!r} in {text!r}")

@@ -1,6 +1,7 @@
 """Witness search, trace replay, and the global decision path."""
 
 from functools import lru_cache
+from itertools import product
 
 import pytest
 from hypothesis import assume, given, settings
@@ -567,6 +568,32 @@ class TestTraceShape:
             level, depth = level[0]["inner"], depth + 1
         assert len(level) == 1
         assert depth == len(trace) - 1
+
+    def test_the_two_replay_readers_agree(self):
+        # every weight in {0,1,2}^n of rank <= 5: its generated trace, the
+        # leaf at ell + 1, and the first descent with a wrong twist
+        for rs in rootsystem.systems(5):
+            for lam in product(range(3), repeat=rs.rank):
+                trace = find_witness(rs, lam)
+                if trace is None:
+                    continue
+                leaf = trace[-1]
+                cases = [(trace, len(trace)),
+                         (_with_step(trace, len(trace) - 1,
+                                     _replace(leaf, ell=leaf.ell + 1)),
+                          len(trace))]
+                if len(trace) > 1:
+                    bad = _replace(trace[0], twist=trace[0].twist + 1)
+                    cases.append((_with_step(trace, 0, bad), 1))
+                for case, walked in cases:
+                    assert len(classifier._replay(rs, lam, case)) == walked
+                    level, flags = trace_json(rs, lam, case), []
+                    while level:
+                        node, = level
+                        flags.append(node["verified"])
+                        level = node.get("inner")
+                    assert len(flags) == walked
+                    assert verify_witness(rs, lam, case) is all(flags)
 
 
 class TestClassifyGlobal:

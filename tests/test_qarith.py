@@ -69,6 +69,17 @@ class TestLaurentPoly:
         with pytest.raises(AttributeError):
             p._terms = {}
 
+    def test_slots_cannot_be_deleted(self):
+        # a deleted slot of the shared ONE would break every later product
+        before = qfactorial(3)
+        p = qint(2)
+        with pytest.raises(AttributeError):
+            del ONE._low
+        with pytest.raises(AttributeError):
+            del p._coeffs
+        assert qfactorial(3) == before
+        assert repr(p) == "q + q^-1"
+
     def test_repr_is_canonical(self):
         assert repr(qint(3)) == "q^2 + 1 + q^-2"
         assert repr(LaurentPoly({1: -2, 0: 1})) == "-2q + 1"

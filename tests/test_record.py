@@ -2,14 +2,19 @@
 
 Each record must behave like the frozen dataclass with the same fields:
 equality within one class, the hash of the field tuple, repr in field
-order, no assignment or deletion, and no instance __dict__.
+order, no assignment or deletion, and no instance __dict__.  Every frozen
+object, records or not, refuses assignment and deletion of each slot, and
+only _record writes a slot.
 """
 
+import ast
 import dataclasses
+from pathlib import Path
 
 import pytest
 
-from weylirr._record import Record
+import weylirr
+from weylirr._record import Frozen, Record
 from weylirr.acceptance import CheckResult
 from weylirr.classifier import (
     Decision,
@@ -18,7 +23,7 @@ from weylirr.classifier import (
     LeviDescent,
     Sl2Node,
 )
-from weylirr.qarith import LaurentPoly, SpecOrder, qint
+from weylirr.qarith import ZERO, LaurentPoly, SpecOrder, qint
 from weylirr.rootsystem import LeviComponent, Root, build
 from weylirr.weylmods import E8Certificate
 
@@ -76,7 +81,7 @@ class TestRecordSemantics:
 
     def test_fields_are_frozen(self, cls, values, other):
         record = cls(*values)
-        for name in cls._fields + ("unknown",):
+        for name in cls.__slots__ + ("unknown",):
             with pytest.raises(AttributeError):
                 setattr(record, name, None)
             with pytest.raises(AttributeError):
@@ -114,3 +119,50 @@ def test_spec_order_validates_in_init():
     for d in (0, 4, "1"):
         with pytest.raises(ValueError, match="^d: must be 1, 2 or 3$"):
             SpecOrder(6, d)
+
+
+# one object of each frozen type that is not a record, and a record with
+# slots outside its fields
+FROZEN = [ZERO, qint(2), LaurentPoly({-3: 2, 4: -1}), build("G", 2),
+          build("D", 5), SpecOrder(6, 2)]
+
+
+@pytest.mark.parametrize("obj", FROZEN, ids=repr)
+def test_every_slot_is_frozen(obj):
+    assert isinstance(obj, Frozen)
+    slots = [name for cls in type(obj).__mro__
+             for name in cls.__dict__.get("__slots__", ())
+             if name != "__dict__"]
+    assert len(slots) >= 2
+    before = [getattr(obj, name, None) for name in slots]
+    for name in slots + ["unknown"]:
+        with pytest.raises(AttributeError):
+            setattr(obj, name, None)
+        with pytest.raises(AttributeError):
+            delattr(obj, name)
+    assert [getattr(obj, name, None) for name in slots] == before
+
+
+def _writers(tree):
+    """The lines of tree that name object.__setattr__ or define
+    __setattr__ or __delattr__."""
+    hooks = ("__setattr__", "__delattr__")
+    for node in ast.walk(tree):
+        if (isinstance(node, ast.Attribute) and node.attr in hooks
+                and isinstance(node.value, ast.Name)
+                and node.value.id == "object"):
+            yield node.lineno
+        elif isinstance(node, ast.FunctionDef) and node.name in hooks:
+            yield node.lineno
+        elif (isinstance(node, ast.Name) and node.id in hooks
+              and isinstance(node.ctx, ast.Store)):
+            yield node.lineno
+
+
+def test_only_record_module_writes_slots():
+    package = Path(weylirr.__file__).parent
+    found = {path.name: list(_writers(ast.parse(path.read_text())))
+             for path in sorted(package.glob("*.py"))}
+    assert len(found) >= 8 and found["_record.py"]
+    assert {name: lines for name, lines in found.items()
+            if lines and name != "_record.py"} == {}

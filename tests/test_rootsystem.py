@@ -649,8 +649,11 @@ class TestParsing:
         assert parse_weight("2w1-w2", 2) == (2, -1)
         assert parse_weight("w2", 4) == (0, 1, 0, 0)
         # int() alone would also take '_', a '+' sign and non-ASCII digits
+        assert parse_weight("-w1", 2) == (-1, 0)
+        assert parse_weight("-W1-w2", 2) == (-1, -1)
         for bad in ["", "1,2", "w5", "wx", "q1+w2", "1_0,0,0,0", "+1,0,0,0",
-                    "1_0w1", "w\u0663", "w\u00b2"]:
+                    "1_0w1", "w\u0663", "w\u00b2", "w1+", "+w1", "w1++w2",
+                    "w1+-w2", "w1-", "--w1", "-"]:
             with pytest.raises(ValueError):
                 parse_weight(bad, 4)
 
