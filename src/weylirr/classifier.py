@@ -31,7 +31,7 @@ from functools import lru_cache, reduce
 
 from ._record import Record
 from .qarith import InternalCheckError
-from .rootsystem import RootSystem, Weight, format_weight, int_weight
+from .rootsystem import RootSystem, Weight, format_weight
 from .weylmods import (
     adjoint_short_reducible_at,
     g2_omega2_reducible_at,
@@ -297,18 +297,17 @@ def find_witness(rs: RootSystem, lam: Weight, twist: int = 1):
     """A reduction trace certifying reducibility at some order, or None.
 
     None is returned exactly for the globally irreducible weights: the
-    minuscule ones, and the highest root in rank 8 type E.
+    minuscule ones, and the highest root in rank 8 type E.  The weight
+    check is RootSystem.check_dominant, run by is_minuscule before any
+    other test, so a weight it refuses raises its ValueError here.
     """
     lam = tuple(lam)
-    # is_minuscule refuses a non-dominant weight
     if rs.is_minuscule(lam) or _is_e8_adjoint(rs, lam):
         return None
     for i, c in enumerate(lam, 1):
         if c >= 2:
             return (Sl2Node(i, 2 * c * rs.symm[i - 1] * twist),)
     support = [i for i, c in enumerate(lam, 1) if c == 1]
-    if not support:  # a dominant int weight here has a coordinate 1
-        raise ValueError("weight: coordinates must be integers")
     if len(support) == 1:
         i = support[0]
         if lam == rs.alpha0_weight:
@@ -350,9 +349,7 @@ def _replay(rs: RootSystem, lam: Weight, trace, empty: bool = False):
     including the first that fails.  Bad input raises as in verify_witness;
     with empty=True the trace () passes and walks as []."""
     steps = _chain(trace, empty)
-    lam = int_weight(lam)
-    if not rs.is_dominant(lam):
-        raise ValueError("weight: must be dominant")
+    lam = rs.check_dominant(lam)
     walked = []
     twist = 1
     for step in steps:
@@ -375,9 +372,9 @@ def classify_global(rs: RootSystem, lam: Weight) -> Decision:
     """The top-level decision: irreducible at every order, or a witness.
 
     Raises ValueError("weight: ...") for a weight that is not dominant or
-    has a coordinate that is not an int.
+    has a coordinate that is not an int; find_witness checks it first.
     """
-    lam = int_weight(lam)
+    lam = tuple(lam)  # so that _is_e8_adjoint matches a list too
     trace = find_witness(rs, lam)
     if trace is None:
         reason = "E8_adjoint" if _is_e8_adjoint(rs, lam) else "minuscule"

@@ -6,9 +6,12 @@ check failure or any other internal error, 2 invalid input.  Failures print
 one line to stderr, never a traceback.
 
 _build_parser is the one table of subcommands; each subparser carries its
-handler as `run`.  A handler returns the JSON document and the report
-lines, and main prints one of them inside its error handling, exiting 1
-only when the document says all_passed is false (verify-paper).
+handler as `run`, and a handler reads its own name from args.command.
+Every integer option has the type _int, which takes ASCII digits with an
+optional leading '-', as parse_type and parse_weight do.  A handler
+returns the JSON document and the report lines, and main prints one of
+them inside its error handling, exiting 1 only when the document says
+all_passed is false (verify-paper).
 """
 
 from __future__ import annotations
@@ -32,7 +35,13 @@ from .qarith import (
     qbinom_vanishes_fast,
     vanishes_at,
 )
-from .rootsystem import format_weight, parse_type, parse_weight, systems
+from .rootsystem import (
+    _is_int_text,
+    format_weight,
+    parse_type,
+    parse_weight,
+    systems,
+)
 from .weylmods import (
     adjoint_short_reducible_at,
     det_short_matrix,
@@ -50,6 +59,14 @@ _QBINOM_DEGREE_LIMIT = 100_000
 _TABLE_MAX_RANK = 100
 
 
+def _int(text: str) -> int:
+    """The type of every integer option: ASCII digits with an optional
+    leading '-', refused in int()'s own words otherwise."""
+    if not _is_int_text(text, signed=True):
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}")
+    return int(text)
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="weylirr",
@@ -65,7 +82,7 @@ def _build_parser() -> argparse.ArgumentParser:
         if system:
             p.add_argument("--type", required=True,
                            help="root-system type, e.g. E8 or a bare letter")
-            p.add_argument("--rank", type=int, default=None)
+            p.add_argument("--rank", type=_int, default=None)
             if weight:
                 p.add_argument("--weight", required=True,
                                help="'0,0,1', 'w3' or 'w1+2w3'")
@@ -83,27 +100,27 @@ def _build_parser() -> argparse.ArgumentParser:
     p = command("det-short", _cmd_det_short,
                 "short-root determinant, optionally tested at an order",
                 system=True)
-    p.add_argument("--ell", type=int, default=None)
+    p.add_argument("--ell", type=_int, default=None)
 
     p = command("sl2", _cmd_sl2, "rank-one irreducibility at a given order")
-    p.add_argument("--lambda", dest="lam", type=int, required=True)
-    p.add_argument("--ell", type=int, required=True)
-    p.add_argument("--d", type=int, default=1,
+    p.add_argument("--lambda", dest="lam", type=_int, required=True)
+    p.add_argument("--ell", type=_int, required=True)
+    p.add_argument("--d", type=_int, default=1,
                    help="node symmetrizer twist (1, 2 or 3)")
     p.add_argument("--json", action="store_true")
 
     p = command("qbinom", _cmd_qbinom,
                 "Gaussian binomial, optionally tested for vanishing at an "
                 "order")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--m", type=int, required=True)
-    p.add_argument("--ell", type=int, default=None)
-    p.add_argument("--d", type=int, default=1)
+    p.add_argument("--n", type=_int, required=True)
+    p.add_argument("--m", type=_int, required=True)
+    p.add_argument("--ell", type=_int, default=None)
+    p.add_argument("--d", type=_int, default=1)
     p.add_argument("--json", action="store_true")
 
     p = command("table-theorem5-1", _cmd_table,
                 "determinants and vanishing orders per type")
-    p.add_argument("--max-rank", dest="max_rank", type=int, default=12)
+    p.add_argument("--max-rank", dest="max_rank", type=_int, default=12)
     p.add_argument("--json", action="store_true")
 
     command("endnodes", _cmd_endnodes,
@@ -190,7 +207,7 @@ def _cmd_det_short(args):
     rs = parse_type(args.type, args.rank)
     det = det_short_matrix(rs)
     doc = {
-        "input": {"command": "det-short", "type": rs.name, "ell": args.ell},
+        "input": {"command": args.command, "type": rs.name, "ell": args.ell},
         "det": repr(det),
     }
     lines = [f"type: {rs.name}", f"det: {det!r}"]
@@ -205,7 +222,7 @@ def _cmd_det_short(args):
 def _cmd_sl2(args):
     irreducible = sl2_irreducible(args.lam, args.ell, args.d)
     doc = {
-        "input": {"command": "sl2", "lambda": args.lam, "ell": args.ell,
+        "input": {"command": args.command, "lambda": args.lam, "ell": args.ell,
                   "d": args.d},
         "irreducible": irreducible,
     }
@@ -217,7 +234,7 @@ def _cmd_sl2(args):
 def _cmd_qbinom(args):
     if args.m < 0:
         raise ValueError("m: must be a nonnegative integer")
-    doc = {"input": {"command": "qbinom", "n": args.n, "m": args.m,
+    doc = {"input": {"command": args.command, "n": args.n, "m": args.m,
                      "ell": args.ell, "d": args.d}}
     lines = [f"n: {args.n}", f"m: {args.m}"]
     # [n choose m] = +-[-n+m-1 choose m] for negative n
@@ -253,8 +270,7 @@ def _cmd_table(args):
                   if adjoint_short_reducible_at(rs, l)]
         rows.append({"type": rs.name, "det": repr(det_short_matrix(rs)),
                      "vanishing_orders": orders})
-    doc = {"input": {"command": "table-theorem5-1",
-                     "max_rank": args.max_rank},
+    doc = {"input": {"command": args.command, "max_rank": args.max_rank},
            "rows": rows}
     lines = []
     for row in rows:
@@ -273,7 +289,7 @@ def _cmd_endnodes(args):
     verified = nodes[0]["verified"]
     weight = format_weight(lam)
     doc = {
-        "input": {"command": "endnodes", "type": rs.name},
+        "input": {"command": args.command, "type": rs.name},
         "case": case,
         "weight": weight,
         "ell": ell,
@@ -289,9 +305,9 @@ def _cmd_endnodes(args):
 
 def _cmd_e8_certificate(args):
     cert = e8_certificate()
-    f16 = cert.detD.shift(8)
+    f16 = cert.factors[2]  # e8_certificate checks it is detD.shift(8)
     doc = {
-        "input": {"command": "e8-certificate"},
+        "input": {"command": args.command},
         "det": repr(cert.detD),
         "f": repr(cert.f),
         "f16": repr(f16),
@@ -340,7 +356,7 @@ def _cmd_verify_paper(args):
         lines.append(f"{failed} of {len(results)} checks failed")
     else:
         lines.append(f"all {len(results)} checks passed")
-    doc = {"input": {"command": "verify-paper", "only": only},
+    doc = {"input": {"command": args.command, "only": only},
            "results": rows, "all_passed": not failed}
     return doc, lines
 

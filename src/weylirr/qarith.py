@@ -333,6 +333,8 @@ def qbinom(n: int, m: int) -> LaurentPoly:
     at a time: each step is one multiplication by a binomial and one exact
     division, so the work is a loop, not a recursion m frames deep.
     """
+    if not isinstance(n, int):
+        raise ValueError("upper index of qbinom must be an int")
     if not isinstance(m, int) or m < 0:
         raise ValueError("lower index of qbinom must be a nonnegative int")
     if m == 0:
@@ -585,6 +587,8 @@ def qbinom_vanishes_fast(n: int, m: int, spec: SpecOrder) -> bool:
     numerator has strictly more multiples of s in (n-m, n] than the
     denominator has in [1, m].
     """
+    if not isinstance(n, int):
+        raise ValueError("upper index must be an int")
     if not isinstance(m, int) or m < 0:
         raise ValueError("lower index must be a nonnegative int")
     if m == 0:

@@ -34,12 +34,15 @@ systems(max_rank) is the one list of systems up to a rank that the CLI
 table and the acceptance checks sweep.  parse_type, the reader of
 command-line types, refuses ranks above MAX_RANK.
 
-Weights are plain integer tuples in the fundamental-weight basis;
-int_weight refuses any other coordinates, once per classify_global call
-and in the Weyl dimension and the alpha0-wall methods, never in the
-witness search's own predicates.  Roots carry their simple-root
-coordinates.  Short roots are normalized to squared length 2, so in
-simply-laced systems every root counts as short.
+Weights are plain integer tuples in the fundamental-weight basis.
+RootSystem.check_dominant is the one statement of the weight rule: it
+refuses a coordinate that is not an int (through int_weight) and a weight
+that is not dominant.  is_minuscule, which the witness search asks first,
+the Weyl dimension, the alcove test and the trace replay call it;
+dot_reflect_alpha0 takes any int weight, so it calls int_weight alone.
+Roots carry their simple-root coordinates.  Short roots are normalized
+to squared length 2, so in simply-laced systems every root counts as
+short.
 """
 
 from __future__ import annotations
@@ -264,6 +267,13 @@ class RootSystem(Frozen):
     def is_dominant(self, lam: Weight) -> bool:
         return len(lam) == self.rank and min(lam) >= 0
 
+    def check_dominant(self, lam) -> Weight:
+        """lam as an int tuple, refused unless it is dominant for self."""
+        lam = int_weight(lam)
+        if not self.is_dominant(lam):
+            raise ValueError("weight: must be dominant")
+        return lam
+
     def omega_coords(self, root: Root) -> Weight:
         return tuple(self.root_pairing(root.coords, i)
                      for i in range(1, self.rank + 1))
@@ -304,17 +314,11 @@ class RootSystem(Frozen):
     def in_bottom_alcove_closure(self, level: int, lam: Weight) -> bool:
         """Whether dominant lam lies on the near side of the wall
         <x+rho, alpha0^vee> = level, i.e. <lam+rho, alpha0^vee> <= level."""
-        height = self._alpha0_height(level, lam)
-        if not self.is_dominant(lam):
-            raise ValueError("weight: must be dominant")
-        return height <= level
+        return self._alpha0_height(level, self.check_dominant(lam)) <= level
 
     def weyl_dimension(self, lam: Weight) -> int:
         """prod <lam+rho, a^vee> / prod <rho, a^vee> over positive a."""
-        lam = int_weight(lam)
-        if not self.is_dominant(lam):
-            raise ValueError("weight: must be dominant")
-        shifted = tuple(c + 1 for c in lam)
+        shifted = tuple(c + 1 for c in self.check_dominant(lam))
         rho = (1,) * self.rank
         roots = self.positive_roots
         dim, rem = divmod(prod(self.pairing(shifted, a) for a in roots),
@@ -326,8 +330,7 @@ class RootSystem(Frozen):
     # -- minuscule weights ----------------------------------------------
 
     def is_minuscule(self, lam: Weight) -> bool:
-        if not self.is_dominant(lam):
-            raise ValueError("weight: must be dominant")
+        lam = self.check_dominant(lam)
         if not any(lam):
             return True
         if sum(lam) == 1:

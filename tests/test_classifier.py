@@ -649,9 +649,11 @@ class TestClassifyGlobal:
             classify_global(build("A", 2), lam)
 
     def test_search_refuses_a_weight_with_no_coordinate_one(self):
-        with pytest.raises(ValueError,
-                           match="^weight: coordinates must be integers$"):
-            find_witness(build("A", 2), (1.5, 0))
+        # (1, 0.5) once ended in InternalCheckError: no route for w1
+        for lam in ((1.5, 0), (1, 0.5), (0.5, 0.5)):
+            with pytest.raises(ValueError,
+                               match="^weight: coordinates must be integers$"):
+                find_witness(build("A", 2), lam)
 
 
 class TestTraceJson:

@@ -194,6 +194,21 @@ class TestInputErrors:
                              "--weight", weight)
         assert (code, out, err) == (2, "", f"error: {message}\n")
 
+    # type=int once read these as 10, 4 and 3 and exited 0
+    @pytest.mark.parametrize("argv, option, value", [
+        (["sl2", "--lambda", "1_0", "--ell", "3"], "lambda", "1_0"),
+        (["det-short", "--type", "A2", "--ell", " +4"], "ell", " +4"),
+        (["classify", "--type", "A", "--rank", "\u0663", "--weight", "w1"],
+         "rank", "\u0663"),
+    ])
+    def test_integer_options_are_ascii_digits(self, capsys, argv, option,
+                                              value):
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (2, "")
+        assert err.splitlines()[-1] == (
+            f"weylirr {argv[0]}: error: argument --{option}: "
+            f"invalid int value: {value!r}")
+
     def test_unknown_command_exits_two(self, capsys):
         assert run(capsys, "frobnicate")[0] == 2
 

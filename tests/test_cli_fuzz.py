@@ -20,6 +20,10 @@ def _ints(low, high):
     return st.integers(low, high).map(str)
 
 
+# int() reads each of these; every integer option refuses them
+NOT_ASCII_INTS = ["1_0", "+4", " 4", "\u0663"]
+
+
 # option -> (accepted values, refused values); an accepted value may still
 # be refused in combination, say a weight of the wrong length
 TYPE = (st.sampled_from(["A1", "A3", "B3", "C4", "D4", "D12", "E6", "E7",
@@ -28,7 +32,8 @@ TYPE = (st.sampled_from(["A1", "A3", "B3", "C4", "D4", "D12", "E6", "E7",
                             st.integers(0, 40)),
                   st.sampled_from(["A", "e8", "", "A1000000000", "D-4",
                                    "B 3"])))
-RANK = (_ints(1, 40), st.sampled_from(["0", "-2", "1000000000", "x", "3.5"]))
+RANK = (_ints(1, 40), st.sampled_from(["0", "-2", "1000000000", "x", "3.5",
+                                       *NOT_ASCII_INTS]))
 WEIGHT = (st.one_of(st.builds("w{}".format, st.integers(1, 4)),
                     st.builds("{}w{}+w{}".format, st.sampled_from(["", "2"]),
                               st.integers(1, 40), st.integers(1, 3))),
@@ -36,22 +41,25 @@ WEIGHT = (st.one_of(st.builds("w{}".format, st.integers(1, 4)),
                         lambda cs: ",".join(map(str, cs))),
                     st.sampled_from(["w0", "w41", "x", "ww1", "w1+", "-w1"])))
 ELL = (st.one_of(_ints(1, 100), st.just("1000000000")),
-       st.sampled_from(["0", "-2", "0x10", "six"]))
-D = (_ints(1, 3), st.sampled_from(["0", "4", "-1", "x", ""]))
+       st.sampled_from(["0", "-2", "0x10", "six", *NOT_ASCII_INTS]))
+D = (_ints(1, 3), st.sampled_from(["0", "4", "-1", "x", "",
+                                   *NOT_ASCII_INTS]))
 
 OPTIONS = {
     "classify": {"type": TYPE, "rank": RANK, "weight": WEIGHT},
     "witness": {"type": TYPE, "rank": RANK, "weight": WEIGHT},
     "det-short": {"type": TYPE, "rank": RANK, "ell": ELL},
     "sl2": {"lambda": (st.one_of(_ints(0, 200), st.just("1000000000")),
-                       st.sampled_from(["-1", "x"])),
+                       st.sampled_from(["-1", "x", *NOT_ASCII_INTS])),
             "ell": ELL, "d": D},
     "qbinom": {"n": (st.one_of(_ints(-60, 60), st.just("1000000000")),
-                     st.just("x")),
-               "m": (_ints(0, 60), st.sampled_from(["-2", "x"])),
+                     st.sampled_from(["x", *NOT_ASCII_INTS])),
+               "m": (_ints(0, 60), st.sampled_from(["-2", "x",
+                                                    *NOT_ASCII_INTS])),
                "ell": ELL, "d": D},
     "table-theorem5-1": {"max-rank": (st.sampled_from(["1", "3", "8"]),
-                                      st.sampled_from(["0", "101"]))},
+                                      st.sampled_from(["0", "101",
+                                                       *NOT_ASCII_INTS]))},
     "endnodes": {"type": TYPE, "rank": RANK},
 }
 STRAY = st.sampled_from(["--bogus", "-x", "extra", "--"])

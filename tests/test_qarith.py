@@ -233,6 +233,12 @@ class TestQuantumIntegers:
         with pytest.raises(ValueError):
             qbinom(4, -1)
 
+    # these once raised TypeError from inside the product
+    @pytest.mark.parametrize("n", [2.5, "5"])
+    def test_qbinom_bad_upper_index(self, n):
+        with pytest.raises(ValueError, match="^upper index of qbinom "):
+            qbinom(n, 1)
+
     def test_qbinom_matches_the_pascal_recursion(self):
         # the recursion [n, m] = [n-1, m-1][n] / [m], tabulated row by row
         table = {(0, 0): ONE}
@@ -536,6 +542,11 @@ class TestVanishing:
     def test_qbinom_fast_bad_lower_index(self):
         with pytest.raises(ValueError):
             qbinom_vanishes_fast(4, -2, SpecOrder(3))
+
+    def test_qbinom_fast_bad_upper_index(self):
+        # 2.5 once counted a multiple of s = 2 in (1.5, 2.5] and gave True
+        with pytest.raises(ValueError, match="^upper index must be an int$"):
+            qbinom_vanishes_fast(2.5, 1, SpecOrder(4))
 
 
 def _reduction_cases():

@@ -1,10 +1,12 @@
 """Root systems: construction, pairings, alcove arithmetic, Levi retyping."""
 
+import ast
 import itertools
 import random
 import tracemalloc
 from fractions import Fraction
 from functools import lru_cache
+from pathlib import Path
 
 import pytest
 from hypothesis import given
@@ -275,18 +277,32 @@ class TestWeights:
         with pytest.raises(ValueError, match="^level: "):
             a2.in_bottom_alcove_closure(level, (0, 0))
 
-    @pytest.mark.parametrize("lam", [(1.5, 0), (1, 0.0), ("1", 0)])
+    @pytest.mark.parametrize("lam", [(1.5, 0), (1, 0.0), ("1", 0),
+                                     (1, 0.5), (0.5, 0.5)])
     def test_weight_coordinates_must_be_ints(self, lam):
-        # weyl_dimension((1, 0.0)) once returned 3.0, and the alcove test
-        # on (1.5, 0) raised InternalCheckError for this bad input
+        # weyl_dimension((1, 0.0)) once returned 3.0, the alcove test on
+        # (1.5, 0) raised InternalCheckError for this bad input, and
+        # is_minuscule((0.5, 0.5)) leaked tuple.index's ValueError
         a2 = build("A", 2)
         message = "^weight: coordinates must be integers$"
+        with pytest.raises(ValueError, match=message):
+            a2.is_minuscule(lam)
         with pytest.raises(ValueError, match=message):
             a2.weyl_dimension(lam)
         with pytest.raises(ValueError, match=message):
             a2.in_bottom_alcove_closure(3, lam)
         with pytest.raises(ValueError, match=message):
             a2.dot_reflect_alpha0(3, lam)
+
+    def test_check_dominant_returns_the_int_tuple(self):
+        a2 = build("A", 2)
+        assert a2.check_dominant([1, 0]) == (1, 0)
+        for lam in ((-1, 0), (0, 0, 1), ()):
+            with pytest.raises(ValueError, match="^weight: must be dominant$"):
+                a2.check_dominant(lam)
+        # the alcove test checks the weight before the level
+        with pytest.raises(ValueError, match="^weight: must be dominant$"):
+            a2.in_bottom_alcove_closure(0, (-1, 0))
 
     def test_alcove_closure_takes_a_level_not_an_order(self):
         # <theta+rho, theta^vee> = h + 1 = 31 for E8: theta is outside the
@@ -666,3 +682,29 @@ class TestParsing:
     def test_round_trip(self, coords):
         lam = tuple(coords)
         assert parse_weight(format_weight(lam), len(lam)) == lam
+
+
+def _dominance_refusals(tree):
+    """The names of the functions in tree that hold the literal
+    "weight: must be dominant", once per occurrence."""
+    for func in ast.walk(tree):
+        if isinstance(func, ast.FunctionDef):
+            for node in ast.walk(func):
+                if (isinstance(node, ast.Constant)
+                        and node.value == "weight: must be dominant"):
+                    yield func.name
+
+
+def test_the_dominant_weight_rule_is_written_once():
+    # every reader of a weight calls RootSystem.check_dominant; the
+    # classifier names neither the message nor int_weight
+    package = Path(rootsystem.__file__).parent
+    sources = {path.name: path.read_text()
+               for path in sorted(package.glob("*.py"))}
+    assert len(sources) >= 8
+    assert sum(text.count("weight: must be dominant")
+               for text in sources.values()) == 1
+    found = [name for text in sources.values()
+             for name in _dominance_refusals(ast.parse(text))]
+    assert found == ["check_dominant"]
+    assert "int_weight" not in sources["classifier.py"]
