@@ -17,8 +17,13 @@ Each step class carries its own description: its JSON `name`, its
 a trace's shape, step classes, citations and leaf order, all before any
 replay.  _replay is the one walk: it checks the weight, then threads
 (system, weight, twist) through the steps up to the first that fails,
-and verify_witness and trace_json read the list of steps it walked.  So
-a new replay rule lives in one class body.
+and verify_witness and trace_json read the steps it walked.  So a new
+replay rule lives in one class body.
+
+_replay keeps its last walk.  verify_witness never reads it: every
+verdict is replayed from scratch.  trace_json reuses it when called with
+the same system, trace and weight objects, as the CLI and the benchmark
+do right after classify_global, so such a request walks its trace once.
 
 The `twist` parameter threading through this module is the ratio between
 ambient and local symmetrizers: a subdiagram whose nodes are long roots of
@@ -344,12 +349,24 @@ def endnode_witness(rs: RootSystem):
     return lam, step.ell, step.case
 
 
+# The last complete walk kept by _replay, as (system, trace, checked
+# weight, walked steps), or None; trace_json alone reads it.  One list
+# cell, so the module's bindings never change.
+_kept = [None]
+
+
 def _replay(rs: RootSystem, lam: Weight, trace, empty: bool = False):
     """(step, rs, lam, twist, holds) for each step replayed, up to and
     including the first that fails.  Bad input raises as in verify_witness;
-    with empty=True the trace () passes and walks as []."""
+    with empty=True the trace () passes and walks as ().
+
+    The walk is kept in _kept unless a descent holds a nodes or restricted
+    field that is not a tuple: a list there passes replay, and mutating it
+    later would make the kept walk disagree with a fresh one.
+    """
     steps = _chain(trace, empty)
     lam = rs.check_dominant(lam)
+    key = rs, steps, lam
     walked = []
     twist = 1
     for step in steps:
@@ -358,6 +375,13 @@ def _replay(rs: RootSystem, lam: Weight, trace, empty: bool = False):
         if sub is None:
             break
         rs, lam, twist = sub
+    walked = tuple(walked)
+    for descent in steps[:-1]:
+        if (type(descent.nodes) is not tuple
+                or type(descent.restricted) is not tuple):
+            break
+    else:
+        _kept[0] = (*key, walked)
     return walked
 
 
@@ -401,8 +425,21 @@ def trace_json(rs: RootSystem, lam: Weight, trace):
     """JSON-shaped tree for a trace, with per-step replay flags: each step
     after a descent sits under that descent's "inner" key, and a descent
     that fails replay is the last node and has no "inner".  Bad input
-    raises as in verify_witness."""
-    return reduce(_nest, reversed(_replay(rs, lam, trace, empty=True)), [])
+    raises as in verify_witness.
+
+    The kept walk is reused when rs, trace and lam are the very objects it
+    was made from, as when classify_global has just verified this trace;
+    any other call walks the trace itself.  The weight is matched by
+    identity, not equality: (True, 0) and (1.0, 0) equal (1, 0), but a
+    fresh walk refuses them.
+    """
+    kept = _kept[0]
+    if (kept is not None and kept[0] is rs and kept[1] is trace
+            and kept[2] is lam):
+        walked = kept[3]
+    else:
+        walked = _replay(rs, lam, trace, empty=True)
+    return reduce(_nest, reversed(walked), [])
 
 
 def trace_citations(trace):

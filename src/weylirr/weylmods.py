@@ -165,10 +165,24 @@ def e8_certificate() -> E8Certificate:
                          at_one, at_minus_one)
 
 
-@lru_cache(maxsize=256, typed=True)
-def _s_of_order(ell: int, d: int) -> int:
-    # typed, so 1.0 and True miss the key of 1 and SpecOrder refuses them
+def _spec_s(ell: int, d: int) -> int:
     return SpecOrder(ell, d).s
+
+
+# One cache for the criterion and one for the oracle, so the oracle stays
+# an independent check.  typed, so 1.0 and True miss the key of 1 and
+# SpecOrder refuses them.
+_s_of_order = lru_cache(maxsize=256, typed=True)(_spec_s)
+_oracle_s_of_order = lru_cache(maxsize=256, typed=True)(_spec_s)
+
+
+def _s(lookup, ell: int, d: int) -> int:
+    """lookup(ell, d).  An unhashable ell or d cannot key the cache and is
+    no int, so SpecOrder refuses it, as it refuses any other."""
+    try:
+        return lookup(ell, d)
+    except TypeError:
+        return _spec_s(ell, d)
 
 
 def sl2_irreducible(lam: int, ell: int, d: int = 1) -> bool:
@@ -176,7 +190,7 @@ def sl2_irreducible(lam: int, ell: int, d: int = 1) -> bool:
     where s is the vanishing modulus of the effective order of zeta^d."""
     if not isinstance(lam, int) or lam < 0:
         raise ValueError("lambda: must be a nonnegative integer")
-    s = _s_of_order(ell, d)
+    s = _s(_s_of_order, ell, d)
     return lam < s or lam % s == s - 1
 
 
@@ -212,7 +226,7 @@ def sl2_maximal_vector_oracle(lam: int, ell: int, d: int = 1) -> bool:
     """
     if not isinstance(lam, int) or lam < 0:
         raise ValueError("lambda: must be a nonnegative integer")
-    s = SpecOrder(ell, d).s
+    s = _s(_oracle_s_of_order, ell, d)
     if s == 1:
         return True
     pending = list(range(max(0, lam - s + 1), lam))

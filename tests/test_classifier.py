@@ -1,13 +1,15 @@
 """Witness search, trace replay, and the global decision path."""
 
+from collections import Counter
 from functools import lru_cache
 from itertools import product
+from pathlib import Path
 
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from weylirr import classifier, rootsystem, weylmods
+from weylirr import classifier, cli, rootsystem, weylmods
 from weylirr.classifier import (
     EndNode,
     FundWeight,
@@ -59,6 +61,34 @@ def _replace(step, **changes):
 def _with_step(trace, depth, new):
     """trace with the step at the given depth replaced by new."""
     return trace[:depth] + (new,) + trace[depth + 1:]
+
+
+def _fresh_json(rs, lam, trace):
+    """trace_json from a walk of its own: the kept walk is dropped first."""
+    classifier._kept[0] = None
+    return trace_json(rs, lam, trace)
+
+
+def _flags(nodes):
+    """The "verified" flags of a trace_json tree, outermost first."""
+    flags = []
+    while nodes:
+        node, = nodes
+        flags.append(node["verified"])
+        nodes = node.get("inner")
+    return flags
+
+
+def _count_replays(monkeypatch):
+    """A Counter of replay calls per step, filled from now on."""
+    counts = Counter()
+    for cls in classifier._STEPS:
+        def counting(self, rs, lam, twist, replay=cls.replay):
+            counts[self] += 1
+            return replay(self, rs, lam, twist)
+
+        monkeypatch.setattr(cls, "replay", counting)
+    return counts
 
 
 def _outcome(rs, lam, trace):
@@ -585,15 +615,19 @@ class TestTraceShape:
                 if len(trace) > 1:
                     bad = _replace(trace[0], twist=trace[0].twist + 1)
                     cases.append((_with_step(trace, 0, bad), 1))
+                    listed = _replace(trace[0], nodes=list(trace[0].nodes))
+                    cases.append((_with_step(trace, 0, listed), len(trace)))
                 for case, walked in cases:
+                    # trace_json reuses the walk of _replay, or of
+                    # verify_witness, and agrees with a walk of its own
                     assert len(classifier._replay(rs, lam, case)) == walked
-                    level, flags = trace_json(rs, lam, case), []
-                    while level:
-                        node, = level
-                        flags.append(node["verified"])
-                        level = node.get("inner")
+                    nodes = trace_json(rs, lam, case)
+                    assert nodes == _fresh_json(rs, lam, case)
+                    flags = _flags(nodes)
                     assert len(flags) == walked
                     assert verify_witness(rs, lam, case) is all(flags)
+                    assert trace_json(rs, lam, case) == nodes
+                    assert trace_json(rs, lam, tuple(list(case))) == nodes
 
 
 class TestClassifyGlobal:
@@ -697,6 +731,130 @@ class TestTraceJson:
         trace = find_witness(rs, lam)
         cites = trace_citations(trace)
         assert len(cites) == len(set(cites)) == 2
+
+
+class TestOneWalkPerRequest:
+    # C22 w5 and B5 w2 descend once to an alpha0 leaf; A3 2w1 is one leaf
+    REQUESTS = [("C22", "w5"), ("B5", "w2"), ("A3", "2w1")]
+
+    @pytest.mark.parametrize("json_flag", [[], ["--json"]])
+    @pytest.mark.parametrize("command", ["classify", "witness"])
+    @pytest.mark.parametrize("type_text,weight", REQUESTS)
+    def test_cli_request(self, monkeypatch, capsys, type_text, weight,
+                         command, json_flag):
+        rs = parse_type(type_text)
+        expected = Counter(find_witness(rs, parse_weight(weight, rs.rank)))
+        counts = _count_replays(monkeypatch)
+        for _ in range(2):
+            counts.clear()
+            assert cli.main([command, "--type", type_text, "--weight",
+                             weight, *json_flag]) == 0
+            assert counts == expected
+        capsys.readouterr()
+
+    @pytest.mark.parametrize("type_text,weight", REQUESTS)
+    def test_benchmark_document(self, monkeypatch, type_text, weight):
+        # bench/worker.py's sweep request, imported read-only
+        bench = Path(__file__).resolve().parent.parent / "bench"
+        monkeypatch.syspath_prepend(str(bench))
+        from worker import document_maker
+
+        classify_document = document_maker()
+        rs = parse_type(type_text)
+        lam = parse_weight(weight, rs.rank)
+        expected = Counter(find_witness(rs, lam))
+        counts = _count_replays(monkeypatch)
+        for _ in range(2):
+            counts.clear()
+            doc, _ = classify_document(rs.kind, rs.rank, lam)
+            assert counts == expected
+            assert _flags(doc["trace"]) == [True] * len(expected)
+
+
+class TestKeptWalk:
+    # each trace_json below must give what a walk of its own gives
+    A3 = build("A", 3)
+    LEAF = (Sl2Node(1, 4),)
+
+    def test_another_weight_is_walked(self):
+        expected = _fresh_json(self.A3, (3, 0, 0), self.LEAF)
+        assert _flags(expected) == [False]
+        assert verify_witness(self.A3, (2, 0, 0), self.LEAF)
+        assert trace_json(self.A3, (3, 0, 0), self.LEAF) == expected
+
+    def test_another_system_is_walked(self):
+        b3, lam = build("B", 3), (2, 0, 0)
+        expected = _fresh_json(b3, lam, self.LEAF)
+        assert expected != _fresh_json(self.A3, lam, self.LEAF)
+        assert verify_witness(self.A3, lam, self.LEAF)
+        assert trace_json(b3, lam, self.LEAF) == expected
+
+    def test_a_list_weight_mutated_after_the_walk_is_walked(self):
+        expected = _fresh_json(self.A3, (3, 0, 0), self.LEAF)
+        lam = [2, 0, 0]
+        assert verify_witness(self.A3, lam, self.LEAF)
+        lam[0] = 3
+        assert trace_json(self.A3, lam, self.LEAF) == expected
+
+    def test_an_equal_trace_or_weight_is_walked(self, monkeypatch):
+        rs = build("C", 22)
+        lam = rs.fundamental(5)
+        decision = classify_global(rs, lam)
+        expected = _fresh_json(rs, lam, decision.trace)
+        classify_global(rs, lam)
+        counts = _count_replays(monkeypatch)
+        copy = tuple(list(decision.trace))
+        assert copy is not decision.trace
+        assert trace_json(rs, lam, copy) == expected
+        assert counts == Counter(copy)
+        counts.clear()
+        assert trace_json(rs, tuple(list(lam)), copy) == expected
+        assert counts == Counter(copy)
+
+    @pytest.mark.parametrize("coord", [float, bool])
+    def test_an_equal_weight_a_walk_refuses_is_refused(self, coord):
+        # (1.0, 0) == (True, 0) == (1, 0): a match by value would skip
+        # the weight check that a walk of its own makes
+        rs = build("A", 2)
+        lam = (1, 1)
+        decision = classify_global(rs, lam)
+        with pytest.raises(ValueError, match="^weight: coordinates"):
+            trace_json(rs, tuple(map(coord, lam)), decision.trace)
+
+    @pytest.mark.parametrize("field", ["nodes", "restricted"])
+    def test_a_list_field_mutated_after_the_walk(self, field):
+        rs = build("C", 22)
+        lam = rs.fundamental(5)
+        descent, leaf = find_witness(rs, lam)
+        value = list(getattr(descent, field))
+        trace = (_replace(descent, **{field: value}), leaf)
+        assert verify_witness(rs, lam, trace)
+        value.reverse()
+        nodes = trace_json(rs, lam, trace)
+        assert nodes == _fresh_json(rs, lam, trace)
+        assert _flags(nodes) == [False]
+
+    @pytest.mark.parametrize("change,flags", [
+        (lambda d, leaf: (d, _replace(leaf, ell=20)), [True, False]),
+        (lambda d, leaf: (_replace(d, twist=2), leaf), [False])])
+    def test_a_failing_trace(self, change, flags):
+        rs = build("C", 22)
+        lam = rs.fundamental(5)
+        trace = change(*find_witness(rs, lam))
+        assert verify_witness(rs, lam, trace) is False
+        nodes = trace_json(rs, lam, trace)
+        assert _flags(nodes) == flags
+        assert nodes == _fresh_json(rs, lam, trace)
+
+    def test_verify_witness_after_trace_json_replays_every_step(
+            self, monkeypatch):
+        rs = build("C", 22)
+        lam = rs.fundamental(5)
+        trace = classify_global(rs, lam).trace
+        trace_json(rs, lam, trace)
+        counts = _count_replays(monkeypatch)
+        assert verify_witness(rs, lam, trace)
+        assert counts == Counter(trace)
 
 
 class TestLaziness:

@@ -208,7 +208,8 @@ class TestSl2:
             sl2_maximal_vector_oracle(-2, 3)
 
     @pytest.mark.parametrize("ell,d,field", [
-        (True, 1, "ell"), (3, 1.0, "d"), (3, True, "d"), (6, 2.0, "d")])
+        (True, 1, "ell"), (3, 1.0, "d"), (3, True, "d"), (6, 2.0, "d"),
+        ([1], 1, "ell"), (4, {1: 2}, "d")])
     def test_order_readers_refuse_bools_and_floats(self, ell, d, field):
         # each reads its order through SpecOrder or the same checks
         a4 = build("A", 4)
@@ -234,7 +235,7 @@ class TestSl2:
     @pytest.mark.parametrize("args,kwargs", [
         ((3, 1.0), {}), ((3, 0), {}), ((3, 5), {"d": 4}), ((-1, 3), {}),
         ((3, 5), {"d": 1.0}), ((3, True), {}), ((3, 1), {"d": True}),
-        ((3, 5), {"d": True}),
+        ((3, 5), {"d": True}), ((1, [1]), {}), ((1, 4), {"d": {1: 2}}),
     ])
     def test_s_cache_keeps_the_input_checks(self, args, kwargs):
         # (1.0, 1) == (True, 1) == (1, 1), so a lookup before the checks
