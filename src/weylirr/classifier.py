@@ -204,7 +204,8 @@ class FundWeight(Record):
 
     @property
     def citation(self) -> str:
-        if self.tag not in _LEAF_TAGS:
+        # a str first: an unhashable tag cannot be looked up in the dict
+        if not isinstance(self.tag, str) or self.tag not in _LEAF_TAGS:
             raise TraceError(f"unknown leaf tag {self.tag!r}")
         return _LEAF_TAGS[self.tag]
 

@@ -3,11 +3,15 @@
 Quantum integers, factorials and binomial coefficients live here, together
 with cyclotomic polynomials and exact vanishing tests at roots of unity.
 Everything runs on arbitrary-precision integers; there is no floating point
-and no numerical tolerance anywhere in this module.  qint, qfactorial and
-qbinom build their value on each call, and no table of polynomials or of
-answers is kept.  The one value stored is per polynomial: the first time p
-is tested, vanishes_at keeps its q^2 reduction of p in p itself, so the
-tests of p at later orders skip that scan.
+and no numerical tolerance anywhere in this module.  qint, qfactorial, qbinom
+and cyclotomic build their value on each call, and no table of polynomials
+or of answers is kept.  One table of integers is: _prime_factors keeps the
+distinct primes of each n it is asked for, since verify-paper factors the
+same few orders in tens of thousands of vanishing tests.  The one value
+stored is per polynomial: the first time p is tested, vanishes_at keeps
+its q^2 reduction of p in p itself, so the tests of p at later orders skip
+that scan.  The order and vanishing modulus of zeta^d are stated once, in
+_order, which SpecOrder, s_value and the rank-one tests of weylmods read.
 
 A polynomial is a valuation and a dense tuple of coefficients, and the
 ring operations work on whole slices of it.  vanishes_at decides whether p
@@ -414,7 +418,6 @@ def _dense_exact_div(num: list[int], den: tuple[int, ...]) -> list[int]:
     return quot
 
 
-@lru_cache(maxsize=None)
 def _cyclo_coeffs(n: int) -> tuple[int, ...]:
     """Ascending coefficients of Phi_n.  With r the product of the distinct
     primes of n, Phi_n(q) = Phi_r(q^(n/r)), and Phi_r is built one prime
@@ -439,37 +442,45 @@ def cyclotomic(ell: int) -> LaurentPoly:
     return _canon(0, _cyclo_coeffs(ell))
 
 
+def _order(ell: int, d: int) -> tuple[int, int]:
+    """(e, s) at q = zeta^d, zeta a primitive ell-th root of unity: e =
+    ell / gcd(ell, d) is the order of q, and s, the vanishing modulus, is
+    e for odd e and e/2 for even e.  ell and d must be of type int: a bool
+    or a float equal to an allowed value is refused like any other."""
+    if type(ell) is not int or ell < 1:
+        raise ValueError("ell: must be a positive integer")
+    if type(d) is not int or d not in (1, 2, 3):
+        raise ValueError("d: must be 1, 2 or 3")
+    e = ell // math.gcd(ell, d)
+    return e, e if e % 2 else e // 2
+
+
 def s_value(j: int) -> int:
-    """j for odd j, j/2 for even j (the vanishing modulus of order j)."""
-    if not isinstance(j, int) or j < 1:
-        raise ValueError("s_value needs a positive int")
-    return j if j % 2 else j // 2
+    """j for odd j, j/2 for even j (the vanishing modulus of order j);
+    _order refuses j as it refuses ell."""
+    return _order(j, 1)[1]
 
 
 class SpecOrder(Record):
     """Evaluation point q = zeta^d with zeta a primitive ell-th root of unity.
 
     d covers the squared-length twists of simple roots, so it stays in
-    {1, 2, 3}.  Both must be of type int: a bool or a float equal to an
-    allowed value is refused with the same ValueError as any other value.
+    {1, 2, 3}.  Both are checked by _order, which refuses a bool or a
+    float equal to an allowed value with the same ValueError as any other.
 
     effective_order (the multiplicative order of zeta^d) and s (its
-    s_value) are computed once here, in slots outside the record fields,
-    so equality, hashing and repr see only ell and d.
+    s_value) come from _order once here, in slots outside the record
+    fields, so equality, hashing and repr see only ell and d.
     """
 
     _fields = ("ell", "d")
     __slots__ = _fields + ("effective_order", "s")
 
     def __init__(self, ell: int, d: int = 1):
-        if type(ell) is not int or ell < 1:
-            raise ValueError("ell: must be a positive integer")
-        if type(d) is not int or d not in (1, 2, 3):
-            raise ValueError("d: must be 1, 2 or 3")
+        e, s = _order(ell, d)
         Record.__init__(self, ell, d)
-        e = ell // math.gcd(ell, d)
         _setattr(self, "effective_order", e)
-        _setattr(self, "s", s_value(e))
+        _setattr(self, "s", s)
 
 
 def _fold(coeffs, e: int) -> list[int]:

@@ -6,6 +6,9 @@ short simple roots), its determinant in closed form, the rank-8 certificate
 showing that determinant never vanishes at any root of unity, the rank-one
 irreducibility criterion with its divided-power oracle, and the scalar test
 for the 14-dimensional module of the rank-2 triple-laced system.
+
+Both rank-one readers take s from qarith._order, the one statement of the
+order rule that SpecOrder also reads, and keep no cache of it.
 """
 
 from __future__ import annotations
@@ -20,6 +23,7 @@ from .qarith import (
     ONE,
     SpecOrder,
     ZERO,
+    _order,
     cyclotomic,
     euler_phi,
     qint,
@@ -165,32 +169,13 @@ def e8_certificate() -> E8Certificate:
                          at_one, at_minus_one)
 
 
-def _spec_s(ell: int, d: int) -> int:
-    return SpecOrder(ell, d).s
-
-
-# One cache for the criterion and one for the oracle, so the oracle stays
-# an independent check.  typed, so 1.0 and True miss the key of 1 and
-# SpecOrder refuses them.
-_s_of_order = lru_cache(maxsize=256, typed=True)(_spec_s)
-_oracle_s_of_order = lru_cache(maxsize=256, typed=True)(_spec_s)
-
-
-def _s(lookup, ell: int, d: int) -> int:
-    """lookup(ell, d).  An unhashable ell or d cannot key the cache and is
-    no int, so SpecOrder refuses it, as it refuses any other."""
-    try:
-        return lookup(ell, d)
-    except TypeError:
-        return _spec_s(ell, d)
-
-
 def sl2_irreducible(lam: int, ell: int, d: int = 1) -> bool:
     """Rank-one criterion: irreducible iff lam < s or lam = -1 mod s,
-    where s is the vanishing modulus of the effective order of zeta^d."""
+    where s is the vanishing modulus of the effective order of zeta^d,
+    read from qarith._order."""
     if not isinstance(lam, int) or lam < 0:
         raise ValueError("lambda: must be a nonnegative integer")
-    s = _s(_s_of_order, ell, d)
+    s = _order(ell, d)[1]
     return lam < s or lam % s == s - 1
 
 
@@ -226,7 +211,7 @@ def sl2_maximal_vector_oracle(lam: int, ell: int, d: int = 1) -> bool:
     """
     if not isinstance(lam, int) or lam < 0:
         raise ValueError("lambda: must be a nonnegative integer")
-    s = _s(_oracle_s_of_order, ell, d)
+    s = _order(ell, d)[1]
     if s == 1:
         return True
     pending = list(range(max(0, lam - s + 1), lam))

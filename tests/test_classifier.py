@@ -407,14 +407,16 @@ class TestVerifyWitness:
         with pytest.raises(TraceError):
             verify_witness(a2, (2, 0), (Sl2Node(1, 0),))
         # an unknown leaf tag is malformed whatever the weight: (0, 1) is
-        # not w1, yet the tag is checked first
-        bogus = (FundWeight(1, 3, "bogus"),)
-        with pytest.raises(TraceError):
-            trace_citations(bogus)
-        with pytest.raises(TraceError):
-            trace_json(a2, (0, 1), bogus)
-        with pytest.raises(TraceError):
-            verify_witness(a2, (0, 1), bogus)
+        # not w1, yet the tag is checked first; an unhashable tag too
+        for tag in ("bogus", ["x"], {}):
+            bogus = (FundWeight(1, 3, tag),)
+            with pytest.raises(TraceError, match="^unknown leaf tag"):
+                trace_citations(bogus)
+            with pytest.raises(TraceError, match="^unknown leaf tag"):
+                trace_json(a2, (0, 1), bogus)
+            for lam in ((0, 1), (1, 1)):
+                with pytest.raises(TraceError, match="^unknown leaf tag"):
+                    verify_witness(a2, lam, bogus)
 
 
 def _e6_w3_descent(tail=None, **changes):

@@ -239,14 +239,24 @@ class TestSl2:
     ])
     def test_s_cache_keeps_the_input_checks(self, args, kwargs):
         # (1.0, 1) == (True, 1) == (1, 1), so a lookup before the checks
-        # would let a float or bool through once the integer key is warm
-        weylmods._s_of_order.cache_clear()
+        # would let a float or bool through once the integer key is warm;
+        # no such lookup is left, and every reader of the order rule gives
+        # the criterion's message
         with pytest.raises(ValueError) as cold:
             sl2_irreducible(*args, **kwargs)
         assert sl2_irreducible(3, 1) and sl2_irreducible(3, 5, 1)
         with pytest.raises(ValueError) as warm:
             sl2_irreducible(*args, **kwargs)
         assert str(warm.value) == str(cold.value)
+        with pytest.raises(ValueError) as oracle:
+            sl2_maximal_vector_oracle(*args, **kwargs)
+        assert str(oracle.value) == str(cold.value)
+        if str(cold.value).startswith("lambda: "):
+            SpecOrder(*args[1:], **kwargs)  # the order itself is good
+            return
+        with pytest.raises(ValueError) as spec:
+            SpecOrder(*args[1:], **kwargs)
+        assert str(spec.value) == str(cold.value)
 
     def test_oracle_matches_the_per_binomial_reference(self):
         # the reference reads only spec.s, so it runs once per (lam, s)
@@ -294,8 +304,8 @@ class TestSl2:
 
     def test_oracle_reads_none_of_the_criterion(self, monkeypatch):
         # the oracle is the criterion's independent check: it must answer
-        # with the closed form, its s cache and the binomial carry test
-        # all unavailable
+        # with the closed form and the binomial carry test unavailable; it
+        # shares only qarith's order rule, which every SpecOrder reads
         expected = {(lam, ell, d): _oracle_reference(lam, SpecOrder(ell, d))
                     for d in (1, 2, 3) for ell in range(1, 25)
                     for lam in range(61)}
@@ -304,7 +314,6 @@ class TestSl2:
             raise AssertionError("the oracle read the criterion")
 
         monkeypatch.setattr(weylmods, "sl2_irreducible", refuse)
-        monkeypatch.setattr(weylmods, "_s_of_order", refuse)
         monkeypatch.setattr(qarith, "qbinom_vanishes_fast", refuse)
         for (lam, ell, d), want in expected.items():
             assert sl2_maximal_vector_oracle(lam, ell, d) == want, \
