@@ -6,13 +6,11 @@ import random
 import time
 from fractions import Fraction
 from functools import lru_cache
-from pathlib import Path
 
 import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from weylirr import qarith
 from weylirr.qarith import (
     ExactDivisionError,
     LaurentPoly,
@@ -35,6 +33,8 @@ from weylirr.qarith import (
 )
 from weylirr.rootsystem import systems
 from weylirr.weylmods import det_short_matrix
+
+from package_ast import literal_scopes, package_sources, scoped_nodes
 
 Q = LaurentPoly({1: 1})
 
@@ -319,7 +319,7 @@ class TestVanishing:
     def test_s_value(self):
         assert [s_value(l) for l in range(1, 9)] == [1, 1, 3, 2, 5, 3, 7, 4]
 
-    @pytest.mark.parametrize("j", [0, True, 2.0])
+    @pytest.mark.parametrize("j", [0, True, 2.0, [1]])
     def test_s_value_refuses_what_spec_order_refuses(self, j):
         # s_value reads the order rule SpecOrder reads, message and all
         for read in (s_value, SpecOrder):
@@ -627,55 +627,27 @@ def _vanishes_reference(p, e):
     return True
 
 
-# every cache in the package, with the traffic that pays for it
+# every cache in the package; a new one is named here, with the traffic
+# that pays for it
 _CACHES = {
-    "rootsystem.build": "each reader asks for its systems by (kind, rank)",
-    "rootsystem.RootSystem.positive_roots": "weyl_dimension reads every "
-                                            "root on each call",
-    "rootsystem.RootSystem._levi_memo": "a descent's replay asks for the "
-                                        "Levi subsystem its search took",
-    "weylmods.det_short_matrix": "the alpha0 order search and each "
-                                 "adjoint leaf replay test one determinant",
-    "classifier._alpha0_order": "searched once per system",
-    "qarith._prime_factors": "verify-paper factors the same few orders in "
-                             "tens of thousands of vanishing tests",
+    "rootsystem.build",  # each reader asks for its systems by (kind, rank)
+    "rootsystem.RootSystem.positive_roots",  # weyl_dimension reads them all
+    "rootsystem.RootSystem._levi_memo",  # a descent's replay asks again
+    "weylmods.det_short_matrix",  # alpha0 search and adjoint leaf replays
+    "classifier._alpha0_order",  # searched once per system
+    "qarith._prime_factors",  # verify-paper factors the same few orders
 }
-
-_ORDER_MESSAGES = ("ell: must be a positive integer", "d: must be 1, 2 or 3")
-
-
-def _scoped(node, scope):
-    """(dotted scope, node) for node and everything under it; a decorator
-    is scoped to the function or class it decorates, and imports are
-    skipped."""
-    if isinstance(node, (ast.Import, ast.ImportFrom)):
-        return
-    if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
-                         ast.ClassDef)):
-        scope = f"{scope}.{node.name}"
-    yield scope, node
-    for child in ast.iter_child_nodes(node):
-        yield from _scoped(child, scope)
 
 
 def test_the_order_rule_is_written_once_and_every_cache_is_named():
-    # the order messages live in qarith._order alone, and a new cache in
-    # the package must be added to _CACHES, with the reason it pays
-    package = Path(qarith.__file__).parent
-    sources = {path.stem: path.read_text()
-               for path in sorted(package.glob("*.py"))}
-    assert len(sources) >= 8
-    scoped = [(scope, node) for module, text in sources.items()
-              for scope, node in _scoped(ast.parse(text), module)]
-    for message in _ORDER_MESSAGES:
+    sources = package_sources()
+    for message in ("ell: must be a positive integer",
+                    "d: must be 1, 2 or 3"):
         assert sum(text.count(message) for text in sources.values()) == 1
-        assert [scope for scope, node in scoped
-                if isinstance(node, ast.Constant)
-                and node.value == message] == ["qarith._order"]
-    caches = sorted(
-        scope for scope, node in scoped
-        if isinstance(node, ast.Name)
-        and node.id in ("lru_cache", "cached_property")
-        or isinstance(node, ast.Attribute)
-        and node.attr in ("lru_cache", "cached_property"))
-    assert caches == sorted(_CACHES)
+        assert literal_scopes(sources, message) == ["qarith._order"]
+    caches = {scope for scope, node in scoped_nodes(sources)
+              if isinstance(node, ast.Name)
+              and node.id in ("lru_cache", "cached_property")
+              or isinstance(node, ast.Attribute)
+              and node.attr in ("lru_cache", "cached_property")}
+    assert caches == _CACHES

@@ -1,12 +1,10 @@
 """Root systems: construction, pairings, alcove arithmetic, Levi retyping."""
 
-import ast
 import itertools
 import random
 import tracemalloc
 from fractions import Fraction
 from functools import lru_cache
-from pathlib import Path
 
 import pytest
 from hypothesis import given
@@ -23,6 +21,8 @@ from weylirr.rootsystem import (
     parse_weight,
     systems,
 )
+
+from package_ast import literal_scopes, package_sources
 
 
 # The dominance order, as a reference the tests check the minuscule tables
@@ -684,27 +684,12 @@ class TestParsing:
         assert parse_weight(format_weight(lam), len(lam)) == lam
 
 
-def _dominance_refusals(tree):
-    """The names of the functions in tree that hold the literal
-    "weight: must be dominant", once per occurrence."""
-    for func in ast.walk(tree):
-        if isinstance(func, ast.FunctionDef):
-            for node in ast.walk(func):
-                if (isinstance(node, ast.Constant)
-                        and node.value == "weight: must be dominant"):
-                    yield func.name
-
-
 def test_the_dominant_weight_rule_is_written_once():
     # every reader of a weight calls RootSystem.check_dominant; the
     # classifier names neither the message nor int_weight
-    package = Path(rootsystem.__file__).parent
-    sources = {path.name: path.read_text()
-               for path in sorted(package.glob("*.py"))}
-    assert len(sources) >= 8
+    sources = package_sources()
     assert sum(text.count("weight: must be dominant")
                for text in sources.values()) == 1
-    found = [name for text in sources.values()
-             for name in _dominance_refusals(ast.parse(text))]
-    assert found == ["check_dominant"]
-    assert "int_weight" not in sources["classifier.py"]
+    assert literal_scopes(sources, "weight: must be dominant") == [
+        "rootsystem.RootSystem.check_dominant"]
+    assert "int_weight" not in sources["classifier"]
