@@ -290,7 +290,7 @@ def _descend(rs: RootSystem, lam: Weight, J, twist: int):
             f"{rs.name}: route {J} is not connected")
     comp = comps[0]
     restricted = comp.restrict(lam)
-    tail = find_witness(comp.system, restricted, twist * comp.twist)
+    tail = _search(comp.system, restricted, twist * comp.twist)
     if tail is None:
         raise InternalCheckError(
             f"{rs.name}: descent to {comp.system.name} lost the witness "
@@ -303,16 +303,22 @@ def find_witness(rs: RootSystem, lam: Weight, twist: int = 1):
     """A reduction trace certifying reducibility at some order, or None.
 
     None is returned exactly for the globally irreducible weights: the
-    minuscule ones, and the highest root in rank 8 type E.  The weight
-    check is RootSystem.check_dominant, run by is_minuscule before any
-    other test, so a weight it refuses raises its ValueError here.
+    minuscule ones, and the highest root in rank 8 type E.  The weight is
+    checked once, by RootSystem.check_dominant before the search, so a
+    weight it refuses raises its ValueError here; a descent restricts a
+    checked weight and searches the slice without checking it again.
     """
-    lam = tuple(lam)
-    if rs.is_minuscule(lam) or _is_e8_adjoint(rs, lam):
-        return None
+    return _search(rs, rs.check_dominant(lam), twist)
+
+
+def _search(rs: RootSystem, lam: Weight, twist: int):
+    """find_witness for a weight check_dominant has passed."""
+    # a coordinate >= 2 is neither minuscule nor the E8 highest root
     for i, c in enumerate(lam, 1):
         if c >= 2:
             return (Sl2Node(i, 2 * c * rs.symm[i - 1] * twist),)
+    if rs._is_minuscule(lam) or _is_e8_adjoint(rs, lam):
+        return None
     support = [i for i, c in enumerate(lam, 1) if c == 1]
     if len(support) == 1:
         i = support[0]
@@ -397,7 +403,8 @@ def classify_global(rs: RootSystem, lam: Weight) -> Decision:
     """The top-level decision: irreducible at every order, or a witness.
 
     Raises ValueError("weight: ...") for a weight that is not dominant or
-    has a coordinate that is not an int; find_witness checks it first.
+    has a coordinate that is not an int; find_witness checks it first,
+    and verify_witness checks it again in the replay.
     """
     lam = tuple(lam)  # so that _is_e8_adjoint matches a list too
     trace = find_witness(rs, lam)

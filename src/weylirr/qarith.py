@@ -5,12 +5,14 @@ with cyclotomic polynomials and exact vanishing tests at roots of unity.
 Everything runs on arbitrary-precision integers; there is no floating point
 and no numerical tolerance anywhere in this module.  qint, qfactorial, qbinom
 and cyclotomic build their value on each call, and no table of polynomials
-or of answers is kept.  One table of integers is: _prime_factors keeps the
-distinct primes of each n it is asked for, since verify-paper factors the
-same few orders in tens of thousands of vanishing tests.  The one value
-stored is per polynomial: the first time p is tested, vanishes_at keeps
-its q^2 reduction of p in p itself, so the tests of p at later orders skip
-that scan.  The order and vanishing modulus of zeta^d are stated once, in
+is kept.  One table of integers is: _prime_factors keeps the distinct
+primes of each n it is asked for, since verify-paper factors the same few
+orders in tens of thousands of vanishing tests.  The values stored are per
+polynomial: the first time p is tested, vanishes_at keeps its q^2
+reduction of p in p itself, so the tests of p at later orders skip that
+scan, and beside it the answer for each reduced order asked about, so
+orders e and 2e (e odd), which reduce to the same order of q^2, fold p
+once.  The order and vanishing modulus of zeta^d are stated once, in
 _order, which SpecOrder, s_value and the rank-one tests of weylmods read.
 
 A polynomial is a valuation and a dense tuple of coefficients, and the
@@ -69,9 +71,12 @@ class LaurentPoly(Frozen):
 
     A third slot, _reduced, is outside equality: ==, hash, repr and terms
     never read it, and the arithmetic never sets it.  vanishes_at fills it
-    on the first test of a polynomial with (g, h), where p = q^_low g(x)
-    at x = q^(2^h) and g is the coefficient tuple that remains; it is
-    unset until then.
+    on the first test of a polynomial with (g, h, answers), where p =
+    q^_low g(x) at x = q^(2^h), g is the coefficient tuple that remains
+    and answers maps each reduced order e' = e / gcd(e, 2^h) tested so far
+    to its bool; it is unset until then.  The dict is unbounded: it grows
+    by one entry per distinct e' a caller asks about, so a polynomial
+    tested at n orders holds at most n answers.
     """
 
     __slots__ = ("_low", "_coeffs", "_reduced")
@@ -515,6 +520,19 @@ def vanishes_at(p: LaurentPoly, spec: SpecOrder) -> bool:
     slot, and every test divides e by gcd(e, 2^h), which is h steps of
     e //= gcd(e, 2) at once.
 
+    Stored answers.  The reduced order e' = e / gcd(e, 2^h) is the order
+    of z^(2^h), and p(z) = 0 iff g(z^(2^h)) = 0, so the answer depends on
+    p and e' alone.  The slot keeps it per e': a test at any order whose
+    e' was asked before returns the stored bool, and a new e' runs the
+    steps below, in _vanishes_reduced, once.  Orders e and 2e with e odd
+    reduce to the same e' for every quantum integer, so verify-paper's
+    identity suite, which asks both, folds each [i] once per pair.  An
+    adjoint leaf's replay reads the answer that the alpha0 search stored
+    on the determinant that det_short_matrix keeps for both: the bool is
+    a pure function of that immutable polynomial and the order, not a
+    recorded fact about the leaf, and the replay still checks the leaf's
+    node, tag and alpha0 weight and calls vanishes_at at its own order.
+
     Degree exits.  cyclotomic(e), the minimal polynomial of z, has degree
     phi(e) >= sqrt(e/2), and no nonzero polynomial of lower degree
     vanishes at z.  So 2 span^2 < e returns False before e is factored;
@@ -547,6 +565,8 @@ def vanishes_at(p: LaurentPoly, spec: SpecOrder) -> bool:
     """
     if not isinstance(p, LaurentPoly):
         raise TypeError("vanishes_at expects a LaurentPoly")
+    if not isinstance(spec, SpecOrder):
+        raise TypeError("vanishes_at expects a SpecOrder")
     if not p._coeffs:
         return True
     reduced = getattr(p, "_reduced", None)
@@ -555,11 +575,21 @@ def vanishes_at(p: LaurentPoly, spec: SpecOrder) -> bool:
         while len(coeffs) > 1 and not any(islice(coeffs, 1, None, 2)):
             coeffs = coeffs[::2]
             h += 1
-        reduced = coeffs, h
+        reduced = coeffs, h, {}
         _setattr(p, "_reduced", reduced)
-    coeffs, h = reduced
+    coeffs, h, answers = reduced
     e = spec.effective_order
     e //= math.gcd(e, 1 << h)
+    answer = answers.get(e)
+    if answer is None:
+        answer = answers[e] = _vanishes_reduced(coeffs, e)
+    return answer
+
+
+def _vanishes_reduced(coeffs, e: int) -> bool:
+    """Whether the polynomial with these coefficients vanishes at a
+    primitive e-th root of unity: the degree exits, fold and period test
+    of vanishes_at."""
     n = len(coeffs)
     span = n - 1
     if 2 * span * span < e or (span < e and span < euler_phi(e)):

@@ -37,8 +37,10 @@ command-line types, refuses ranks above MAX_RANK.
 Weights are plain integer tuples in the fundamental-weight basis.
 RootSystem.check_dominant is the one statement of the weight rule: it
 refuses a coordinate that is not an int (through int_weight) and a weight
-that is not dominant.  is_minuscule, which the witness search asks first,
-the Weyl dimension, the alcove test and the trace replay call it;
+that is not dominant.  is_minuscule, the Weyl dimension, the alcove test,
+the witness search and the trace replay call it.  The search calls it
+once, on the weight it is given, and tests that weight and every
+restricted one its descents reach with the unchecked _is_minuscule.
 dot_reflect_alpha0 takes any int weight, so it calls int_weight alone.
 Roots carry their simple-root coordinates.  Short roots are normalized
 to squared length 2, so in simply-laced systems every root counts as
@@ -330,7 +332,10 @@ class RootSystem(Frozen):
     # -- minuscule weights ----------------------------------------------
 
     def is_minuscule(self, lam: Weight) -> bool:
-        lam = self.check_dominant(lam)
+        return self._is_minuscule(self.check_dominant(lam))
+
+    def _is_minuscule(self, lam: Weight) -> bool:
+        """is_minuscule for a weight check_dominant has passed."""
         if not any(lam):
             return True
         if sum(lam) == 1:

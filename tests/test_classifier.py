@@ -266,6 +266,19 @@ class TestFundamentalWeights:
             assert classify_global(rs, lam).witness_ell == 19
             assert orders == expected
 
+    def test_a_warm_store_cannot_pass_a_wrong_leaf(self):
+        # classify_global stores the answers of C19's determinant at the
+        # orders it tested; a leaf at the wrong order must still fail, and
+        # [19] vanishes at 38 as at 19, since s = 19 at both
+        rs = build("C", 22)
+        lam = rs.fundamental(5)
+        *descents, leaf = classify_global(rs, lam).trace
+        assert descents[-1].component == "C19"
+        assert leaf == FundWeight(2, 19, "adjoint_short_root")
+        for ell, holds in ((18, False), (20, False), (19, True), (38, True)):
+            trace = (*descents, FundWeight(2, ell, "adjoint_short_root"))
+            assert verify_witness(rs, lam, trace) is holds, ell
+
 
 class TestEndNodes:
     def test_table(self):
@@ -690,6 +703,32 @@ class TestClassifyGlobal:
             with pytest.raises(ValueError,
                                match="^weight: coordinates must be integers$"):
                 find_witness(build("A", 2), lam)
+
+    def test_a_weight_is_checked_once_per_search(self, monkeypatch):
+        # E8 w4 descends four times before its leaf; the descents search
+        # restricted weights without checking them again, so the search
+        # checks once and classify_global, with its replay, twice
+        calls = []
+        check = RootSystem.check_dominant
+
+        def counting(self, lam):
+            calls.append(lam)
+            return check(self, lam)
+
+        monkeypatch.setattr(RootSystem, "check_dominant", counting)
+        e8 = build("E", 8)
+        lam = e8.fundamental(4)
+        assert len(find_witness(e8, lam)) == 5
+        assert len(calls) == 1
+        calls.clear()
+        assert classify_global(e8, lam).verdict == "reducible"
+        assert len(calls) == 2
+        for bad, message in (([1, 0, 0, 0, 0, 0, 0, 0.0],
+                              "coordinates must be integers"),
+                             ((0, 0, 0, -1, 0, 0, 0, 0), "must be dominant"),
+                             ((0,) * 7, "must be dominant")):
+            with pytest.raises(ValueError, match=f"^weight: {message}$"):
+                find_witness(e8, bad)
 
 
 class TestTraceJson:

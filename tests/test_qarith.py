@@ -11,6 +11,7 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
+from weylirr import qarith
 from weylirr.qarith import (
     ExactDivisionError,
     LaurentPoly,
@@ -354,6 +355,16 @@ class TestVanishing:
         assert vanishes_at(ZERO, SpecOrder(7))
         assert not vanishes_at(LaurentPoly({0: 5}), SpecOrder(7))
 
+    # 3 once raised AttributeError from the int, and ZERO returned True
+    # before the spec was looked at
+    @pytest.mark.parametrize("spec", [3, None, (3, 1)])
+    @pytest.mark.parametrize("p", [ZERO, qint(3)])
+    def test_vanishes_at_refuses_a_spec_that_is_not_a_spec_order(self, p,
+                                                                 spec):
+        with pytest.raises(TypeError,
+                           match="^vanishes_at expects a SpecOrder$"):
+            vanishes_at(p, spec)
+
     def test_spec_order_is_a_frozen_value(self):
         spec = SpecOrder(6, 2)
         assert repr(spec) == "SpecOrder(ell=6, d=2)"
@@ -603,6 +614,42 @@ class TestStoredReduction:
             assert p == fresh and hash(p) == hash(fresh)
             assert repr(p) == repr(fresh) and p.terms() == fresh.terms()
 
+    def test_one_fold_per_reduced_order(self, monkeypatch):
+        # [7] = q^-6 g(q^2): orders 6 and 3 reduce to order 3 of q^2, and
+        # 7 and 14 to order 7, so four tests fold twice
+        folds = []
+        fold = qarith._fold
+
+        def counting(coeffs, e):
+            folds.append(e)
+            return fold(coeffs, e)
+
+        monkeypatch.setattr(qarith, "_fold", counting)
+        p = qint(7)
+        assert [vanishes_at(p, SpecOrder(ell)) for ell in (6, 3, 7, 14)] \
+            == [False, False, True, True]
+        assert folds == [3, 7]
+        # an odd term leaves nothing to halve, so 3 and 6 stay distinct
+        # orders and each one folds; asking again folds nothing
+        p = qint(7) * LaurentPoly({0: 1, 1: 1})
+        for ell, folded in ((3, True), (6, True), (3, False), (6, False)):
+            folds.clear()
+            want = _vanishes_reference(p, ell)
+            assert vanishes_at(p, SpecOrder(ell)) is want
+            assert bool(folds) is folded, ell
+
+    def test_the_order_of_the_asks_changes_no_answer(self):
+        # each polynomial answers every spec as a fresh copy does, asked
+        # from the lowest order up and from the highest down
+        specs = sorted(self.SPECS, key=lambda spec: (spec.ell, spec.d))
+        for case in _reduction_cases():
+            for order in (specs, specs[::-1]):
+                p = LaurentPoly(case.terms())
+                for spec in order:
+                    fresh = LaurentPoly(p.terms())
+                    assert vanishes_at(p, spec) == vanishes_at(fresh, spec), \
+                        (p, spec)
+
     @pytest.mark.parametrize("tested", [False, True])
     def test_still_immutable(self, tested):
         p = qint(6)
@@ -628,7 +675,10 @@ def _vanishes_reference(p, e):
 
 
 # every cache in the package; a new one is named here, with the traffic
-# that pays for it
+# that pays for it.  The walk sees decorators only, so one store is named
+# here instead: vanishes_at keeps each polynomial's answers by reduced
+# order in its _reduced slot, which pays since verify-paper's identity
+# suite asks every [i] at orders e and 2e, and these reduce to one order
 _CACHES = {
     "rootsystem.build",  # each reader asks for its systems by (kind, rank)
     "rootsystem.RootSystem.positive_roots",  # weyl_dimension reads them all
