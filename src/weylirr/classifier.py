@@ -24,6 +24,8 @@ _replay keeps its last walk.  verify_witness never reads it: every
 verdict is replayed from scratch.  trace_json reuses it when called with
 the same system, trace and weight objects, as the CLI and the benchmark
 do right after classify_global, so such a request walks its trace once.
+A descent whose nodes or restricted weight is a list fails replay, so a
+kept walk never rests on a field that can change after it.
 
 The `twist` parameter threading through this module is the ratio between
 ambient and local symmetrizers: a subdiagram whose nodes are long roots of
@@ -32,7 +34,7 @@ the ambient system sees the quantum parameter raised to that power.
 
 from __future__ import annotations
 
-from functools import lru_cache, reduce
+from functools import reduce
 
 from ._record import Record
 from .qarith import InternalCheckError
@@ -110,10 +112,10 @@ class LeviDescent(Record):
             return False, None
         comp = comps[0]
         restricted = comp.restrict(lam)
-        ok = (comp.nodes == tuple(self.nodes)
+        ok = (comp.nodes == self.nodes
               and comp.system.name == self.component
               and comp.twist == self.twist
-              and restricted == tuple(self.restricted))
+              and restricted == self.restricted)
         if not ok:
             return False, None
         return True, (comp.system, restricted, twist * comp.twist)
@@ -171,8 +173,6 @@ class EndNode(Record):
                 or self.ell != _endnode_order(rs, twist)):
             return False, None
         if self.case == "a":
-            if rs.alpha0_weight != lam:
-                return False, None
             level, source = rs.rank + 1, rs.zero_weight()
         elif self.case == "b":
             level, source = self.ell, rs.fundamental(rs.rank)
@@ -258,12 +258,11 @@ def _is_e8_adjoint(rs: RootSystem, lam: Weight) -> bool:
     return rs.kind == "E" and rs.rank == 8 and lam == rs.fundamental(8)
 
 
-@lru_cache(maxsize=None)
 def _alpha0_order(rs: RootSystem) -> int:
     """Smallest order >= 3 at which the short-root determinant vanishes.
 
-    Searched once per system, as det_short_matrix is computed once; the
-    FundWeight leaf that records the order still replays it.
+    A repeat search reads the answers vanishes_at stores on the
+    determinant det_short_matrix keeps; the leaf still replays the order.
     """
     for ell in range(3, 2 * rs.rank + 6):
         if adjoint_short_reducible_at(rs, ell):
@@ -299,16 +298,16 @@ def _descend(rs: RootSystem, lam: Weight, J, twist: int):
                         restricted),) + tail
 
 
-def find_witness(rs: RootSystem, lam: Weight, twist: int = 1):
+def find_witness(rs: RootSystem, lam: Weight):
     """A reduction trace certifying reducibility at some order, or None.
 
     None is returned exactly for the globally irreducible weights: the
     minuscule ones, and the highest root in rank 8 type E.  The weight is
     checked once, by RootSystem.check_dominant before the search, so a
     weight it refuses raises its ValueError here; a descent restricts a
-    checked weight and searches the slice without checking it again.
+    checked weight and searches the slice at its twist unchecked.
     """
-    return _search(rs, rs.check_dominant(lam), twist)
+    return _search(rs, rs.check_dominant(lam), 1)
 
 
 def _search(rs: RootSystem, lam: Weight, twist: int):
@@ -365,11 +364,8 @@ _kept = [None]
 def _replay(rs: RootSystem, lam: Weight, trace, empty: bool = False):
     """(step, rs, lam, twist, holds) for each step replayed, up to and
     including the first that fails.  Bad input raises as in verify_witness;
-    with empty=True the trace () passes and walks as ().
-
-    The walk is kept in _kept unless a descent holds a nodes or restricted
-    field that is not a tuple: a list there passes replay, and mutating it
-    later would make the kept walk disagree with a fresh one.
+    with empty=True the trace () passes and walks as ().  Every complete
+    walk is kept in _kept.
     """
     steps = _chain(trace, empty)
     lam = rs.check_dominant(lam)
@@ -383,12 +379,7 @@ def _replay(rs: RootSystem, lam: Weight, trace, empty: bool = False):
             break
         rs, lam, twist = sub
     walked = tuple(walked)
-    for descent in steps[:-1]:
-        if (type(descent.nodes) is not tuple
-                or type(descent.restricted) is not tuple):
-            break
-    else:
-        _kept[0] = (*key, walked)
+    _kept[0] = (*key, walked)
     return walked
 
 

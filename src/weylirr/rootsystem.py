@@ -262,8 +262,9 @@ class RootSystem(Frozen):
         return (0,) * self.rank
 
     def fundamental(self, i: int) -> Weight:
-        if not 1 <= i <= self.rank:
-            raise ValueError(f"node: index {i} out of range for {self.name}")
+        if type(i) is not int or not 1 <= i <= self.rank:
+            raise ValueError(
+                f"node: index {i!r} out of range for {self.name}")
         return tuple(int(j == i - 1) for j in range(self.rank))
 
     def is_dominant(self, lam: Weight) -> bool:

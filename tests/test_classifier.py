@@ -1,15 +1,17 @@
 """Witness search, trace replay, and the global decision path."""
 
+import ast
 from collections import Counter
 from functools import lru_cache
 from itertools import product
+from math import gcd
 from pathlib import Path
 
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from weylirr import classifier, cli, rootsystem, weylmods
+from weylirr import classifier, cli, qarith, rootsystem, weylmods
 from weylirr.classifier import (
     EndNode,
     FundWeight,
@@ -25,6 +27,8 @@ from weylirr.classifier import (
 )
 from weylirr.rootsystem import RootSystem, build, parse_type, parse_weight
 from weylirr.weylmods import sl2_maximal_vector_oracle
+
+from package_ast import package_sources, scoped_nodes
 
 SMALL = rootsystem.systems(8)
 
@@ -247,24 +251,39 @@ class TestFundamentalWeights:
 
     def test_alpha0_order_is_searched_once_and_replayed_every_time(
             self, monkeypatch):
-        # C22 w5 descends to C19 w2 = alpha0: finding its order 19 takes
-        # the tests at 3..19, and replaying the leaf takes one more, on
-        # every call
-        orders = []
-        vanishes = weylmods.vanishes_at
+        # C22 w5 descends to C19 w2 = alpha0: finding its order 19 tests
+        # the determinant of a new C19 at 3..19, which folds once per
+        # reduced order; a repeat search reads the stored answers, and
+        # every replay still asks vanishes_at at 19
+        monkeypatch.setattr(rootsystem, "build",
+                            lru_cache(maxsize=None)(RootSystem))
+        folds, orders = [], []
+        fold, vanishes = qarith._vanishes_reduced, weylmods.vanishes_at
+
+        def counting_fold(coeffs, e):
+            folds.append(e)
+            return fold(coeffs, e)
 
         def counting(p, spec):
             orders.append(spec.ell)
             return vanishes(p, spec)
 
+        monkeypatch.setattr(qarith, "_vanishes_reduced", counting_fold)
         monkeypatch.setattr(weylmods, "vanishes_at", counting)
-        classifier._alpha0_order.cache_clear()
         rs = RootSystem("C", 22)
         lam = rs.fundamental(5)
-        for expected in ([*range(3, 20), 19], [19], [19]):
+        per_call = []
+        for _ in range(3):
+            folds.clear()
             orders.clear()
             assert classify_global(rs, lam).witness_ell == 19
-            assert orders == expected
+            assert orders == [*range(3, 20), 19]
+            per_call.append(sorted(folds))
+        halvings = weylmods.det_short_matrix(
+            rootsystem.build("C", 19))._reduced[1]
+        reduced = {ell // gcd(ell, 2 ** halvings) for ell in range(3, 20)}
+        assert len(reduced) == 13
+        assert per_call == [sorted(reduced), [], []]
 
     def test_a_warm_store_cannot_pass_a_wrong_leaf(self):
         # classify_global stores the answers of C19's determinant at the
@@ -616,7 +635,8 @@ class TestTraceShape:
 
     def test_the_two_replay_readers_agree(self):
         # every weight in {0,1,2}^n of rank <= 5: its generated trace, the
-        # leaf at ell + 1, and the first descent with a wrong twist
+        # leaf at ell + 1, and the first descent with a wrong twist or
+        # with its nodes as a list, which fails as a twist does
         for rs in rootsystem.systems(5):
             for lam in product(range(3), repeat=rs.rank):
                 trace = find_witness(rs, lam)
@@ -631,7 +651,7 @@ class TestTraceShape:
                     bad = _replace(trace[0], twist=trace[0].twist + 1)
                     cases.append((_with_step(trace, 0, bad), 1))
                     listed = _replace(trace[0], nodes=list(trace[0].nodes))
-                    cases.append((_with_step(trace, 0, listed), len(trace)))
+                    cases.append((_with_step(trace, 0, listed), 1))
                 for case, walked in cases:
                     # trace_json reuses the walk of _replay, or of
                     # verify_witness, and agrees with a walk of its own
@@ -867,13 +887,17 @@ class TestKeptWalk:
         rs = build("C", 22)
         lam = rs.fundamental(5)
         descent, leaf = find_witness(rs, lam)
+        # a descent records the decomposition's tuples, so a list there
+        # fails, before the change and after it, kept or walked afresh
         value = list(getattr(descent, field))
         trace = (_replace(descent, **{field: value}), leaf)
-        assert verify_witness(rs, lam, trace)
-        value.reverse()
-        nodes = trace_json(rs, lam, trace)
-        assert nodes == _fresh_json(rs, lam, trace)
-        assert _flags(nodes) == [False]
+        for change in (lambda: None, value.reverse):
+            assert len(classifier._replay(rs, lam, trace)) == 1
+            assert verify_witness(rs, lam, trace) is False
+            change()
+            nodes = trace_json(rs, lam, trace)
+            assert _flags(nodes) == [False]
+            assert nodes == _fresh_json(rs, lam, trace)
 
     @pytest.mark.parametrize("change,flags", [
         (lambda d, leaf: (d, _replace(leaf, ell=20)), [True, False]),
@@ -886,6 +910,23 @@ class TestKeptWalk:
         nodes = trace_json(rs, lam, trace)
         assert _flags(nodes) == flags
         assert nodes == _fresh_json(rs, lam, trace)
+
+    def test_only_replay_writes_and_only_trace_json_reads_the_cell(self):
+        # so verify_witness, and every other reader, replays from scratch
+        nodes = scoped_nodes(package_sources())
+        names = sorted(scope for scope, node in nodes
+                       if isinstance(node, ast.Name) and node.id == "_kept"
+                       or isinstance(node, ast.Attribute)
+                       and node.attr == "_kept")
+        uses = sorted((scope, type(node.ctx).__name__)
+                      for scope, node in nodes
+                      if isinstance(node, ast.Subscript)
+                      and isinstance(node.value, ast.Name)
+                      and node.value.id == "_kept")
+        assert names == ["classifier", "classifier._replay",
+                         "classifier.trace_json"]
+        assert uses == [("classifier._replay", "Store"),
+                        ("classifier.trace_json", "Load")]
 
     def test_verify_witness_after_trace_json_replays_every_step(
             self, monkeypatch):

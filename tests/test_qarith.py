@@ -684,7 +684,6 @@ _CACHES = {
     "rootsystem.RootSystem.positive_roots",  # weyl_dimension reads them all
     "rootsystem.RootSystem._levi_memo",  # a descent's replay asks again
     "weylmods.det_short_matrix",  # alpha0 search and adjoint leaf replays
-    "classifier._alpha0_order",  # searched once per system
     "qarith._prime_factors",  # verify-paper factors the same few orders
 }
 

@@ -2,6 +2,7 @@
 
 import itertools
 import random
+import re
 import tracemalloc
 from fractions import Fraction
 from functools import lru_cache
@@ -183,6 +184,11 @@ class TestConstruction:
             rs.fundamental(0)
         with pytest.raises(ValueError):
             rs.fundamental(4)
+        # True and 1.0 pass the range test, but only an int names a node
+        for node in (1.5, "1", True, 1.0):
+            message = f"node: index {node!r} out of range for A3"
+            with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+                rs.fundamental(node)
 
     def test_rho_pairs_to_one_on_simples(self):
         for rs in systems(12):
