@@ -57,7 +57,7 @@ class TraceError(ValueError):
 def _check_node(rs: RootSystem, node) -> None:
     """Refuse a leaf's node that is not an int in 1..rs.rank."""
     if type(node) is not int or not 1 <= node <= rs.rank:
-        raise TraceError(f"node {node} out of range for {rs.name}")
+        raise TraceError(f"node {node!r} out of range for {rs.name}")
 
 
 class Sl2Node(Record):

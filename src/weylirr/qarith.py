@@ -10,20 +10,26 @@ primes of each n it is asked for, since verify-paper factors the same few
 orders in tens of thousands of vanishing tests.  The values stored are per
 polynomial: the first time p is tested, vanishes_at keeps its q^2
 reduction of p in p itself, so the tests of p at later orders skip that
-scan, and beside it the answer for each reduced order asked about, so
-orders e and 2e (e odd), which reduce to the same order of q^2, fold p
-once.  The order and vanishing modulus of zeta^d are stated once, in
-_order, which SpecOrder, s_value and the rank-one tests of weylmods read.
+scan, with its value at a power of two and the answer for each reduced
+order asked about, so orders e and 2e (e odd), which reduce to the same
+order of q^2, test p once.  The order and vanishing modulus of zeta^d
+are stated once, in _order, which SpecOrder, s_value and the rank-one
+tests of weylmods read.
 
 A polynomial is a valuation and a dense tuple of coefficients, and the
 ring operations work on whole slices of it.  vanishes_at decides whether p
 vanishes at a primitive e-th root of unity without building cyclotomic(e)
-and without dividing.  While p is q^a g(q^2), as every quantum integer,
-Gaussian binomial and short-root determinant is, it tests g at the square
-of the root instead, on half the coefficients.  Then it folds modulo
-q^e - 1, one slice of length e or one residue class at a time, and asks
-whether the folded coefficients, after one coset-sum step per prime
-factor of e but the largest, r, are periodic with period e/r.
+and without dividing polynomials.  While p is q^a g(q^2), as every
+quantum integer, Gaussian binomial and short-root determinant is, it
+tests g at the square of the root instead, on half the coefficients.
+Most orders are then ruled out by one integer remainder: cyclotomic(e)
+is monic, so if it divides g, then cyclotomic(e)(B) divides g(B) for
+every integer B, and a nonzero remainder of g(2^w) modulo
+cyclotomic(e)(2^w) proves that g does not vanish.  A zero remainder
+proves nothing, so a True answer still comes from the fold: it folds
+modulo q^e - 1, one slice of length e or one residue class at a time,
+and asks whether the folded coefficients, after one coset-sum step per
+prime factor of e but the largest, r, are periodic with period e/r.
 This is the structure of vanishing sums of roots of unity (Lam and Leung,
 J. Algebra 224 (2000)).
 Since phi(e) >= sqrt(e/2), a polynomial of span s with 2 s^2 < e cannot
@@ -71,12 +77,15 @@ class LaurentPoly(Frozen):
 
     A third slot, _reduced, is outside equality: ==, hash, repr and terms
     never read it, and the arithmetic never sets it.  vanishes_at fills it
-    on the first test of a polynomial with (g, h, answers), where p =
-    q^_low g(x) at x = q^(2^h), g is the coefficient tuple that remains
-    and answers maps each reduced order e' = e / gcd(e, 2^h) tested so far
-    to its bool; it is unset until then.  The dict is unbounded: it grows
-    by one entry per distinct e' a caller asks about, so a polynomial
-    tested at n orders holds at most n answers.
+    on the first test of a polynomial with (g, h, (w, g(2^w)), answers),
+    where p = q^_low g(x) at x = q^(2^h), g is the coefficient tuple that
+    remains, g(2^w) is its value at the power of two whose w-bit digits
+    hold every coefficient (the integer the value exit divides), and
+    answers maps each reduced order e' = e / gcd(e, 2^h) tested so far to
+    its bool; it is unset until then.  The value takes about w/8 bytes
+    per coefficient of g.  The dict is unbounded: it grows by one entry
+    per distinct e' a caller asks about, so a polynomial tested at n
+    orders holds at most n answers.
     """
 
     __slots__ = ("_low", "_coeffs", "_reduced")
@@ -488,6 +497,10 @@ class SpecOrder(Record):
         _setattr(self, "s", s)
 
 
+# the largest w (w e) at which vanishes_at's value exit runs (see there)
+_VALUE_EXIT_COST = 1 << 14
+
+
 def _fold(coeffs, e: int) -> list[int]:
     """The sums of coeffs over the residue classes mod e: length e."""
     n = len(coeffs)
@@ -504,7 +517,8 @@ def _fold(coeffs, e: int) -> list[int]:
 
 
 def vanishes_at(p: LaurentPoly, spec: SpecOrder) -> bool:
-    """Exact test of p(zeta^d) = 0, without cyclotomic(e) or any division.
+    """Exact test of p(zeta^d) = 0, without building cyclotomic(e) and
+    without dividing polynomials.
 
     Let e be the effective order, so z = zeta^d is a primitive e-th root
     of unity.  Multiplying by q^(-valuation) moves no zero of p on the
@@ -526,7 +540,7 @@ def vanishes_at(p: LaurentPoly, spec: SpecOrder) -> bool:
     e' was asked before returns the stored bool, and a new e' runs the
     steps below, in _vanishes_reduced, once.  Orders e and 2e with e odd
     reduce to the same e' for every quantum integer, so verify-paper's
-    identity suite, which asks both, folds each [i] once per pair.  An
+    identity suite, which asks both, tests each [i] once per pair.  An
     adjoint leaf's replay reads the answer that the alpha0 search stored
     on the determinant that det_short_matrix keeps for both: the bool is
     a pure function of that immutable polynomial and the order, not a
@@ -538,6 +552,22 @@ def vanishes_at(p: LaurentPoly, spec: SpecOrder) -> bool:
     vanishes at z.  So 2 span^2 < e returns False before e is factored;
     past that exit e <= 2 span^2 + 1, and factoring e by trial division
     takes O(span) steps.  Then span < e and span < phi(e) returns False.
+
+    Value exit.  Let g be the reduced tuple, e' the reduced order and
+    B = 2^w, w the least multiple of 8 with every |g_j| < 2^(w-1).
+    cyclotomic(e') is monic, so if it divides g in Q[x], then g =
+    cyclotomic(e') k with k in Z[x], and cyclotomic(e')(B) >= 1 divides
+    g(B).  A nonzero g(B) mod cyclotomic(e')(B) returns False, exactly; a
+    zero one proves nothing, so True still comes only from the steps
+    below.  g(B) is packed once, on the first test of p, by _packed in
+    linear time (Horner's rule would be quadratic on the rank-3000
+    determinants and large Gaussian binomials), and kept in the slot;
+    cyclotomic(e')(B) is built afresh by _cyclo_value, since for large
+    e' it is a large integer.  The remainder costs about len(g) w (w e')
+    bit steps and the fold about len(g) additions, so the exit runs only
+    while w (w e') <= _VALUE_EXIT_COST = 2^14, past which it was measured
+    slower than the fold: orders up to 256 for one-byte coefficients,
+    every order verify-paper's identity suite asks.
 
     Fold.  Reducing modulo q^e - 1 moves no e-th root of unity, so p(z^k)
     = F(k) = sum_i f[i] z^(ki) for every k, where f[i] is the sum of the
@@ -575,27 +605,66 @@ def vanishes_at(p: LaurentPoly, spec: SpecOrder) -> bool:
         while len(coeffs) > 1 and not any(islice(coeffs, 1, None, 2)):
             coeffs = coeffs[::2]
             h += 1
-        reduced = coeffs, h, {}
+        reduced = coeffs, h, _packed(coeffs), {}
         _setattr(p, "_reduced", reduced)
-    coeffs, h, answers = reduced
+    coeffs, h, packed, answers = reduced
     e = spec.effective_order
     e //= math.gcd(e, 1 << h)
     answer = answers.get(e)
     if answer is None:
-        answer = answers[e] = _vanishes_reduced(coeffs, e)
+        answer = answers[e] = _vanishes_reduced(coeffs, packed, e)
     return answer
 
 
-def _vanishes_reduced(coeffs, e: int) -> bool:
-    """Whether the polynomial with these coefficients vanishes at a
-    primitive e-th root of unity: the degree exits, fold and period test
-    of vanishes_at."""
+def _packed(coeffs) -> tuple[int, int | None]:
+    """(w, g(2^w)) for g(x) = sum of coeffs[j] x^j, with w the least
+    multiple of 8 such that every |coeffs[j]| < 2^(w - 1).  Offset by
+    2^(w - 1), each coefficient is one base-2^w digit in 1..2^w - 1, so
+    int.from_bytes reads the value in linear time, and the offsets, a
+    0x80 top byte in every digit, come off the same way.  The value is
+    None when w is too wide for the value exit to run at any order e >= 2
+    (e = 1 is settled before it)."""
+    k = (max(map(abs, coeffs)).bit_length() + 8) // 8  # bytes per digit
+    if 2 * (8 * k) ** 2 > _VALUE_EXIT_COST:
+        return 8 * k, None
+    offset = 1 << (8 * k - 1)
+    digits = b"".join(map(int.to_bytes, map(offset.__add__, coeffs),
+                          repeat(k), repeat("little")))
+    offsets = (bytes(k - 1) + b"\x80") * len(coeffs)
+    return 8 * k, (int.from_bytes(digits, "little")
+                   - int.from_bytes(offsets, "little"))
+
+
+def _cyclo_value(e: int, w: int) -> int:
+    """cyclotomic(e) at 2^w, from Phi_e(x) = prod over d | rad(e) of
+    (x^(e/d) - 1)^mu(d): the factors with mu(d) = 1 over those with
+    mu(d) = -1, one exact division."""
+    terms = [(e, True)]  # (e/d, whether mu(d) = 1), d over rad(e)
+    for t in _prime_factors(e):
+        terms += [(k // t, not plus) for k, plus in terms]
+    num = den = 1
+    for k, plus in terms:
+        if plus:
+            num *= (1 << w * k) - 1
+        else:
+            den *= (1 << w * k) - 1
+    return num // den
+
+
+def _vanishes_reduced(coeffs, packed, e: int) -> bool:
+    """Whether the polynomial with these coefficients, and the packed
+    value (w, g(2^w)) of _packed, vanishes at a primitive e-th root of
+    unity: the degree exits, value exit, fold and period test of
+    vanishes_at."""
     n = len(coeffs)
     span = n - 1
     if 2 * span * span < e or (span < e and span < euler_phi(e)):
         return False
     if e == 1:
         return sum(coeffs) == 0
+    w, value = packed
+    if w * w * e <= _VALUE_EXIT_COST and value % _cyclo_value(e, w):
+        return False
     f = _fold(coeffs, e)
     *others, last = _prime_factors(e)
     for t in others:

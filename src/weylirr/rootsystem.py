@@ -261,10 +261,14 @@ class RootSystem(Frozen):
     def zero_weight(self) -> Weight:
         return (0,) * self.rank
 
-    def fundamental(self, i: int) -> Weight:
+    def _check_node(self, i) -> None:
+        """Refuse i unless it is an int in 1..rank (a bool is refused)."""
         if type(i) is not int or not 1 <= i <= self.rank:
             raise ValueError(
                 f"node: index {i!r} out of range for {self.name}")
+
+    def fundamental(self, i: int) -> Weight:
+        self._check_node(i)
         return tuple(int(j == i - 1) for j in range(self.rank))
 
     def is_dominant(self, lam: Weight) -> bool:
@@ -349,7 +353,9 @@ class RootSystem(Frozen):
         """(order, parent): the nodes reachable from root through the node
         set inside (default: every node) in breadth-first order, and each
         one's parent on the way out from root, None for root itself.
-        Neighbours are visited in increasing order."""
+        Neighbours are visited in increasing order.  A root that is not a
+        node raises the `node:` ValueError of fundamental."""
+        self._check_node(root)
         order, parent = [root], {root: None}
         for v in order:
             for nb in self._neighbors[v]:
@@ -359,7 +365,9 @@ class RootSystem(Frozen):
         return order, parent
 
     def tree_path(self, i: int, j: int):
-        """Nodes on the unique diagram path from i to j, inclusive."""
+        """Nodes on the unique diagram path from i to j, inclusive; i and j
+        are checked as walk checks its root."""
+        self._check_node(i)
         parent = self.walk(j)[1]
         path = [i]
         while path[-1] != j:

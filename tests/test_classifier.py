@@ -252,13 +252,19 @@ class TestFundamentalWeights:
     def test_alpha0_order_is_searched_once_and_replayed_every_time(
             self, monkeypatch):
         # C22 w5 descends to C19 w2 = alpha0: finding its order 19 tests
-        # the determinant of a new C19 at 3..19, which folds once per
-        # reduced order; a repeat search reads the stored answers, and
-        # every replay still asks vanishes_at at 19
+        # the determinant of a new C19 at 3..19, once per reduced order;
+        # the value exit settles every order but 19, so only 19 folds.  A
+        # repeat search reads the stored answers, and every replay still
+        # asks vanishes_at at 19
         monkeypatch.setattr(rootsystem, "build",
                             lru_cache(maxsize=None)(RootSystem))
-        folds, orders = [], []
-        fold, vanishes = qarith._vanishes_reduced, weylmods.vanishes_at
+        tests, folds, orders = [], [], []
+        test, fold = qarith._vanishes_reduced, qarith._fold
+        vanishes = weylmods.vanishes_at
+
+        def counting_test(coeffs, packed, e):
+            tests.append(e)
+            return test(coeffs, packed, e)
 
         def counting_fold(coeffs, e):
             folds.append(e)
@@ -268,22 +274,24 @@ class TestFundamentalWeights:
             orders.append(spec.ell)
             return vanishes(p, spec)
 
-        monkeypatch.setattr(qarith, "_vanishes_reduced", counting_fold)
+        monkeypatch.setattr(qarith, "_vanishes_reduced", counting_test)
+        monkeypatch.setattr(qarith, "_fold", counting_fold)
         monkeypatch.setattr(weylmods, "vanishes_at", counting)
         rs = RootSystem("C", 22)
         lam = rs.fundamental(5)
         per_call = []
         for _ in range(3):
+            tests.clear()
             folds.clear()
             orders.clear()
             assert classify_global(rs, lam).witness_ell == 19
             assert orders == [*range(3, 20), 19]
-            per_call.append(sorted(folds))
+            per_call.append((sorted(tests), folds[:]))
         halvings = weylmods.det_short_matrix(
             rootsystem.build("C", 19))._reduced[1]
         reduced = {ell // gcd(ell, 2 ** halvings) for ell in range(3, 20)}
         assert len(reduced) == 13
-        assert per_call == [sorted(reduced), [], []]
+        assert per_call == [(sorted(reduced), [19]), ([], []), ([], [])]
 
     def test_a_warm_store_cannot_pass_a_wrong_leaf(self):
         # classify_global stores the answers of C19's determinant at the
@@ -558,6 +566,12 @@ class TestMalformedTraces:
         for read in (verify_witness, trace_json):
             with pytest.raises(TraceError, match="invalid|out of range"):
                 read(rs, lam, bad)
+
+    def test_a_leaf_node_is_printed_as_given(self):
+        # "1" once read as the int 1 in the message
+        with pytest.raises(TraceError,
+                           match="^node '1' out of range for A2$"):
+            verify_witness(build("A", 2), (1, 1), (Sl2Node("1", 4),))
 
     def test_failed_descent_is_the_last_json_node(self):
         rs, lam, trace = _e6_w3_descent(component="A5")

@@ -20,6 +20,7 @@ from weylirr.qarith import (
     SpecOrder,
     ZERO,
     _cyclo_coeffs,
+    _cyclo_value,
     _dense_exact_div,
     _fold,
     cyclotomic,
@@ -316,6 +317,10 @@ class TestCyclotomic:
             euler_phi(0)
 
 
+# coefficients on both sides of the one-, two- and three-byte bounds
+_BOUNDARIES = [127, -127, 128, -128, 32767, -32767, 32768, -32768]
+
+
 class TestVanishing:
     def test_s_value(self):
         assert [s_value(l) for l in range(1, 9)] == [1, 1, 3, 2, 5, 3, 7, 4]
@@ -450,23 +455,33 @@ class TestVanishing:
         assert not _vanishes_reference(det, 30)
 
     @settings(max_examples=400, deadline=None)
-    @given(st.dictionaries(st.integers(0, 40), st.integers(-3, 3),
+    @given(st.dictionaries(st.integers(0, 40),
+                           st.integers(-3, 3) | st.sampled_from(_BOUNDARIES),
                            max_size=8),
            st.sampled_from([64, 81, 125, 30, 60, 210, 420, 2310])
            | st.integers(1, 130),
            st.sampled_from([1, 2, 3]), st.integers(0, 2),
-           st.integers(-300, 40), st.booleans())
+           st.integers(-300, 40), st.booleans(), st.sampled_from([1, 4]))
+    @example({0: 127, 3: -128}, 5, 1, 0, 0, False, 1)
+    @example({0: -32768, 2: 32767, 5: 1}, 12, 1, 0, -3, False, 1)
+    @example({0: 128, 1: -127, 4: 32768}, 7, 2, 1, 0, False, 4)
+    @example({1: -32767, 2: 1}, 20, 3, 2, -9, True, 4)
     def test_vanishes_at_matches_the_division_reference(
-            self, base, e, d, power, shift, periodic):
+            self, base, e, d, power, shift, periodic, spread):
         # prime powers, orders with two to four primes, orders far above
-        # the span, negative valuations and planted cyclotomic factors;
-        # ell = e * d has effective order e for every twist d
+        # the span, negative valuations, planted cyclotomic factors and
+        # coefficients on both sides of the one-, two- and three-byte
+        # bounds of the value exit; spread 4 writes p as g(q^4), which
+        # halves twice.  ell = e * d has effective order e for every d
         p = LaurentPoly(base)
         if periodic:
             # p (1 + q^e + q^2e) has the zeros of 3p at order e, with a
             # span past e, so the fold has something to add up
             p = sum((p.shift(k * e) for k in range(3)), ZERO)
-        p = (p * cyclotomic(e) ** (power if e < 500 else min(power, 1)))
+        # g(q^4) vanishes at order e where g vanishes at e / gcd(e, 4)
+        root = cyclotomic(e // math.gcd(e, spread))
+        p = p * root ** (power if e < 500 else min(power, 1))
+        p = LaurentPoly({spread * x: c for x, c in p.terms().items()})
         p = p.shift(shift)
         spec = SpecOrder(e * d, d)
         assert spec.effective_order == e
@@ -570,6 +585,69 @@ class TestVanishing:
         with pytest.raises(ValueError, match="^upper index must be an int$"):
             qbinom_vanishes_fast(2.5, 1, SpecOrder(4))
 
+    def test_only_the_zeros_of_a_quantum_integer_fold(self, monkeypatch):
+        # the value exit settles every order at which [i] does not vanish,
+        # so the identity suite's asks fold only where the answer is True
+        folds = []
+        fold = qarith._fold
+
+        def counting(coeffs, e):
+            folds.append(e)
+            return fold(coeffs, e)
+
+        monkeypatch.setattr(qarith, "_fold", counting)
+        for i in range(2, 61):
+            p = qint(i)
+            for ell in range(1, 121):
+                folds.clear()
+                spec = SpecOrder(ell)
+                answer = vanishes_at(p, spec)
+                assert answer is qint_vanishes_fast(i, spec), (i, ell)
+                assert answer or not folds, (i, ell)
+
+    def test_the_value_exit_stops_where_it_costs_more_than_the_fold(
+            self, monkeypatch):
+        # one-byte coefficients, w = 8: w (w e) = 2^14 at e = 256, so the
+        # exit settles order 256 and order 258 folds; neither is a zero
+        folds = []
+        fold = qarith._fold
+
+        def counting(coeffs, e):
+            folds.append(e)
+            return fold(coeffs, e)
+
+        monkeypatch.setattr(qarith, "_fold", counting)
+        p = LaurentPoly({j: 1 for j in range(300)})
+        assert qarith._VALUE_EXIT_COST == 8 * 8 * 256
+        for e, folded in ((256, False), (258, True)):
+            folds.clear()
+            assert vanishes_at(p, SpecOrder(e)) is False
+            assert _vanishes_reference(p, e) is False
+            assert bool(folds) is folded, e
+
+    def test_cyclo_value_is_the_cyclotomic_polynomial_at_two_to_the_w(self):
+        for e in range(1, 301):
+            phi = cyclotomic(e)
+            for w in (8, 16, 24):
+                assert _cyclo_value(e, w) == phi.evaluate(2 ** w), (e, w)
+
+    @pytest.mark.parametrize("coeffs, w", [
+        ((1,), 8), ((-1, 0, 1), 8), ((127, -127), 8), ((-128, 5), 16),
+        ((128, 0, -127), 16), ((32767, -32767), 16), ((-32768,), 24),
+        ((1, 32768, -1), 24), ((2 ** 40, -3), 48),
+    ])
+    def test_packed_value_at_the_byte_boundaries(self, coeffs, w):
+        # |c| < 2^(w-1) for every c, in the fewest whole bytes
+        assert qarith._packed(coeffs) == (
+            w, sum(c << w * j for j, c in enumerate(coeffs)))
+
+    def test_no_value_is_packed_where_the_exit_never_runs(self):
+        # w = 104 puts w (w e) past _VALUE_EXIT_COST at every e >= 2
+        assert qarith._packed((2 ** 100, 1)) == (104, None)
+        p = LaurentPoly({0: 2 ** 100, 1: 1})
+        assert not vanishes_at(p, SpecOrder(5))
+        assert p._reduced[2] == (104, None)
+
 
 def _reduction_cases():
     """Polynomials in q^2, q^4 and q, one with an odd term, and constants."""
@@ -616,27 +694,35 @@ class TestStoredReduction:
 
     def test_one_fold_per_reduced_order(self, monkeypatch):
         # [7] = q^-6 g(q^2): orders 6 and 3 reduce to order 3 of q^2, and
-        # 7 and 14 to order 7, so four tests fold twice
-        folds = []
-        fold = qarith._fold
+        # 7 and 14 to order 7, so four asks test twice; the value exit
+        # settles order 3, and only order 7, where [7] vanishes, folds
+        tests, folds = [], []
+        test, fold = qarith._vanishes_reduced, qarith._fold
 
-        def counting(coeffs, e):
+        def counting_test(coeffs, packed, e):
+            tests.append(e)
+            return test(coeffs, packed, e)
+
+        def counting_fold(coeffs, e):
             folds.append(e)
             return fold(coeffs, e)
 
-        monkeypatch.setattr(qarith, "_fold", counting)
+        monkeypatch.setattr(qarith, "_vanishes_reduced", counting_test)
+        monkeypatch.setattr(qarith, "_fold", counting_fold)
         p = qint(7)
         assert [vanishes_at(p, SpecOrder(ell)) for ell in (6, 3, 7, 14)] \
             == [False, False, True, True]
-        assert folds == [3, 7]
+        assert (tests, folds) == ([3, 7], [7])
         # an odd term leaves nothing to halve, so 3 and 6 stay distinct
-        # orders and each one folds; asking again folds nothing
+        # orders and each one is tested, by the value exit alone since
+        # neither is a zero; asking again tests nothing
         p = qint(7) * LaurentPoly({0: 1, 1: 1})
-        for ell, folded in ((3, True), (6, True), (3, False), (6, False)):
+        for ell, tested in ((3, True), (6, True), (3, False), (6, False)):
+            tests.clear()
             folds.clear()
-            want = _vanishes_reference(p, ell)
-            assert vanishes_at(p, SpecOrder(ell)) is want
-            assert bool(folds) is folded, ell
+            assert vanishes_at(p, SpecOrder(ell)) is False
+            assert _vanishes_reference(p, ell) is False
+            assert (tests, folds) == ([ell] if tested else [], []), ell
 
     def test_the_order_of_the_asks_changes_no_answer(self):
         # each polynomial answers every spec as a fresh copy does, asked

@@ -635,6 +635,18 @@ class TestLevi:
         assert build("D", 4).walk(1, {1, 2, 3}) == (
             [1, 2, 3], {1: None, 2: 1, 3: 2})
 
+    @pytest.mark.parametrize("call, node", [
+        (lambda rs: rs.tree_path(5, 1), 5),
+        (lambda rs: rs.tree_path(0, 1), 0),
+        (lambda rs: rs.walk(9), 9),
+        (lambda rs: rs.tree_path(True, 3), True),
+    ], ids=["path-from-5", "path-from-0", "walk-from-9", "path-from-True"])
+    def test_walk_and_tree_path_refuse_a_bad_node(self, call, node):
+        # these once raised a bare KeyError, or took True for node 1
+        message = f"node: index {node!r} out of range for A3"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            call(build("A", 3))
+
     def test_tree_path_is_the_unique_path(self):
         for rs in systems(9):
             for i, j in itertools.product(range(1, rs.rank + 1), repeat=2):
