@@ -31,6 +31,7 @@ from .classifier import (
 from .qarith import (
     InternalCheckError,
     SpecOrder,
+    _gauss_indices,
     qbinom,
     qbinom_vanishes_fast,
     vanishes_at,
@@ -232,13 +233,10 @@ def _cmd_sl2(args):
 
 
 def _cmd_qbinom(args):
-    if args.m < 0:
-        raise ValueError("m: must be a nonnegative integer")
+    top, _ = _gauss_indices(args.n, args.m)
     doc = {"input": {"command": args.command, "n": args.n, "m": args.m,
                      "ell": args.ell, "d": args.d}}
     lines = [f"n: {args.n}", f"m: {args.m}"]
-    # [n choose m] = +-[-n+m-1 choose m] for negative n
-    top = args.n if args.n >= 0 else -args.n + args.m - 1
     small = args.m * (top - args.m) <= _QBINOM_DEGREE_LIMIT
     if small:
         value = qbinom(args.n, args.m)

@@ -5,7 +5,10 @@ with cyclotomic polynomials and exact vanishing tests at roots of unity.
 Everything runs on arbitrary-precision integers; there is no floating point
 and no numerical tolerance anywhere in this module.  qint, qfactorial, qbinom
 and cyclotomic build their value on each call, and no table of polynomials
-is kept.  One table of integers is: _prime_factors keeps the distinct
+is kept.  The index rules of the Gaussian binomial (m >= 0, the reflection
+for n < 0, the zero for 0 <= n < m) are stated once, in _gauss_indices,
+which qbinom, qbinom_vanishes_fast and the CLI read; neither function
+recurses.  One table of integers is: _prime_factors keeps the distinct
 primes of each n it is asked for, since verify-paper factors the same few
 orders in tens of thousands of vanishing tests.  The values stored are per
 polynomial: the first time p is tested, vanishes_at keeps its q^2
@@ -27,9 +30,9 @@ is monic, so if it divides g, then cyclotomic(e)(B) divides g(B) for
 every integer B, and a nonzero remainder of g(2^w) modulo
 cyclotomic(e)(2^w) proves that g does not vanish.  A zero remainder
 proves nothing, so a True answer still comes from the fold: it folds
-modulo q^e - 1, one slice of length e or one residue class at a time,
-and asks whether the folded coefficients, after one coset-sum step per
-prime factor of e but the largest, r, are periodic with period e/r.
+modulo q^e - 1, one strided sum per residue class, and asks whether the
+folded coefficients, after one coset-sum step per prime factor of e but
+the largest, r, are periodic with period e/r.
 This is the structure of vanishing sums of roots of unity (Lam and Leung,
 J. Algebra 224 (2000)).
 Since phi(e) >= sqrt(e/2), a polynomial of span s with 2 s^2 < e cannot
@@ -320,7 +323,7 @@ ONE = LaurentPoly({0: 1})
 
 def qint(i: int) -> LaurentPoly:
     """Quantum integer [i] = (q^i - q^-i)/(q - q^-1)."""
-    if not isinstance(i, int):
+    if type(i) is not int:
         raise ValueError("quantum integer index must be an int")
     if i == 0:
         return ZERO
@@ -332,7 +335,7 @@ def qint(i: int) -> LaurentPoly:
 
 def qfactorial(i: int) -> LaurentPoly:
     """Quantum factorial [i]! = [1][2]...[i], with [0]! = 1."""
-    if not isinstance(i, int) or i < 0:
+    if type(i) is not int or i < 0:
         raise ValueError("quantum factorial needs a nonnegative int")
     result = ONE
     for j in range(2, i + 1):
@@ -340,32 +343,44 @@ def qfactorial(i: int) -> LaurentPoly:
     return result
 
 
+def _gauss_indices(n: int, m: int) -> tuple[int, int]:
+    """(top, sign) with [n choose m] = sign [top choose m] and top >= 0.
+
+    The index rules of the Gaussian binomial are stated here and nowhere
+    else.  n may be any integer and m any nonnegative integer, both of
+    type int, so a bool or a float is refused.  For n < 0 the reflection
+    [n][n-1]...[n-m+1] = (-1)^m [m-n-1]...[-n+1][-n] gives top = m - n - 1
+    >= m.  The binomial is 0 exactly when top < m, since its numerator
+    then holds [0], and it is 1 when m = 0.
+    """
+    if type(n) is not int:
+        raise ValueError("n: must be an integer")
+    if type(m) is not int or m < 0:
+        raise ValueError("m: must be a nonnegative integer")
+    if n >= 0:
+        return n, 1
+    return m - n - 1, -1 if m % 2 else 1
+
+
 def qbinom(n: int, m: int) -> LaurentPoly:
     """Gaussian binomial [n choose m] = [n][n-1]...[n-m+1] / [m]!.
 
-    n may be any integer; m must be nonnegative.  The quotient is always
-    exact; an inexact division here is an internal bug.
+    _gauss_indices checks n and m and writes the value as sign [top choose
+    m] with top >= 0.  The quotient is always exact; an inexact division
+    here is an internal bug.
 
-    With k = min(m, n-m) and x = q^2, the value is q^(-k(n-k)) times the
-    product over j = 1..k of (x^(n-k+j) - 1) / (x^j - 1), built one factor
-    at a time: each step is one multiplication by a binomial and one exact
-    division, so the work is a loop, not a recursion m frames deep.
+    With k = min(m, top-m) and x = q^2, the value is sign q^(-k(top-k))
+    times the product over j = 1..k of (x^(top-k+j) - 1) / (x^j - 1),
+    built one factor at a time: each step is one multiplication by a
+    binomial and one exact division, so the work is a loop, with no
+    recursion.  top < m is the zero value; m = 0 runs no step and gives 1.
     """
-    if not isinstance(n, int):
-        raise ValueError("upper index of qbinom must be an int")
-    if not isinstance(m, int) or m < 0:
-        raise ValueError("lower index of qbinom must be a nonnegative int")
-    if m == 0:
-        return ONE
-    if n < 0:
-        # [n][n-1]...[n-m+1] = (-1)^m [-n][-n+1]...[-n+m-1]
-        flipped = qbinom(-n + m - 1, m)
-        return -flipped if m % 2 else flipped
-    if n < m:
-        return ZERO  # numerator contains [0]
-    k = min(m, n - m)
-    rest = n - k
-    coeffs = [1]  # ascending in x; the partial product for j - 1
+    top, sign = _gauss_indices(n, m)
+    if top < m:
+        return ZERO
+    k = min(m, top - m)
+    rest = top - k
+    coeffs = [sign]  # ascending in x; the partial product for j - 1
     for j in range(1, k + 1):
         up = rest + j
         # multiply by x^up - 1
@@ -400,7 +415,7 @@ def _prime_factors(n: int) -> tuple[int, ...]:
 
 def euler_phi(n: int) -> int:
     """Euler totient, from the prime factors of n."""
-    if not isinstance(n, int) or n < 1:
+    if type(n) is not int or n < 1:
         raise ValueError("totient needs a positive int")
     result = n
     for p in _prime_factors(n):
@@ -451,7 +466,7 @@ def _cyclo_coeffs(n: int) -> tuple[int, ...]:
 
 def cyclotomic(ell: int) -> LaurentPoly:
     """The ell-th cyclotomic polynomial; cyclotomic(1) = q - 1."""
-    if not isinstance(ell, int) or ell < 1:
+    if type(ell) is not int or ell < 1:
         raise ValueError("cyclotomic index must be a positive int")
     return _canon(0, _cyclo_coeffs(ell))
 
@@ -502,18 +517,9 @@ _VALUE_EXIT_COST = 1 << 14
 
 
 def _fold(coeffs, e: int) -> list[int]:
-    """The sums of coeffs over the residue classes mod e: length e."""
-    n = len(coeffs)
-    if n <= e:
-        return [*coeffs, *repeat(0, e - n)]
-    if 6 * e <= n:
-        return [sum(coeffs[i::e]) for i in range(e)]
-    # fewer than six whole slices of length e, and maybe a partial one,
-    # added in turn; from six whole slices up the strided sums are faster
-    out = list(coeffs[:e])
-    for start in range(e, n, e):
-        out[:n - start] = map(add, out, coeffs[start:start + e])
-    return out
+    """The sums of coeffs over the residue classes mod e: length e, with
+    a 0 for each class that coeffs does not reach."""
+    return [sum(coeffs[i::e]) for i in range(e)]
 
 
 def vanishes_at(p: LaurentPoly, spec: SpecOrder) -> bool:
@@ -571,10 +577,12 @@ def vanishes_at(p: LaurentPoly, spec: SpecOrder) -> bool:
 
     Fold.  Reducing modulo q^e - 1 moves no e-th root of unity, so p(z^k)
     = F(k) = sum_i f[i] z^(ki) for every k, where f[i] is the sum of the
-    c_j with j = i mod e.  From six whole slices of length e up, when
-    6 e <= span + 1, _fold takes one strided sum(c[i::e]) for each i;
-    below that it adds each later slice into the first by one
-    map(add, ...), at most five Python steps.  Each step runs at C level.
+    c_j with j = i mod e.  _fold takes one strided sum(c[i::e]) for each
+    i, at C level, which is exact for every length of c: a class that c
+    does not reach sums to 0.  A fold runs only where neither the degree
+    exits nor the value exit rules the order out; on the cli-cold,
+    classify-sweep and verify-paper workloads of bench/ that is only at
+    the zeros of p, so the fold confirms a True answer.
 
     Periodicity.  The conjugates of z are the z^k with k prime to e and p
     has integer coefficients, so p(z) = 0 iff F(k) = 0 for every k prime
@@ -678,38 +686,31 @@ def qint_vanishes_fast(i: int, spec: SpecOrder) -> bool:
     """[i](zeta^d) = 0 without constructing the polynomial.
 
     With e the effective order and s = s_value(e): vanishes iff s > 1 and
-    s | i.  The i = 0 case is split out since [0] is the zero polynomial and
-    vanishes at every order.
+    s | i, or i = 0, since [0] is the zero polynomial and vanishes at every
+    order.
     """
-    if not isinstance(i, int):
+    if type(i) is not int:
         raise ValueError("index must be an int")
-    if i == 0:
-        return True
+    if not isinstance(spec, SpecOrder):
+        raise TypeError("qint_vanishes_fast expects a SpecOrder")
     s = spec.s
-    return s > 1 and i % s == 0
+    return i == 0 or s > 1 and i % s == 0
 
 
 def qbinom_vanishes_fast(n: int, m: int, spec: SpecOrder) -> bool:
     """[n choose m](zeta^d) = 0 without symbolic expansion.
 
-    Counts vanishing quantum-integer factors in numerator and denominator;
-    each contributes a simple root, so the binomial vanishes exactly when the
-    numerator has strictly more multiples of s in (n-m, n] than the
-    denominator has in [1, m].
+    _gauss_indices checks n and m and writes the binomial as +-[top
+    choose m] with top >= 0; the sign cannot affect vanishing, and top < m
+    is the zero polynomial.  Otherwise each quantum integer [j] of the
+    numerator [top]...[top-m+1] and of the denominator [m]! has a simple
+    zero there when s = spec.s > 1 divides j, and none otherwise, so the
+    binomial vanishes exactly when the numerator has strictly more
+    multiples of s in (top-m, top] than the denominator has in [1, m].
+    At s = 1 and at m = 0 both counts are equal, so the answer is False.
     """
-    if not isinstance(n, int):
-        raise ValueError("upper index must be an int")
-    if not isinstance(m, int) or m < 0:
-        raise ValueError("lower index must be a nonnegative int")
-    if m == 0:
-        return False
-    if n < 0:
-        # unit factor (-1)^m cannot affect vanishing
-        return qbinom_vanishes_fast(-n + m - 1, m, spec)
-    if n < m:
-        return True  # the zero polynomial
+    top, _ = _gauss_indices(n, m)
+    if not isinstance(spec, SpecOrder):
+        raise TypeError("qbinom_vanishes_fast expects a SpecOrder")
     s = spec.s
-    if s == 1:
-        return False
-    excess = (n // s - (n - m) // s) - m // s
-    return excess > 0
+    return top < m or top // s - (top - m) // s > m // s

@@ -377,7 +377,8 @@ class RootSystem(Frozen):
     def levi_subsystem(self, J):
         """Split the subdiagram on J into relabeled irreducible components.
 
-        The nodes are checked first, then the answer is looked up by the
+        The nodes are checked first, each of type int (a bool is refused
+        as it is by _check_node), then the answer is looked up by the
         sorted node set, so an order or a repeat in J does not matter and
         each set is split (and each piece retyped) once per instance.
         """
@@ -385,10 +386,10 @@ class RootSystem(Frozen):
         if not J:
             raise ValueError("nodes: empty")
         for i in J:
-            if not isinstance(i, int) or not 1 <= i <= self.rank:
+            if type(i) is not int or not 1 <= i <= self.rank:
                 raise ValueError(
                     f"nodes: {i!r} is not a node of {self.name}")
-        key = tuple(sorted({int(i) for i in J}))
+        key = tuple(sorted(set(J)))
         comps = self._levi_memo.get(key)
         if comps is None:
             comps = self._levi_memo[key] = self._split(key)

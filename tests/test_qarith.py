@@ -235,14 +235,32 @@ class TestQuantumIntegers:
                 assert qbinom(n, m).evaluate(1) == math.comb(n, m)
 
     def test_qbinom_bad_lower_index(self):
-        with pytest.raises(ValueError):
-            qbinom(4, -1)
+        # True once passed as m = 1
+        for m in (-1, True, 1.0):
+            with pytest.raises(ValueError,
+                               match="^m: must be a nonnegative integer$"):
+                qbinom(4, m)
 
-    # these once raised TypeError from inside the product
-    @pytest.mark.parametrize("n", [2.5, "5"])
+    # 2.5 and "5" once raised TypeError from inside the product, and True
+    # passed as n = 1
+    @pytest.mark.parametrize("n", [2.5, "5", True])
     def test_qbinom_bad_upper_index(self, n):
-        with pytest.raises(ValueError, match="^upper index of qbinom "):
+        with pytest.raises(ValueError, match="^n: must be an integer$"):
             qbinom(n, 1)
+
+    # each of these once took True as 1, and all but cyclotomic took False
+    # as 0
+    @pytest.mark.parametrize("read, message", [
+        (qint, "quantum integer index must be an int"),
+        (qfactorial, "quantum factorial needs a nonnegative int"),
+        (cyclotomic, "cyclotomic index must be a positive int"),
+        (lambda i: qint_vanishes_fast(i, SpecOrder(3)),
+         "index must be an int"),
+    ], ids=["qint", "qfactorial", "cyclotomic", "qint_vanishes_fast"])
+    @pytest.mark.parametrize("i", [True, False])
+    def test_integer_arguments_refuse_bools(self, read, message, i):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            read(i)
 
     def test_qbinom_matches_the_pascal_recursion(self):
         # the recursion [n, m] = [n-1, m-1][n] / [m], tabulated row by row
@@ -313,8 +331,11 @@ class TestCyclotomic:
 
     def test_euler_phi(self):
         assert [euler_phi(n) for n in (1, 2, 12, 17, 60)] == [1, 1, 4, 16, 16]
-        with pytest.raises(ValueError):
-            euler_phi(0)
+        # euler_phi(True) once returned the bool True
+        for n in (0, True):
+            with pytest.raises(ValueError,
+                               match="^totient needs a positive int$"):
+                euler_phi(n)
 
 
 # coefficients on both sides of the one-, two- and three-byte bounds
@@ -407,9 +428,9 @@ class TestVanishing:
         p = (LaurentPoly(base) * cyclotomic(e) ** power).shift(shift)
         assert vanishes_at(p, spec) == _vanishes_reference(p, e)
 
-    # _fold has three branches: pad when n <= e, strided sums when
-    # 6e <= n, and slices of length e added in turn in between; the last
-    # two examples sit on either side of that boundary, n = 6e - 1 and 6e
+    # _fold is one strided sum per residue class for every length n; the
+    # draws cover n <= e, where a class may be empty, e < n < 6e and
+    # 6e <= n, with examples at n = e, 6e - 1 and 6e
     @settings(max_examples=200, deadline=None)
     @given(st.integers(1, 200), st.sampled_from(["pad", "strided", "slices"]),
            st.integers(0, 10**6), st.integers(0, 2**32))
@@ -577,13 +598,31 @@ class TestVanishing:
                 == vanishes_at(qbinom(n, m), spec))
 
     def test_qbinom_fast_bad_lower_index(self):
-        with pytest.raises(ValueError):
-            qbinom_vanishes_fast(4, -2, SpecOrder(3))
+        # True once passed as m = 1
+        for m in (-2, True):
+            with pytest.raises(ValueError,
+                               match="^m: must be a nonnegative integer$"):
+                qbinom_vanishes_fast(4, m, SpecOrder(3))
 
     def test_qbinom_fast_bad_upper_index(self):
-        # 2.5 once counted a multiple of s = 2 in (1.5, 2.5] and gave True
-        with pytest.raises(ValueError, match="^upper index must be an int$"):
-            qbinom_vanishes_fast(2.5, 1, SpecOrder(4))
+        # 2.5 once counted a multiple of s = 2 in (1.5, 2.5] and gave True,
+        # and True passed as n = 1
+        for n in (2.5, True):
+            with pytest.raises(ValueError, match="^n: must be an integer$"):
+                qbinom_vanishes_fast(n, 1, SpecOrder(4))
+
+    # these once raised AttributeError from the int, or returned before the
+    # spec was looked at
+    @pytest.mark.parametrize("spec", [3, None, (3, 1)])
+    @pytest.mark.parametrize("name, args", [
+        ("qint_vanishes_fast", (5,)), ("qint_vanishes_fast", (0,)),
+        ("qbinom_vanishes_fast", (5, 2)), ("qbinom_vanishes_fast", (1, 2)),
+        ("qbinom_vanishes_fast", (5, 0)),
+    ])
+    def test_fast_rules_refuse_a_spec_that_is_not_a_spec_order(self, name,
+                                                               args, spec):
+        with pytest.raises(TypeError, match=f"^{name} expects a SpecOrder$"):
+            getattr(qarith, name)(*args, spec)
 
     def test_only_the_zeros_of_a_quantum_integer_fold(self, monkeypatch):
         # the value exit settles every order at which [i] does not vanish,
@@ -772,6 +811,51 @@ _CACHES = {
     "weylmods.det_short_matrix",  # alpha0 search and adjoint leaf replays
     "qarith._prime_factors",  # verify-paper factors the same few orders
 }
+
+
+def test_the_gaussian_index_rule_is_written_once():
+    sources = package_sources()
+    helper = "qarith._gauss_indices"
+    for message in ("n: must be an integer",
+                    "m: must be a nonnegative integer"):
+        assert sum(text.count(message) for text in sources.values()) == 1
+        assert literal_scopes(sources, message) == [helper]
+
+    def names(node):
+        return {n.id if isinstance(n, ast.Name) else n.attr
+                for n in ast.walk(node)
+                if isinstance(n, (ast.Name, ast.Attribute))}
+
+    nodes = scoped_nodes(sources)
+    # the reflection m - n - 1, in any spelling: an outermost arithmetic
+    # expression that reads both indices and the constant 1
+    inner = {id(child) for _, node in nodes if isinstance(node, ast.BinOp)
+             for child in ast.iter_child_nodes(node)}
+    reflections = [scope for scope, node in nodes
+                   if isinstance(node, ast.BinOp) and id(node) not in inner
+                   and {"n", "m"} <= names(node)
+                   and any(isinstance(c, ast.Constant) and c.value == 1
+                           for c in ast.walk(node))]
+    assert reflections == [helper]
+    for name in ("qbinom", "qbinom_vanishes_fast"):
+        scope = f"qarith.{name}"
+        calls = [node.func.id for where, node in nodes
+                 if where == scope and isinstance(node, ast.Call)
+                 and isinstance(node.func, ast.Name)]
+        assert "_gauss_indices" in calls and name not in calls
+    # the CLI's top comes from the helper and from nothing else
+    tops = [node for scope, node in nodes if scope.startswith("cli.")
+            and isinstance(node, ast.Assign)
+            and any("top" in names(target) for target in node.targets)]
+    assert len(tops) == 1
+    assert ast.unparse(tops[0].value) == "_gauss_indices(args.n, args.m)"
+    # _fold is its docstring and one return, with no branch in it
+    fold, = [node for scope, node in nodes if scope == "qarith._fold"
+             and isinstance(node, ast.FunctionDef)]
+    assert [type(stmt) for stmt in fold.body] == [ast.Expr, ast.Return]
+    assert not any(isinstance(node, (ast.If, ast.IfExp))
+                   or isinstance(node, ast.comprehension) and node.ifs
+                   for node in ast.walk(fold))
 
 
 def test_the_order_rule_is_written_once_and_every_cache_is_named():

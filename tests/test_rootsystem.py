@@ -553,10 +553,12 @@ class TestLevi:
         assert messages(a4) == cold
         assert cold[3] == "nodes: 1.0 is not a node of A4"
         assert cold[4] == "nodes: 5 is not a node of A4"
-        # True == 1 passes the checks and hashes like 1; the memo entry
-        # it makes must still hold plain ints for the (1, 2) caller
+        # True == 1 hashes like 1, so it is refused as a node before it
+        # can reach the memo; the (1, 2) entry holds plain ints
         b4 = RootSystem("B", 4)
-        b4.levi_subsystem((True, 2))
+        with pytest.raises(ValueError,
+                           match="^nodes: True is not a node of B4$"):
+            b4.levi_subsystem((True, 2))
         comp, = b4.levi_subsystem((1, 2))
         assert [type(i) for i in comp.nodes] == [int, int]
 
