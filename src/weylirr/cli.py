@@ -237,14 +237,15 @@ def _cmd_qbinom(args):
     doc = {"input": {"command": args.command, "n": args.n, "m": args.m,
                      "ell": args.ell, "d": args.d}}
     lines = [f"n: {args.n}", f"m: {args.m}"]
-    small = args.m * (top - args.m) <= _QBINOM_DEGREE_LIMIT
+    degree = args.m * (top - args.m)
+    small = degree <= _QBINOM_DEGREE_LIMIT
     if small:
         value = qbinom(args.n, args.m)
         doc["value"] = repr(value)
         lines.append(f"value: {value!r}")
     elif args.ell is None:
         raise ValueError(
-            f"n: symbolic expansion limited to degree m(n - m) <= "
+            f"n: symbolic expansion of degree {degree} exceeds the limit "
             f"{_QBINOM_DEGREE_LIMIT}; pass --ell for the vanishing test")
     if args.ell is not None:
         spec = SpecOrder(args.ell, args.d)

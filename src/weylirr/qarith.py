@@ -8,10 +8,14 @@ and cyclotomic build their value on each call, and no table of polynomials
 is kept.  The index rules of the Gaussian binomial (m >= 0, the reflection
 for n < 0, the zero for 0 <= n < m) are stated once, in _gauss_indices,
 which qbinom, qbinom_vanishes_fast and the CLI read; neither function
-recurses.  One table of integers is: _prime_factors keeps the distinct
+recurses.  Two tables of integers are: _prime_factors keeps the distinct
 primes of each n it is asked for, since verify-paper factors the same few
-orders in tens of thousands of vanishing tests.  The values stored are per
-polynomial: the first time p is tested, vanishes_at keeps its q^2
+orders in tens of thousands of vanishing tests, and _cyclo_value keeps
+cyclotomic(e) at 2^w for the value exit below, which verify-paper asks
+for about 35,000 times over 74 pairs (e, w).  The exit's bound w w e <=
+2^14, with w a multiple of 8, keeps that table to at most 397 values of
+at most 2,048 bits each.  The values stored are per polynomial: the
+first time p is tested, vanishes_at keeps its q^2
 reduction of p in p itself, so the tests of p at later orders skip that
 scan, with its value at a power of two and the answer for each reduced
 order asked about, so orders e and 2e (e odd), which reduce to the same
@@ -98,7 +102,7 @@ class LaurentPoly(Frozen):
         if terms:
             items = terms.items() if isinstance(terms, dict) else terms
             for exp, coeff in items:
-                if not isinstance(exp, int) or not isinstance(coeff, int):
+                if type(exp) is not int or type(coeff) is not int:
                     raise ValueError("exponents and coefficients must be ints")
                 c = data.get(exp, 0) + coeff
                 if c:
@@ -213,7 +217,7 @@ class LaurentPoly(Frozen):
     __rmul__ = __mul__
 
     def __pow__(self, n: int) -> "LaurentPoly":
-        if not isinstance(n, int) or n < 0:
+        if type(n) is not int or n < 0:
             raise ValueError("exponent must be a nonnegative integer")
         result = ONE
         base = self
@@ -568,12 +572,13 @@ def vanishes_at(p: LaurentPoly, spec: SpecOrder) -> bool:
     below.  g(B) is packed once, on the first test of p, by _packed in
     linear time (Horner's rule would be quadratic on the rank-3000
     determinants and large Gaussian binomials), and kept in the slot;
-    cyclotomic(e')(B) is built afresh by _cyclo_value, since for large
-    e' it is a large integer.  The remainder costs about len(g) w (w e')
-    bit steps and the fold about len(g) additions, so the exit runs only
-    while w (w e') <= _VALUE_EXIT_COST = 2^14, past which it was measured
-    slower than the fold: orders up to 256 for one-byte coefficients,
-    every order verify-paper's identity suite asks.
+    cyclotomic(e')(B) is built once per (e', w) by _cyclo_value and
+    cached; the bound below keeps that table small.  The remainder costs
+    about len(g) w (w e') bit steps and the fold about len(g) additions,
+    so the exit runs only while w (w e') <= _VALUE_EXIT_COST = 2^14, past
+    which it was measured slower than the fold: orders up to 256 for
+    one-byte coefficients, every order verify-paper's identity suite
+    asks.
 
     Fold.  Reducing modulo q^e - 1 moves no e-th root of unity, so p(z^k)
     = F(k) = sum_i f[i] z^(ki) for every k, where f[i] is the sum of the
@@ -643,10 +648,14 @@ def _packed(coeffs) -> tuple[int, int | None]:
                    - int.from_bytes(offsets, "little"))
 
 
+@lru_cache(maxsize=None)
 def _cyclo_value(e: int, w: int) -> int:
     """cyclotomic(e) at 2^w, from Phi_e(x) = prod over d | rad(e) of
     (x^(e/d) - 1)^mu(d): the factors with mu(d) = 1 over those with
-    mu(d) = -1, one exact division."""
+    mu(d) = -1, one exact division.  Cached: the value exit asks for it
+    only while w w e <= _VALUE_EXIT_COST = 2^14 with e >= 2 and w a
+    multiple of 8, so there are at most 397 keys, each value of at most
+    w e <= 2^14 / w <= 2,048 bits."""
     terms = [(e, True)]  # (e/d, whether mu(d) = 1), d over rad(e)
     for t in _prime_factors(e):
         terms += [(k // t, not plus) for k, plus in terms]

@@ -469,8 +469,9 @@ class RootSystem(Frozen):
 def int_weight(lam) -> Weight:
     """lam as a tuple; a coordinate that is not an int is refused."""
     lam = tuple(lam)
-    if not set(map(type, lam)) <= {int}:
-        raise ValueError("weight: coordinates must be integers")
+    for c in lam:
+        if type(c) is not int:
+            raise ValueError("weight: coordinates must be integers")
     return lam
 
 

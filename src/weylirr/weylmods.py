@@ -173,7 +173,7 @@ def sl2_irreducible(lam: int, ell: int, d: int = 1) -> bool:
     """Rank-one criterion: irreducible iff lam < s or lam = -1 mod s,
     where s is the vanishing modulus of the effective order of zeta^d,
     read from qarith._order."""
-    if not isinstance(lam, int) or lam < 0:
+    if type(lam) is not int or lam < 0:
         raise ValueError("lambda: must be a nonnegative integer")
     s = _order(ell, d)[1]
     return lam < s or lam % s == s - 1
@@ -209,7 +209,7 @@ def sl2_maximal_vector_oracle(lam: int, ell: int, d: int = 1) -> bool:
     annihilated by all of them and the module is reducible.  An empty
     list means every v_j below the top was moved.
     """
-    if not isinstance(lam, int) or lam < 0:
+    if type(lam) is not int or lam < 0:
         raise ValueError("lambda: must be a nonnegative integer")
     s = _order(ell, d)[1]
     if s == 1:

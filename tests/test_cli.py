@@ -464,6 +464,17 @@ class TestSl2AndQbinom:
         assert code == 0 and "value" not in doc and "vanishes" in doc
 
 
+    # for n < 0 the degree tested is that of [-n+m-1 choose m], the same
+    # 2 * 99999 as for n = 100001
+    @pytest.mark.parametrize("n", [100001, -100000])
+    def test_qbinom_limit_message_names_the_degree_tested(self, capsys, n):
+        code, out, err = run(capsys, "qbinom", "--n", str(n), "--m", "2")
+        assert code == 2 and out == ""
+        assert err == ("error: n: symbolic expansion of degree 199998 "
+                       "exceeds the limit 100000; pass --ell for the "
+                       "vanishing test\n")
+
+
 class TestTables:
     def test_small_table(self, capsys):
         code, out, _ = run(capsys, "table-theorem5-1", "--max-rank", "3",

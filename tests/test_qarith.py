@@ -11,7 +11,7 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from weylirr import qarith
+from weylirr import acceptance, qarith
 from weylirr.qarith import (
     ExactDivisionError,
     LaurentPoly,
@@ -96,6 +96,12 @@ class TestLaurentPoly:
         assert (Q + 1) ** 2 == LaurentPoly({2: 1, 1: 2, 0: 1})
         with pytest.raises(ValueError):
             (Q + 1) ** -1
+        # True once squared nothing and returned the base
+        for n in (True, False, 2.0):
+            with pytest.raises(
+                    ValueError,
+                    match="^exponent must be a nonnegative integer$"):
+                qint(3) ** n
 
     def test_shift(self):
         assert ONE.shift(3) == LaurentPoly({3: 1})
@@ -188,6 +194,12 @@ class TestRepresentation:
             LaurentPoly({1.0: 1})
         with pytest.raises(ValueError, match="must be ints"):
             LaurentPoly([(1, "2")])
+        # {True: 1} and {1: True} once both built q
+        for terms in ({True: 1}, {1: True}, {0: False}, [(False, 2)]):
+            with pytest.raises(
+                    ValueError,
+                    match="^exponents and coefficients must be ints$"):
+                LaurentPoly(terms)
         assert LaurentPoly([(3, 2), (3, -2)]) == ZERO
 
     def test_span_is_bounded_before_allocation(self):
@@ -670,6 +682,25 @@ class TestVanishing:
             for w in (8, 16, 24):
                 assert _cyclo_value(e, w) == phi.evaluate(2 ** w), (e, w)
 
+    def test_cyclo_values_are_built_once_inside_the_exit_bound(
+            self, monkeypatch):
+        # the cache holds only what the value exit asks for, so its size
+        # is bounded by w (w e) <= _VALUE_EXIT_COST; the identity suite
+        # asks for each (e, w) many times and builds it once
+        asked = []
+
+        def recording(e, w):
+            asked.append((e, w))
+            return _cyclo_value(e, w)
+
+        _cyclo_value.cache_clear()
+        monkeypatch.setattr(qarith, "_cyclo_value", recording)
+        acceptance._check_qarith_identities()
+        keys = set(asked)
+        assert keys and len(asked) > 10 * len(keys)
+        assert all(w * w * e <= qarith._VALUE_EXIT_COST for e, w in keys)
+        assert _cyclo_value.cache_info().misses == len(keys)
+
     @pytest.mark.parametrize("coeffs, w", [
         ((1,), 8), ((-1, 0, 1), 8), ((127, -127), 8), ((-128, 5), 16),
         ((128, 0, -127), 16), ((32767, -32767), 16), ((-32768,), 24),
@@ -810,6 +841,9 @@ _CACHES = {
     "rootsystem.RootSystem._levi_memo",  # a descent's replay asks again
     "weylmods.det_short_matrix",  # alpha0 search and adjoint leaf replays
     "qarith._prime_factors",  # verify-paper factors the same few orders
+    # the value exit asks verify-paper's 74 pairs (e, w) about 35,000
+    # times; its bound w (w e) <= 2^14 keeps the table to 397 small values
+    "qarith._cyclo_value",
 }
 
 

@@ -306,6 +306,13 @@ class TestWeights:
         for lam in ((-1, 0), (0, 0, 1), ()):
             with pytest.raises(ValueError, match="^weight: must be dominant$"):
                 a2.check_dominant(lam)
+        # the coordinates are checked before dominance, and any iterable
+        # of ints is read
+        for lam in ((-1, 0.5), (True, 0), (0, 1.0)):
+            with pytest.raises(ValueError,
+                               match="^weight: coordinates must be integers$"):
+                a2.check_dominant(lam)
+        assert a2.check_dominant(c for c in (2, 3)) == (2, 3)
         # the alcove test checks the weight before the level
         with pytest.raises(ValueError, match="^weight: must be dominant$"):
             a2.in_bottom_alcove_closure(0, (-1, 0))

@@ -206,6 +206,12 @@ class TestSl2:
             sl2_irreducible(2, 0)
         with pytest.raises(ValueError):
             sl2_maximal_vector_oracle(-2, 3)
+        # a bool is not a weight: True once passed as lambda = 1
+        message = "^lambda: must be a nonnegative integer$"
+        for check in (sl2_irreducible, sl2_maximal_vector_oracle):
+            for lam in (True, False):
+                with pytest.raises(ValueError, match=message):
+                    check(lam, 3)
 
     @pytest.mark.parametrize("ell,d,field", [
         (True, 1, "ell"), (3, 1.0, "d"), (3, True, "d"), (6, 2.0, "d"),
