@@ -55,8 +55,8 @@ class TraceError(ValueError):
 # next step of the flat trace replays against sub.
 
 def _check_node(rs: RootSystem, node) -> None:
-    """Refuse a leaf's node that is not an int in 1..rs.rank."""
-    if type(node) is not int or not 1 <= node <= rs.rank:
+    """Refuse a leaf's node that is not a node of rs."""
+    if not rs._is_node(node):
         raise TraceError(f"node {node!r} out of range for {rs.name}")
 
 
@@ -104,8 +104,7 @@ class LeviDescent(Record):
     def replay(self, rs: RootSystem, lam: Weight, twist: int):
         if not self.nodes or len(set(self.nodes)) != len(self.nodes):
             raise TraceError("descent nodes must be distinct and nonempty")
-        if any(type(i) is not int or not 1 <= i <= rs.rank
-               for i in self.nodes):
+        if not all(map(rs._is_node, self.nodes)):
             raise TraceError(f"descent nodes invalid for {rs.name}")
         comps = rs.levi_subsystem(self.nodes)
         if len(comps) != 1:

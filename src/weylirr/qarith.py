@@ -13,15 +13,17 @@ primes of each n it is asked for, since verify-paper factors the same few
 orders in tens of thousands of vanishing tests, and _cyclo_value keeps
 cyclotomic(e) at 2^w for the value exit below, which verify-paper asks
 for about 35,000 times over 74 pairs (e, w).  The exit's bound w w e <=
-2^14, with w a multiple of 8, keeps that table to at most 397 values of
-at most 2,048 bits each.  The values stored are per polynomial: the
-first time p is tested, vanishes_at keeps its q^2
-reduction of p in p itself, so the tests of p at later orders skip that
-scan, with its value at a power of two and the answer for each reduced
-order asked about, so orders e and 2e (e odd), which reduce to the same
-order of q^2, test p once.  The order and vanishing modulus of zeta^d
-are stated once, in _order, which SpecOrder, s_value and the rank-one
-tests of weylmods read.
+2^14, with e >= 2 and w a multiple of 8, keeps that table to at most
+386 values of at most 2,048 bits each.  The cyclotomic polynomial is
+built one way, prime by prime in _cyclo_coeffs: cyclotomic returns its
+coefficients, and _cyclo_value evaluates them at 2^w by integer Horner.
+The values stored are per polynomial: the first time p is tested,
+vanishes_at keeps its q^2 reduction of p in p itself, so the tests of p
+at later orders skip that scan, with its value at a power of two and the
+answer for each reduced order asked about, so orders e and 2e (e odd),
+which reduce to the same order of q^2, test p once.  The order and
+vanishing modulus of zeta^d are stated once, in _order, which SpecOrder,
+s_value and the rank-one tests of weylmods read.
 
 A polynomial is a valuation and a dense tuple of coefficients, and the
 ring operations work on whole slices of it.  vanishes_at decides whether p
@@ -56,6 +58,8 @@ from ._record import Frozen, Record, _setattr
 # the largest span LaurentPoly's public constructor accepts; storage is
 # dense, so a span of n allocates n + 1 coefficient slots
 MAX_SPAN = 1_000_000
+
+_NOT_INTS = "exponents and coefficients must be ints"
 
 
 class ExactDivisionError(ArithmeticError):
@@ -103,7 +107,7 @@ class LaurentPoly(Frozen):
             items = terms.items() if isinstance(terms, dict) else terms
             for exp, coeff in items:
                 if type(exp) is not int or type(coeff) is not int:
-                    raise ValueError("exponents and coefficients must be ints")
+                    raise ValueError(_NOT_INTS)
                 c = data.get(exp, 0) + coeff
                 if c:
                     data[exp] = c
@@ -144,7 +148,8 @@ class LaurentPoly(Frozen):
         return self._low
 
     def _coerce(self, other):
-        if isinstance(other, int):
+        # a bool is refused, as the constructor refuses it
+        if type(other) is int:
             return _canon(0, (other,))
         if isinstance(other, LaurentPoly):
             return other
@@ -234,7 +239,9 @@ class LaurentPoly(Frozen):
         return _canon(1 - self._low - len(coeffs), coeffs[::-1])
 
     def shift(self, k: int) -> "LaurentPoly":
-        """Multiply by q^k."""
+        """Multiply by q^k; k must be of type int, as an exponent is."""
+        if type(k) is not int:
+            raise ValueError(_NOT_INTS)
         return _canon(self._low + k, self._coeffs)
 
     def evaluate(self, x):
@@ -572,10 +579,11 @@ def vanishes_at(p: LaurentPoly, spec: SpecOrder) -> bool:
     below.  g(B) is packed once, on the first test of p, by _packed in
     linear time (Horner's rule would be quadratic on the rank-3000
     determinants and large Gaussian binomials), and kept in the slot;
-    cyclotomic(e')(B) is built once per (e', w) by _cyclo_value and
-    cached; the bound below keeps that table small.  The remainder costs
-    about len(g) w (w e') bit steps and the fold about len(g) additions,
-    so the exit runs only while w (w e') <= _VALUE_EXIT_COST = 2^14, past
+    cyclotomic(e')(B) is built once per (e', w) by _cyclo_value, from
+    the coefficients of cyclotomic(e'), and cached; the bound below
+    keeps that table small.  The remainder costs about len(g) w (w e')
+    bit steps and the fold about len(g) additions, so the exit runs
+    only while w (w e') <= _VALUE_EXIT_COST = 2^14, past
     which it was measured slower than the fold: orders up to 256 for
     one-byte coefficients, every order verify-paper's identity suite
     asks.
@@ -650,22 +658,17 @@ def _packed(coeffs) -> tuple[int, int | None]:
 
 @lru_cache(maxsize=None)
 def _cyclo_value(e: int, w: int) -> int:
-    """cyclotomic(e) at 2^w, from Phi_e(x) = prod over d | rad(e) of
-    (x^(e/d) - 1)^mu(d): the factors with mu(d) = 1 over those with
-    mu(d) = -1, one exact division.  Cached: the value exit asks for it
-    only while w w e <= _VALUE_EXIT_COST = 2^14 with e >= 2 and w a
-    multiple of 8, so there are at most 397 keys, each value of at most
-    w e <= 2^14 / w <= 2,048 bits."""
-    terms = [(e, True)]  # (e/d, whether mu(d) = 1), d over rad(e)
-    for t in _prime_factors(e):
-        terms += [(k // t, not plus) for k, plus in terms]
-    num = den = 1
-    for k, plus in terms:
-        if plus:
-            num *= (1 << w * k) - 1
-        else:
-            den *= (1 << w * k) - 1
-    return num // den
+    """cyclotomic(e) at 2^w: the coefficients of _cyclo_coeffs(e), from
+    the top, by integer Horner, so the exit divides by the polynomial
+    that cyclotomic(e) returns.  Cached: the value exit asks for it only
+    while w w e <= _VALUE_EXIT_COST = 2^14 with e >= 2 and w a multiple
+    of 8, so there are at most 386 keys, each value of at most w e <=
+    2^14 / w <= 2,048 bits, and Horner takes at most e <= 256 steps on
+    values that small (_packed avoids it on long polynomials)."""
+    value = 0
+    for c in reversed(_cyclo_coeffs(e)):
+        value = (value << w) + c
+    return value
 
 
 def _vanishes_reduced(coeffs, packed, e: int) -> bool:

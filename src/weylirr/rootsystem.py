@@ -261,9 +261,14 @@ class RootSystem(Frozen):
     def zero_weight(self) -> Weight:
         return (0,) * self.rank
 
+    def _is_node(self, i) -> bool:
+        """Whether i is an int in 1..rank, a bool or a float refused: the
+        one statement of the node range, which every node check reads."""
+        return type(i) is int and 1 <= i <= self.rank
+
     def _check_node(self, i) -> None:
-        """Refuse i unless it is an int in 1..rank (a bool is refused)."""
-        if type(i) is not int or not 1 <= i <= self.rank:
+        """Refuse i unless it is a node (_is_node)."""
+        if not self._is_node(i):
             raise ValueError(
                 f"node: index {i!r} out of range for {self.name}")
 
@@ -377,16 +382,16 @@ class RootSystem(Frozen):
     def levi_subsystem(self, J):
         """Split the subdiagram on J into relabeled irreducible components.
 
-        The nodes are checked first, each of type int (a bool is refused
-        as it is by _check_node), then the answer is looked up by the
-        sorted node set, so an order or a repeat in J does not matter and
-        each set is split (and each piece retyped) once per instance.
+        The nodes are checked first, each by _is_node, then the answer is
+        looked up by the sorted node set, so an order or a repeat in J does
+        not matter and each set is split (and each piece retyped) once per
+        instance.
         """
         J = list(J)
         if not J:
             raise ValueError("nodes: empty")
         for i in J:
-            if type(i) is not int or not 1 <= i <= self.rank:
+            if not self._is_node(i):
                 raise ValueError(
                     f"nodes: {i!r} is not a node of {self.name}")
         key = tuple(sorted(set(J)))
@@ -497,7 +502,10 @@ def _is_int_text(text: str, signed: bool = False) -> bool:
 
 
 def parse_type(text: str, rank=None) -> RootSystem:
-    """Accepts 'E8' or a bare letter combined with an explicit rank."""
+    """Accepts 'E8' or a bare letter combined with an explicit rank,
+    which is None or of type int (a bool, a float or a str is refused)."""
+    if rank is not None and type(rank) is not int:
+        raise ValueError(f"rank: {rank!r} is not an integer")
     t = text.strip().upper()
     if not t or t[0] not in _ADMISSIBLE:
         raise ValueError(f"type: unknown root-system type {text!r}")
@@ -509,11 +517,11 @@ def parse_type(text: str, rank=None) -> RootSystem:
         rank = int(t[1:])
     if rank is None:
         raise ValueError(f"type: rank required with bare letter {text!r}")
-    if int(rank) > MAX_RANK:
+    if rank > MAX_RANK:
         raise ValueError(
             f"rank: {t[0]}{rank} is above the rank limit {MAX_RANK}")
     try:
-        return build(t[0], int(rank))
+        return build(t[0], rank)
     except ValueError:
         raise ValueError(f"rank: no root system {t[0]}{rank}") from None
 

@@ -1,6 +1,7 @@
 """Witness search, trace replay, and the global decision path."""
 
 import ast
+import re
 from collections import Counter
 from functools import lru_cache
 from itertools import product
@@ -1001,3 +1002,66 @@ class TestDecompositionMemo:
             decision = classify_global(e7, lam)
             trace_json(e7, lam, decision.trace)
             assert calls == expected
+
+
+# site -> (call at node i of rs, exception type, message): the four checks
+# of a node, each with its own exception and message, and all reading
+# RootSystem._is_node
+_NODE_SITES = {
+    "fundamental": (lambda rs, i: rs.fundamental(i), ValueError,
+                    "node: index {node!r} out of range for {name}"),
+    "levi_subsystem": (lambda rs, i: rs.levi_subsystem([i]), ValueError,
+                       "nodes: {node!r} is not a node of {name}"),
+    "sl2_node": (lambda rs, i: Sl2Node(i, 4).replay(rs, (1, 0, 0), 1),
+                 TraceError, "node {node!r} out of range for {name}"),
+    "levi_descent": (
+        lambda rs, i: LeviDescent((i,), "A1", 1, (1,)).replay(
+            rs, (1, 0, 0), 1),
+        TraceError, "descent nodes invalid for {name}"),
+}
+
+
+@pytest.mark.parametrize("node", [True, 1.0, "1", 0, 4],
+                         ids=["True", "1.0", "str", "0", "rank+1"])
+@pytest.mark.parametrize("site", _NODE_SITES)
+def test_every_node_site_refuses_what_is_not_a_node(site, node):
+    call, error, message = _NODE_SITES[site]
+    rs = build("A", 3)
+    message = message.format(node=node, name=rs.name)
+    with pytest.raises(error, match=f"^{re.escape(message)}$") as info:
+        call(rs, node)
+    assert type(info.value) is error
+    call(rs, 1)  # node 1 passes every check
+
+
+def test_the_node_rule_is_written_once():
+    nodes = scoped_nodes(package_sources())
+    # 1 <= i <= rank, in any spelling that compares 1 with a .rank
+    ranges = [scope for scope, node in nodes if isinstance(node, ast.Compare)
+              and isinstance(node.left, ast.Constant) and node.left.value == 1
+              and any(isinstance(c, ast.Attribute) and c.attr == "rank"
+                      for c in node.comparators)]
+    assert ranges == ["rootsystem.RootSystem._is_node"]
+    readers = sorted(scope for scope, node in nodes
+                     if isinstance(node, ast.Attribute)
+                     and node.attr == "_is_node")
+    assert readers == ["classifier.LeviDescent.replay",
+                       "classifier._check_node",
+                       "rootsystem.RootSystem._check_node",
+                       "rootsystem.RootSystem.levi_subsystem"]
+
+    def template(node):  # an f-string with each field written {}
+        return "".join(part.value if isinstance(part, ast.Constant)
+                       else "{}" for part in node.values)
+
+    for message, scope in [
+            ("node: index {} out of range for {}",
+             "rootsystem.RootSystem._check_node"),
+            ("nodes: {} is not a node of {}",
+             "rootsystem.RootSystem.levi_subsystem"),
+            ("node {} out of range for {}", "classifier._check_node"),
+            ("descent nodes invalid for {}", "classifier.LeviDescent.replay"),
+    ]:
+        assert [where for where, node in nodes
+                if isinstance(node, ast.JoinedStr)
+                and template(node) == message] == [scope], message

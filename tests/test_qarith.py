@@ -106,6 +106,26 @@ class TestLaurentPoly:
     def test_shift(self):
         assert ONE.shift(3) == LaurentPoly({3: 1})
         assert qint(2).shift(-1) == LaurentPoly({0: 1, -2: 1})
+        # 0.5 once gave float exponents, and True shifted by 1
+        for k in (0.5, True, 1.0, "1"):
+            with pytest.raises(
+                    ValueError,
+                    match="^exponents and coefficients must be ints$"):
+                qint(2).shift(k)
+
+    def test_a_bool_is_not_an_int_operand(self):
+        # qint(3) + True once gave q^2 + 2 + q^-2, and qint(1) == True held
+        p = qint(3)
+        for op in (lambda: p + True, lambda: True + p, lambda: p - True,
+                   lambda: True - p, lambda: p * True, lambda: True * p):
+            with pytest.raises(TypeError):
+                op()
+        assert (qint(1) == True) is False  # noqa: E712
+        assert (qint(1) != True) is True  # noqa: E712
+        assert qint(1) == 1 and p + 1 == 1 + p
+        with pytest.raises(TypeError,
+                           match="^divisor must be a LaurentPoly or int$"):
+            p.exact_div(True)
 
     def test_evaluate(self):
         assert qint(3).evaluate(2) == Fraction(21, 4)
@@ -677,10 +697,16 @@ class TestVanishing:
             assert bool(folds) is folded, e
 
     def test_cyclo_value_is_the_cyclotomic_polynomial_at_two_to_the_w(self):
-        for e in range(1, 301):
-            phi = cyclotomic(e)
-            for w in (8, 16, 24):
-                assert _cyclo_value(e, w) == phi.evaluate(2 ** w), (e, w)
+        # every key the value exit can ask for: e >= 2, w a multiple of 8
+        # that _packed gives a value at, and w (w e) <= _VALUE_EXIT_COST
+        cost = qarith._VALUE_EXIT_COST
+        keys = [(e, w) for w in range(8, 128, 8)
+                if qarith._packed((1 << w - 2,))[1] is not None
+                for e in range(2, cost // (w * w) + 1)]
+        assert len(keys) == 386 and max(w for _, w in keys) == 88
+        for e, w in keys:
+            value = cyclotomic(e).evaluate(2 ** w)
+            assert _cyclo_value(e, w) == value, (e, w)
 
     def test_cyclo_values_are_built_once_inside_the_exit_bound(
             self, monkeypatch):
@@ -842,7 +868,8 @@ _CACHES = {
     "weylmods.det_short_matrix",  # alpha0 search and adjoint leaf replays
     "qarith._prime_factors",  # verify-paper factors the same few orders
     # the value exit asks verify-paper's 74 pairs (e, w) about 35,000
-    # times; its bound w (w e) <= 2^14 keeps the table to 397 small values
+    # times; its bound w (w e) <= 2^14 with e >= 2 keeps the table to 386
+    # values, each read from _cyclo_coeffs by Horner
     "qarith._cyclo_value",
 }
 
@@ -890,6 +917,21 @@ def test_the_gaussian_index_rule_is_written_once():
     assert not any(isinstance(node, (ast.If, ast.IfExp))
                    or isinstance(node, ast.comprehension) and node.ifs
                    for node in ast.walk(fold))
+
+
+def test_the_cyclotomic_polynomial_is_built_one_way():
+    # _cyclo_coeffs builds Phi_e; cyclotomic and the value exit read it
+    nodes = scoped_nodes(package_sources())
+    calls = {}
+    for scope, node in nodes:
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Name):
+            calls.setdefault(scope, set()).add(node.func.id)
+    assert sorted(scope for scope, names in calls.items()
+                  if "_cyclo_coeffs" in names) == [
+        "qarith._cyclo_value", "qarith.cyclotomic"]
+    # and nothing else: no product over the divisors of rad(e)
+    assert calls["qarith._cyclo_value"] == {
+        "lru_cache", "reversed", "_cyclo_coeffs"}
 
 
 def test_the_order_rule_is_written_once_and_every_cache_is_named():

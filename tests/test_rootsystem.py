@@ -685,6 +685,14 @@ class TestParsing:
             with pytest.raises(ValueError, match="^rank: "):
                 parse_type(text, rank)
 
+    @pytest.mark.parametrize("text", ["A", "A3"])
+    @pytest.mark.parametrize("rank", [2.7, True, "3", 3.0])
+    def test_parse_type_refuses_a_rank_that_is_not_an_int(self, text, rank):
+        # 2.7 once gave A2, True A1 and "3" A3
+        message = f"rank: {rank!r} is not an integer"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            parse_type(text, rank)
+
     def test_parse_weight(self):
         assert parse_weight("0,0,1", 3) == (0, 0, 1)
         assert parse_weight("0", 5) == (0, 0, 0, 0, 0)
