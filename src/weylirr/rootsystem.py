@@ -82,9 +82,7 @@ def _diagram(kind: str, rank: int):
     if kind == "C":
         return chain, (1,) * (rank - 1) + (2,)
     if kind == "D":
-        edges = [(i, i + 1) for i in range(1, rank - 1)]
-        edges.append((rank - 2, rank))
-        return edges, (1,) * rank
+        return chain[:-1] + [(rank - 2, rank)], (1,) * rank
     if kind == "E":
         edges = [(1, 3), (3, 4), (4, 5), (5, 6), (2, 4)]
         edges += [(i, i + 1) for i in range(6, rank)]
@@ -256,6 +254,7 @@ class RootSystem(Frozen):
         return f"RootSystem({self.name})"
 
     def neighbors(self, i: int):
+        self._check_node(i)
         return self._neighbors[i]
 
     def zero_weight(self) -> Weight:

@@ -1004,12 +1004,14 @@ class TestDecompositionMemo:
             assert calls == expected
 
 
-# site -> (call at node i of rs, exception type, message): the four checks
-# of a node, each with its own exception and message, and all reading
-# RootSystem._is_node
+# site -> (call at node i of rs, exception type, message): the node reads,
+# each with its check's own exception and message, and all reading
+# RootSystem._is_node (neighbors through RootSystem._check_node)
 _NODE_SITES = {
     "fundamental": (lambda rs, i: rs.fundamental(i), ValueError,
                     "node: index {node!r} out of range for {name}"),
+    "neighbors": (lambda rs, i: rs.neighbors(i), ValueError,
+                  "node: index {node!r} out of range for {name}"),
     "levi_subsystem": (lambda rs, i: rs.levi_subsystem([i]), ValueError,
                        "nodes: {node!r} is not a node of {name}"),
     "sl2_node": (lambda rs, i: Sl2Node(i, 4).replay(rs, (1, 0, 0), 1),

@@ -700,11 +700,13 @@ class TestVanishing:
         # every key the value exit can ask for: e >= 2, w a multiple of 8
         # that _packed gives a value at, and w (w e) <= _VALUE_EXIT_COST
         cost = qarith._VALUE_EXIT_COST
-        keys = [(e, w) for w in range(8, 128, 8)
-                if qarith._packed((1 << w - 2,))[1] is not None
-                for e in range(2, cost // (w * w) + 1)]
-        assert len(keys) == 386 and max(w for _, w in keys) == 88
-        for e, w in keys:
+        reachable = {(e, w) for w in range(8, 128, 8)
+                     if qarith._packed((1 << w - 2,))[1] is not None
+                     for e in range(2, cost // (w * w) + 1)}
+        assert len(reachable) == 386 and max(w for _, w in reachable) == 88
+        # and beyond them, e in 1..300 at w in {8, 16, 24}
+        wide = {(e, w) for e in range(1, 301) for w in (8, 16, 24)}
+        for e, w in sorted(reachable | wide):
             value = cyclotomic(e).evaluate(2 ** w)
             assert _cyclo_value(e, w) == value, (e, w)
 
