@@ -12,11 +12,12 @@ recurses.  Two tables of integers are: _prime_factors keeps the distinct
 primes of each n it is asked for, since verify-paper factors the same few
 orders in tens of thousands of vanishing tests, and _cyclo_value keeps
 cyclotomic(e) at 2^w for the value exit below, which verify-paper asks
-for about 35,000 times over 74 pairs (e, w).  The exit's bound w w e <=
-2^14, with e >= 2 and w a multiple of 8, keeps that table to at most
-386 values of at most 2,048 bits each.  The cyclotomic polynomial is
-built one way, prime by prime in _cyclo_coeffs: cyclotomic returns its
-coefficients, and _cyclo_value evaluates them at 2^w by integer Horner.
+for about 35,000 times over 75 pairs (e, w).  The digit width w is 2, 4
+or a multiple of 8, and the exit's bound v v e <= 2^14, with v = max(w,
+8) and e >= 2, keeps that table to at most 896 values of at most 2,048
+bits each.  The cyclotomic polynomial is built one way, prime by prime
+in _cyclo_coeffs: cyclotomic returns its coefficients, and _cyclo_value
+evaluates them at 2^w by integer Horner.
 The values stored are per polynomial: the first time p is tested,
 vanishes_at keeps its q^2 reduction of p in p itself, so the tests of p
 at later orders skip that scan, with its value at a power of two and the
@@ -34,7 +35,8 @@ tests g at the square of the root instead, on half the coefficients.
 Most orders are then ruled out by one integer remainder: cyclotomic(e)
 is monic, so if it divides g, then cyclotomic(e)(B) divides g(B) for
 every integer B, and a nonzero remainder of g(2^w) modulo
-cyclotomic(e)(2^w) proves that g does not vanish.  A zero remainder
+cyclotomic(e)(2^w) proves that g does not vanish (w is as narrow as the
+coefficients allow, 2 for a quantum integer).  A zero remainder
 proves nothing, so a True answer still comes from the fold: it folds
 modulo q^e - 1, one strided sum per residue class, and asks whether the
 folded coefficients, after one coset-sum step per prime factor of e but
@@ -93,8 +95,8 @@ class LaurentPoly(Frozen):
     remains, g(2^w) is its value at the power of two whose w-bit digits
     hold every coefficient (the integer the value exit divides), and
     answers maps each reduced order e' = e / gcd(e, 2^h) tested so far to
-    its bool; it is unset until then.  The value takes about w/8 bytes
-    per coefficient of g.  The dict is unbounded: it grows by one entry
+    its bool; it is unset until then.  The value takes w bits per
+    coefficient of g.  The dict is unbounded: it grows by one entry
     per distinct e' a caller asks about, so a polynomial tested at n
     orders holds at most n answers.
     """
@@ -162,7 +164,11 @@ class LaurentPoly(Frozen):
         return self._low == other._low and self._coeffs == other._coeffs
 
     def __hash__(self) -> int:
-        return hash((self._low, self._coeffs))
+        # a constant hashes as the int it equals, ZERO as 0
+        low, coeffs = self._low, self._coeffs
+        if not low and len(coeffs) <= 1:
+            return hash(sum(coeffs))
+        return hash((low, coeffs))
 
     def __neg__(self) -> "LaurentPoly":
         return _canon(self._low, tuple(map(neg, self._coeffs)))
@@ -395,8 +401,8 @@ def qbinom(n: int, m: int) -> LaurentPoly:
     for j in range(1, k + 1):
         up = rest + j
         # multiply by x^up - 1
-        prod = [-c for c in coeffs] + [0] * up
-        prod[up:] = [a + c for a, c in zip(prod[up:], coeffs)]
+        prod = list(map(neg, coeffs)) + [0] * up
+        prod[up:] = map(add, prod[up:], coeffs)
         try:
             coeffs = _dense_exact_div(prod, (-1,) + (0,) * (j - 1) + (1,))
         except ExactDivisionError as exc:
@@ -435,7 +441,9 @@ def euler_phi(n: int) -> int:
 
 
 def _dense_exact_div(num: list[int], den: tuple[int, ...]) -> list[int]:
-    # Ascending coefficient lists; den is monic.
+    # Ascending coefficient lists; den is monic.  Step k reads slot k + dn,
+    # the quotient's x^k coefficient, and updates only slots below it, so
+    # the quotient stays in the high slots and the remainder is the low dn
     dn = len(den) - 1
     sn = len(num) - 1
     while sn >= 0 and num[sn] == 0:
@@ -444,18 +452,16 @@ def _dense_exact_div(num: list[int], den: tuple[int, ...]) -> list[int]:
         return [0]
     if sn < dn:
         raise ExactDivisionError("numerator degree too small")
-    terms = [(idx, dc) for idx, dc in enumerate(den) if dc]
+    terms = [(idx, dc) for idx, dc in enumerate(den[:dn]) if dc]
     rem = num[: sn + 1]
-    quot = [0] * (sn - dn + 1)
     for k in range(sn - dn, -1, -1):
         c = rem[k + dn]
         if c:
-            quot[k] = c
             for idx, dc in terms:
                 rem[k + idx] -= c * dc
-    if any(rem):
+    if any(rem[:dn]):
         raise ExactDivisionError("division left a remainder")
-    return quot
+    return rem[dn:]
 
 
 def _cyclo_coeffs(n: int) -> tuple[int, ...]:
@@ -571,22 +577,22 @@ def vanishes_at(p: LaurentPoly, spec: SpecOrder) -> bool:
     takes O(span) steps.  Then span < e and span < phi(e) returns False.
 
     Value exit.  Let g be the reduced tuple, e' the reduced order and
-    B = 2^w, w the least multiple of 8 with every |g_j| < 2^(w-1).
-    cyclotomic(e') is monic, so if it divides g in Q[x], then g =
-    cyclotomic(e') k with k in Z[x], and cyclotomic(e')(B) >= 1 divides
-    g(B).  A nonzero g(B) mod cyclotomic(e')(B) returns False, exactly; a
-    zero one proves nothing, so True still comes only from the steps
-    below.  g(B) is packed once, on the first test of p, by _packed in
-    linear time (Horner's rule would be quadratic on the rank-3000
-    determinants and large Gaussian binomials), and kept in the slot;
-    cyclotomic(e')(B) is built once per (e', w) by _cyclo_value, from
-    the coefficients of cyclotomic(e'), and cached; the bound below
-    keeps that table small.  The remainder costs about len(g) w (w e')
-    bit steps and the fold about len(g) additions, so the exit runs
-    only while w (w e') <= _VALUE_EXIT_COST = 2^14, past
-    which it was measured slower than the fold: orders up to 256 for
-    one-byte coefficients, every order verify-paper's identity suite
-    asks.
+    B = 2^w, w the least of 2, 4 and the multiples of 8 with every |g_j|
+    < 2^(w-1), so w = 2 for the quantum integers.  cyclotomic(e') is
+    monic, so if it divides g in Q[x], then g = cyclotomic(e') k with k
+    in Z[x], and cyclotomic(e')(B) >= 1 divides g(B) for any B >= 2.  A
+    nonzero g(B) mod cyclotomic(e')(B) returns False, exactly; a zero one
+    proves nothing, so True still comes only from the steps below.  g(B)
+    is packed once, on the first test of p, by _packed in linear time
+    (Horner's rule would be quadratic on the rank-3000 determinants and
+    large Gaussian binomials), and kept in the slot; cyclotomic(e')(B) is
+    built once per (e', w) by _cyclo_value, from the coefficients of
+    cyclotomic(e'), and cached; the bound below keeps that table small.
+    The remainder costs about len(g) w (w e') bit steps and the fold about
+    len(g) additions, so the exit runs only while v (v e') <=
+    _VALUE_EXIT_COST = 2^14 with v = max(w, 8), past which it was measured
+    slower than the fold: orders up to 256 for coefficients of at most one
+    byte, every order verify-paper's identity suite asks.
 
     Fold.  Reducing modulo q^e - 1 moves no e-th root of unity, so p(z^k)
     = F(k) = sum_i f[i] z^(ki) for every k, where f[i] is the sum of the
@@ -638,22 +644,26 @@ def vanishes_at(p: LaurentPoly, spec: SpecOrder) -> bool:
 
 
 def _packed(coeffs) -> tuple[int, int | None]:
-    """(w, g(2^w)) for g(x) = sum of coeffs[j] x^j, with w the least
-    multiple of 8 such that every |coeffs[j]| < 2^(w - 1).  Offset by
-    2^(w - 1), each coefficient is one base-2^w digit in 1..2^w - 1, so
-    int.from_bytes reads the value in linear time, and the offsets, a
-    0x80 top byte in every digit, come off the same way.  The value is
-    None when w is too wide for the value exit to run at any order e >= 2
-    (e = 1 is settled before it)."""
-    k = (max(map(abs, coeffs)).bit_length() + 8) // 8  # bytes per digit
-    if 2 * (8 * k) ** 2 > _VALUE_EXIT_COST:
-        return 8 * k, None
-    offset = 1 << (8 * k - 1)
-    digits = b"".join(map(int.to_bytes, map(offset.__add__, coeffs),
-                          repeat(k), repeat("little")))
-    offsets = (bytes(k - 1) + b"\x80") * len(coeffs)
-    return 8 * k, (int.from_bytes(digits, "little")
-                   - int.from_bytes(offsets, "little"))
+    """(w, g(2^w)) for g(x) = sum of coeffs[j] x^j, with w the least of
+    2, 4 and the multiples of 8 such that every |coeffs[j]| < 2^(w - 1).
+    Offset by 2^(w - 1), each coefficient is one base-2^w digit, read in
+    linear time: as one hex character at w < 8 (int in a power-of-two
+    base is linear and has no digit limit), as w/8 bytes otherwise.  The
+    value is None when w is too wide for the value exit to run at any
+    order e >= 2 (e = 1 is settled before it)."""
+    top = max(map(abs, coeffs))
+    w = 2 if top < 2 else 4 if top < 8 else (top.bit_length() + 8) // 8 * 8
+    if 2 * w * w > _VALUE_EXIT_COST:
+        return w, None
+    offset = 1 << (w - 1)
+    if w < 8:
+        value = int(bytes(map(offset.__add__, reversed(coeffs))).hex()[1::2],
+                    1 << w)
+    else:
+        value = int.from_bytes(b"".join(map(
+            int.to_bytes, map(offset.__add__, coeffs), repeat(w // 8),
+            repeat("little"))), "little")
+    return w, value - offset * ((1 << w * len(coeffs)) - 1) // ((1 << w) - 1)
 
 
 @lru_cache(maxsize=None)
@@ -661,10 +671,11 @@ def _cyclo_value(e: int, w: int) -> int:
     """cyclotomic(e) at 2^w: the coefficients of _cyclo_coeffs(e), from
     the top, by integer Horner, so the exit divides by the polynomial
     that cyclotomic(e) returns.  Cached: the value exit asks for it only
-    while w w e <= _VALUE_EXIT_COST = 2^14 with e >= 2 and w a multiple
-    of 8, so there are at most 386 keys, each value of at most w e <=
-    2^14 / w <= 2,048 bits, and Horner takes at most e <= 256 steps on
-    values that small (_packed avoids it on long polynomials)."""
+    while v v e <= _VALUE_EXIT_COST = 2^14 with v = max(w, 8), e >= 2 and
+    w = 2, 4 or a multiple of 8, so there are at most 896 keys (386 with
+    w >= 8, and 255 each at w = 2 and w = 4), each value of at most w e
+    <= 2^14 / v <= 2,048 bits, and Horner takes at most e <= 256 steps
+    on values that small (_packed avoids it on long polynomials)."""
     value = 0
     for c in reversed(_cyclo_coeffs(e)):
         value = (value << w) + c
@@ -683,7 +694,8 @@ def _vanishes_reduced(coeffs, packed, e: int) -> bool:
     if e == 1:
         return sum(coeffs) == 0
     w, value = packed
-    if w * w * e <= _VALUE_EXIT_COST and value % _cyclo_value(e, w):
+    bound = max(w, 8)  # narrow digits exit at the orders w = 8 does
+    if bound * bound * e <= _VALUE_EXIT_COST and value % _cyclo_value(e, w):
         return False
     f = _fold(coeffs, e)
     *others, last = _prime_factors(e)

@@ -23,7 +23,8 @@ bonds, the symmetrizers, the highest short root alpha0 with its weight,
 and the minuscule nodes.  alpha0 is found by a walk to dominance, not by
 enumerating roots.  Its coroot is the highest coroot, so w_i is minuscule
 exactly when <w_i, alpha0^vee> = c_i d_i is 1.  The positive-root closure
-is computed on first use, by Weyl dimensions, and cached on the instance.
+is computed on first use, by Weyl dimensions, and cached on the instance;
+each root carries its simple-coroot pairings, updated incrementally.
 
 levi_subsystem is a pure function of the system and a node set, so each
 instance keeps its answers in a memo keyed by the sorted node set; the
@@ -201,23 +202,31 @@ class RootSystem(Frozen):
         # some k > 0 with a simple alpha_i, and s_i of it is a lower
         # positive root b with <b, alpha_i^vee> = -k; so adding
         # b - <b, alpha_i^vee> alpha_i wherever the pairing is negative,
-        # from the simple roots up, reaches every positive root
-        n = self.rank
-        simple = [tuple(int(j == i) for j in range(n)) for i in range(n)]
-        found = set(simple)
-        todo = simple
+        # from the simple roots up, reaches every positive root.  Each root
+        # waiting in todo carries its pairings with alpha_1^vee, ...,
+        # alpha_n^vee (column i of the Cartan matrix for alpha_i); adding
+        # k alpha_i adds k a_ji to entry j, so only i and its neighbours
+        # change.  found keeps each root's squared length, read from them
+        bond, nbrs, symm = self._bond, self._neighbors, self.symm
+        nodes = range(1, self.rank + 1)
+        todo = [(tuple(int(j == i) for j in nodes),
+                 [self.cartan(j, i) for j in nodes]) for i in nodes]
+        found = {b: sum(map(prod, zip(b, symm, pairs))) for b, pairs in todo}
         while todo:
-            b = todo.pop()
-            for i in range(n):
-                k = self.root_pairing(b, i + 1)
+            b, pairs = todo.pop()
+            for i, k in enumerate(pairs, 1):
                 if k < 0:
-                    up = b[:i] + (b[i] - k,) + b[i + 1:]
+                    up = b[:i - 1] + (b[i - 1] - k,) + b[i:]
                     if up not in found:
-                        found.add(up)
-                        todo.append(up)
+                        new = pairs.copy()
+                        new[i - 1] = -k
+                        for j in nbrs[i]:
+                            new[j - 1] -= k * bond[j, i]
+                        found[up] = sum(map(prod, zip(up, symm, new)))
+                        todo.append((up, new))
         roots = []
         for coords in sorted(found, key=lambda c: (sum(c), c)):
-            norm = self._root_norm(coords)
+            norm = found[coords]
             if norm % 2 or norm // 2 not in (1, 2, 3):
                 raise InternalCheckError(
                     f"{self.name}: root norm {norm} out of range")

@@ -6,6 +6,7 @@ import random
 import time
 from fractions import Fraction
 from functools import lru_cache
+from operator import add
 
 import pytest
 from hypothesis import assume, example, given, settings
@@ -59,6 +60,17 @@ class TestLaurentPoly:
         assert LaurentPoly({0: 5}) == 5
         assert ZERO == 0
         assert LaurentPoly({1: 1}) != 1
+
+    def test_hash_agrees_with_equality_with_integers(self):
+        # a constant hashes as the int it equals, so a set or a dict key
+        # does not hold a polynomial and its equal int apart
+        assert len({qint(1), 1}) == 1
+        assert hash(LaurentPoly({0: -3})) == hash(-3)
+        assert hash(ZERO) == hash(0) == 0
+        for c in (1, -1, 2, -2, 10 ** 30, -(2 ** 61)):
+            assert LaurentPoly({0: c}) == c
+            assert hash(LaurentPoly({0: c})) == hash(c)
+        assert {qint(2) - qint(2): "zero"}[0] == "zero"
 
     def test_degree_and_valuation(self):
         p = LaurentPoly({3: 1, -2: 4})
@@ -165,6 +177,51 @@ class TestLaurentPoly:
         if lead not in (1, -1):
             b = b + LaurentPoly({b.degree + 1: 1})
         assert (a * b).exact_div(b) == a
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.integers(-50, 50), min_size=1, max_size=30)
+           .filter(lambda q: q[-1]),
+           st.lists(st.integers(-5, 5), max_size=12))
+    @example([1], [])
+    @example([4, -2], [])
+    @example([3, 0, -2], [0, 0, 0])
+    def test_dense_exact_div_inverts_multiplication(self, quot, den):
+        # den is monic: its drawn coefficients and a lead 1
+        den = tuple(den) + (1,)
+        num = [0] * (len(quot) + len(den) - 1)
+        for i, a in enumerate(quot):
+            for j, b in enumerate(den):
+                num[i + j] += a * b
+        before = list(num)
+        assert _dense_exact_div(num, den) == quot
+        assert num == before
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.integers(-50, 50), min_size=1, max_size=30)
+           .filter(lambda q: q[-1]),
+           st.lists(st.integers(-5, 5), min_size=1, max_size=12),
+           st.data())
+    @example([1], [-1], None)
+    @example([1, 1], [0, 0, 0], None)
+    def test_dense_exact_div_refuses_a_remainder_in_the_low_slots(
+            self, quot, den, data):
+        # a nonzero remainder below the divisor's degree, added to q d,
+        # leaves every slot the quotient is read from as it was; without
+        # data, the remainder is 1 (so x^4 + x^3 + 1 over x^3 in one case)
+        den = tuple(den) + (1,)
+        dn = len(den) - 1
+        if data is None:
+            rest = [1] + [0] * (dn - 1)
+        else:
+            rest = data.draw(st.lists(st.integers(-9, 9), min_size=dn,
+                                      max_size=dn).filter(any))
+        num = [0] * (len(quot) + dn)
+        for i, a in enumerate(quot):
+            for j, b in enumerate(den):
+                num[i + j] += a * b
+        num[:dn] = map(add, num[:dn], rest)
+        with pytest.raises(ExactDivisionError, match="left a remainder"):
+            _dense_exact_div(num, den)
 
 
 class TestRepresentation:
@@ -540,6 +597,42 @@ class TestVanishing:
         assert spec.effective_order == e
         assert vanishes_at(p, spec) == _vanishes_reference(p, e)
 
+    # narrow digits: |c| <= 1 packs at w = 2 and |c| <= 7 at w = 4; at
+    # span <= 40 every order e <= 300 is reached, by the degree exits, the
+    # value exit (e <= 256, its bound read at w = 8) or the fold, and a
+    # planted cyclotomic(k) gives zeros that only the fold confirms
+    @settings(max_examples=200, deadline=None)
+    @given(st.sampled_from([1, 7]), st.booleans(), st.integers(1, 40),
+           st.integers(0, 2**32))
+    @example(1, True, 36, 0)
+    @example(7, True, 30, 1)
+    @example(1, False, 1, 2)
+    @example(7, False, 1, 3)
+    def test_narrow_digits_match_the_division_reference(self, top, planted,
+                                                        k, seed):
+        rnd = random.Random(seed)
+        if planted and euler_phi(k) < 40:
+            # one to four terms +-q^j times cyclotomic(k): its coefficients
+            # are 0 or +-1 for k < 105, so each one is at most 4
+            room = 40 - euler_phi(k)
+            base = LaurentPoly([(rnd.randint(0, room), rnd.choice((1, -1)))
+                                for _ in range(1 if top == 1 else 4)])
+            p = base * cyclotomic(k)
+            assume(p and max(map(abs, p.terms().values())) <= top)
+        else:
+            n = rnd.randint(1, 41)
+            p = LaurentPoly([(j, rnd.randint(-top, top)) for j in range(n)])
+            assume(p)
+        p = p.shift(rnd.randint(-5, 5))
+        assert p.degree - p.valuation <= 40
+        for e in range(1, 301):
+            spec = SpecOrder(e)
+            assert vanishes_at(p, spec) == _vanishes_reference(p, e), (p, e)
+            assert vanishes_at(LaurentPoly(p.terms()), spec) \
+                == vanishes_at(p, spec)
+        width = p._reduced[2][0]
+        assert width == (2 if max(map(abs, p._coeffs)) <= 1 else 4)
+
     def test_vanishes_at_each_order_of_a_cyclotomic_product(self):
         # cyclotomic(a) * cyclotomic(b) vanishes at orders a and b only
         for a, b in ((64, 81), (30, 125), (60, 210), (4, 420), (2310, 1)):
@@ -697,13 +790,17 @@ class TestVanishing:
             assert bool(folds) is folded, e
 
     def test_cyclo_value_is_the_cyclotomic_polynomial_at_two_to_the_w(self):
-        # every key the value exit can ask for: e >= 2, w a multiple of 8
-        # that _packed gives a value at, and w (w e) <= _VALUE_EXIT_COST
+        # every key the value exit can ask for: e >= 2, w = 2, 4 or a
+        # multiple of 8 that _packed gives a value at, and v (v e) <=
+        # _VALUE_EXIT_COST with v = max(w, 8)
         cost = qarith._VALUE_EXIT_COST
-        reachable = {(e, w) for w in range(8, 128, 8)
+        widths = [2, 4] + list(range(8, 128, 8))
+        assert [qarith._packed((1 << w - 2,))[0] for w in widths] == widths
+        reachable = {(e, w) for w in widths
                      if qarith._packed((1 << w - 2,))[1] is not None
-                     for e in range(2, cost // (w * w) + 1)}
-        assert len(reachable) == 386 and max(w for _, w in reachable) == 88
+                     for e in range(2, cost // max(w, 8) ** 2 + 1)}
+        assert len(reachable) == 386 + 2 * 255 == 896
+        assert max(w for _, w in reachable) == 88
         # and beyond them, e in 1..300 at w in {8, 16, 24}
         wide = {(e, w) for e in range(1, 301) for w in (8, 16, 24)}
         for e, w in sorted(reachable | wide):
@@ -730,12 +827,16 @@ class TestVanishing:
         assert _cyclo_value.cache_info().misses == len(keys)
 
     @pytest.mark.parametrize("coeffs, w", [
-        ((1,), 8), ((-1, 0, 1), 8), ((127, -127), 8), ((-128, 5), 16),
+        ((1,), 2), ((-1, 0, 1), 2), ((127, -127), 8), ((-128, 5), 16),
         ((128, 0, -127), 16), ((32767, -32767), 16), ((-32768,), 24),
         ((1, 32768, -1), 24), ((2 ** 40, -3), 48),
+        ((0, 1, -1, 1), 2), ((2,), 4), ((-2, 1, 0, 1), 4), ((7,), 4),
+        ((-7, 0, 7, -1), 4), ((8,), 8), ((-8, 7, -1), 8), ((5,) * 300, 4),
+        ((1, -1) * 150, 2),
     ])
     def test_packed_value_at_the_byte_boundaries(self, coeffs, w):
-        # |c| < 2^(w-1) for every c, in the fewest whole bytes
+        # |c| < 2^(w-1) for every c, with w = 2, w = 4 or the fewest
+        # whole bytes
         assert qarith._packed(coeffs) == (
             w, sum(c << w * j for j, c in enumerate(coeffs)))
 
@@ -869,9 +970,9 @@ _CACHES = {
     "rootsystem.RootSystem._levi_memo",  # a descent's replay asks again
     "weylmods.det_short_matrix",  # alpha0 search and adjoint leaf replays
     "qarith._prime_factors",  # verify-paper factors the same few orders
-    # the value exit asks verify-paper's 74 pairs (e, w) about 35,000
-    # times; its bound w (w e) <= 2^14 with e >= 2 keeps the table to 386
-    # values, each read from _cyclo_coeffs by Horner
+    # the value exit asks verify-paper's 75 pairs (e, w) about 35,000
+    # times; its bound v (v e) <= 2^14 with v = max(w, 8) and e >= 2 keeps
+    # the table to 896 values, each read from _cyclo_coeffs by Horner
     "qarith._cyclo_value",
 }
 

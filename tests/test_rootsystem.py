@@ -78,17 +78,54 @@ def coxeter(rs):
     return 1 + sum(b * d for b, d in zip(rs.alpha0.coords, rs.symm))
 
 
+# the number of positive roots of each type, in closed form
+_ROOT_COUNTS = {"A": lambda n: n * (n + 1) // 2,
+                "B": lambda n: n * n,
+                "C": lambda n: n * n,
+                "D": lambda n: n * (n - 1),
+                "E": lambda n: {6: 36, 7: 63, 8: 120}[n],
+                "F": lambda n: 24,
+                "G": lambda n: 6}
+
+
 class TestConstruction:
     def test_positive_root_counts(self):
-        expected = {"A": lambda n: n * (n + 1) // 2,
-                    "B": lambda n: n * n,
-                    "C": lambda n: n * n,
-                    "D": lambda n: n * (n - 1),
-                    "E": lambda n: {6: 36, 7: 63, 8: 120}[n],
-                    "F": lambda n: 24,
-                    "G": lambda n: 6}
         for rs in systems(12):
-            assert len(rs.positive_roots) == expected[rs.kind](rs.rank), rs.name
+            assert len(rs.positive_roots) == _ROOT_COUNTS[rs.kind](rs.rank), \
+                rs.name
+
+    def test_positive_roots_match_the_pairing_closure(self):
+        # positive_roots carries each root's coroot pairings along; the
+        # reference recomputes every pairing with root_pairing and every
+        # squared length from the pairings, on fresh instances
+        def reference(rs):
+            n = rs.rank
+            simple = [tuple(int(j == i) for j in range(n)) for i in range(n)]
+            found, todo = set(simple), list(simple)
+            while todo:
+                b = todo.pop()
+                for i in range(1, n + 1):
+                    k = rs.root_pairing(b, i)
+                    if k < 0:
+                        up = b[:i - 1] + (b[i - 1] - k,) + b[i:]
+                        if up not in found:
+                            found.add(up)
+                            todo.append(up)
+            roots = []
+            for b in sorted(found, key=lambda c: (sum(c), c)):
+                norm = sum(c * d * rs.root_pairing(b, j)
+                           for j, (c, d) in enumerate(zip(b, rs.symm), 1))
+                roots.append(rootsystem.Root(b, norm // 2))
+            return tuple(roots)
+
+        cases = [(rs.kind, rs.rank) for rs in systems(12)]
+        cases += [("A", 20), ("B", 16), ("C", 16), ("D", 20)]
+        for kind, rank in cases:
+            rs = RootSystem(kind, rank)
+            roots = rs.positive_roots
+            assert roots == reference(rs), rs.name
+            assert len(roots) == _ROOT_COUNTS[kind](rank), rs.name
+            assert {r.d for r in roots} <= {1, 2, 3}
 
     def test_systems_match_the_per_type_construction(self):
         # the table order stated per type, not read from _ADMISSIBLE
