@@ -336,7 +336,7 @@ def _cmd_e8_certificate(args):
 
 def _cmd_verify_paper(args):
     only = None
-    if args.only:
+    if args.only is not None:
         only = [part.strip() for part in args.only.split(",") if part.strip()]
         if not only:
             raise ValueError("only: no check ids given")

@@ -197,31 +197,29 @@ def sl2_maximal_vector_oracle(lam: int, ell: int, d: int = 1) -> bool:
     Only the top s - 1 vectors below v_lam can be annihilated.  For
     j <= lam - s the power E^(s) exists on v_j, and (j+s)//s - j//s == 1
     == s//s, so [j+s, s] != 0 and E^(s) moves v_j.  The scan therefore
-    starts from the v_j with lam - s < j < lam, at most s - 1 of them:
-    the others would leave it by m = s, before their powers run out, so
-    no answer changes, and the cost of a call does not grow with lam.
+    visits only the v_j with lam - s < j < lam, at most s - 1 of them:
+    the others would be moved by m = s at the latest, so no answer
+    changes, and the cost of a call does not grow with lam.
 
-    The scan runs by power.  The v_j still pending are those on which
-    every E^(m) tried so far vanishes; for m = 1, 2, ... it drops each
-    pending j whose [j+m, m] is nonzero.  E^(m) exists on v_j only while
-    j + m <= lam, and j + m is largest for the largest pending j, so that
-    v_j is the first to run out of divided powers: once it has, it is
-    annihilated by all of them and the module is reducible.  An empty
-    list means every v_j below the top was moved.
+    The scan runs by vector.  For each v_j in that window it tries
+    m = 1, 2, ... <= lam - j and stops at the first m whose [j+m, m] is
+    nonzero; a v_j that runs out of divided powers first is annihilated
+    by all of them, and the module is reducible.  A call makes at most
+    (s - 1) + s carry tests: m = 1 already moves each v_j of the window
+    with s not dividing j + 1, fewer than s consecutive j hold at most
+    one j with s | j + 1, and that v_j has lam - j < s powers to try.
     """
     if type(lam) is not int or lam < 0:
         raise ValueError("lambda: must be a nonnegative integer")
     s = _order(ell, d)[1]
     if s == 1:
         return True
-    pending = list(range(max(0, lam - s + 1), lam))
-    m = 0
-    while pending:
-        m += 1
-        if pending[-1] + m > lam:
-            return False
-        carries = m // s
-        pending = [j for j in pending if (j + m) // s - j // s != carries]
+    for j in range(max(0, lam - s + 1), lam):
+        m = 1
+        while (j + m) // s - j // s != m // s:
+            m += 1
+            if j + m > lam:
+                return False
     return True
 
 

@@ -528,6 +528,15 @@ class TestCertificateAndVerify:
         assert "[FAIL] e8-certificate" in out
         assert "60" in out
 
+    @pytest.mark.parametrize("argv", [["--only="], ["--only", ""],
+                                      ["--only", " , "], ["--only", ","]])
+    def test_verify_empty_only_is_a_usage_error(self, capsys, argv):
+        # an empty id list is refused before any check runs, whether the
+        # value is empty or holds only commas and blanks
+        code, out, err = run(capsys, "verify-paper", *argv)
+        assert (code, out) == (2, "")
+        assert err == "error: only: no check ids given\n"
+
     def test_verify_json_is_deterministic(self, capsys):
         _, first, _ = run(capsys, "verify-paper", "--only",
                           "dimension-cross-checks", "--json")

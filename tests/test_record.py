@@ -4,7 +4,9 @@ Each record must behave like the frozen dataclass with the same fields:
 equality within one class, the hash of the field tuple, repr in field
 order, no assignment or deletion, and no instance __dict__.  Every frozen
 object, records or not, refuses assignment and deletion of each slot, and
-only _record writes a slot.
+only _record writes a slot or builds an initializer.  The positional fast
+path that a record of one to seven fields gets must build the same object,
+or raise the same message, as Record.__init__ on every kind of call.
 """
 
 import ast
@@ -112,6 +114,84 @@ class TestRecordSemantics:
                 call()
 
 
+def _bind_messages(cls, values):
+    """The five bad calls of test_keyword_construction, each with the
+    message that _bind gives it."""
+    fields, name = cls._fields, cls.__qualname__
+    n, kwargs = len(fields), dict(zip(fields, values))
+    return [
+        ((*values, values[0]), {},
+         f"{name}() takes {n} arguments but {n + 1} were given"),
+        ((), {f: v for f, v in kwargs.items() if f != fields[0]},
+         f"{name}() missing arguments: {fields[0]}"),
+        (values, {"unknown": values[0]},
+         f"{name}() got unknown argument 'unknown'"),
+        (values[:1], kwargs, f"{name}() got repeated argument {fields[0]!r}"),
+        ((), {}, f"{name}() missing arguments: {', '.join(fields)}"),
+    ]
+
+
+@pytest.mark.parametrize("width", range(1, 9))
+def test_every_width_builds_alike_on_every_path(width):
+    # throwaway records of one to eight fields, and a subclass of each
+    # that adds no slots: one to seven get a positional fast path of
+    # their own, eight keeps Record.__init__, and every kind of call must
+    # give the same object, or the same message, as Record.__init__
+    fields = tuple(f"f{i}" for i in range(width))
+
+    class Wide(Record):
+        __slots__ = _fields = fields
+
+    class Narrow(Wide):
+        __slots__ = ()
+
+    values = tuple((i, str(i)) for i in range(width))
+    for cls in (Wide, Narrow):
+        assert ("__init__" in vars(cls)) == (width <= 7)
+        reference = object.__new__(cls)
+        Record.__init__(reference, *values)
+        built = [cls(*values), cls(**dict(zip(fields, values)))]
+        built += [cls(*values[:k], **dict(zip(fields[k:], values[k:])))
+                  for k in range(1, width)]
+        for record in built:
+            assert record == reference and not record != reference
+            assert hash(record) == hash(reference) == hash(values)
+            assert repr(record) == repr(reference)
+            assert tuple(getattr(record, f) for f in fields) == values
+        for args, kwargs, message in _bind_messages(cls, values):
+            with pytest.raises(TypeError) as fast_error:
+                cls(*args, **kwargs)
+            with pytest.raises(TypeError) as slow_error:
+                Record.__init__(object.__new__(cls), *args, **kwargs)
+            assert str(fast_error.value) == str(slow_error.value) == message
+
+
+def test_a_written_init_is_kept_by_its_subclasses():
+    class Checked(Record):
+        __slots__ = _fields = ("a", "b")
+
+        def __init__(self, a, b):
+            if a > b:
+                raise ValueError("a > b")
+            Record.__init__(self, a, b)
+
+    class Twin(Checked):
+        __slots__ = ()
+
+    class Order(SpecOrder):
+        __slots__ = ()
+
+    for cls in (Checked, Twin):
+        assert cls.__init__ is Checked.__dict__["__init__"]
+        assert cls(1, 2) == cls(a=1, b=2)
+        with pytest.raises(ValueError):
+            cls(2, 1)
+    assert Order.__init__ is SpecOrder.__dict__["__init__"]
+    assert Order(6, 2).s == 3
+    with pytest.raises(ValueError, match="^d: must be 1, 2 or 3$"):
+        Order(6, 4)
+
+
 def test_spec_order_validates_in_init():
     for ell in (0, -1, 2.0, "6"):
         with pytest.raises(ValueError, match="^ell: must be a positive"):
@@ -165,3 +245,40 @@ def test_only_record_module_writes_slots():
     assert found["_record"]
     assert {name: lines for name, lines in found.items()
             if lines and name != "_record"} == {}
+
+
+def _built_initializers(tree):
+    """The lines of tree that build an initializer: an __init__ defined
+    inside a function, an assignment to an __init__ attribute, or a use
+    of a slot descriptor's __set__."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.FunctionDef):
+            yield from (inner.lineno for inner in ast.walk(node)
+                        if inner is not node
+                        and isinstance(inner, ast.FunctionDef)
+                        and inner.name == "__init__")
+        elif isinstance(node, ast.Attribute) and (
+                node.attr == "__set__" or node.attr == "__init__"
+                and isinstance(node.ctx, ast.Store)):
+            yield node.lineno
+
+
+def test_only_spec_order_writes_an_init_and_only_record_builds_one():
+    trees = {name: ast.parse(text)
+             for name, text in package_sources().items()}
+    records = [node for tree in trees.values() for node in ast.walk(tree)
+               if isinstance(node, ast.ClassDef)
+               and any(getattr(base, "id", None) == "Record"
+                       for base in node.bases)]
+    written = {node.name for node in records for item in node.body
+               if isinstance(item, ast.FunctionDef)
+               and item.name == "__init__"}
+    assert len(records) == len(SAMPLES) and written == {"SpecOrder"}
+    found = {name: sorted(set(_built_initializers(tree)))
+             for name, tree in trees.items()}
+    assert found["_record"]
+    assert {name: lines for name, lines in found.items()
+            if lines and name != "_record"} == {}
+    for cls, _, _ in SAMPLES:
+        assert (cls.__init__.__module__ == "weylirr._record") \
+            == (cls is not SpecOrder)
