@@ -11,16 +11,27 @@ Every integer option has the type _int, which takes ASCII digits with an
 optional leading '-', as parse_type and parse_weight do.  A handler
 returns the JSON document and the report lines, and main prints one of
 them inside its error handling, exiting 1 only when the document says
-all_passed is false (verify-paper).
+all_passed is false (verify-paper).  Integer text has at most
+_MAX_DIGITS digits, in options as in types and weights.
+
+The acceptance suite loads on first use.  Only verify-paper runs it, so
+_register_lazily puts weylirr.acceptance in sys.modules and on the package
+through importlib.util.LazyLoader, and the module is compiled and run at
+its first attribute access; no other request pays for it.  A
+function-level import in _cmd_verify_paper would be shorter, but
+bench/tracer.py looks up every module it wraps in sys.modules right after
+`import weylirr.cli`.  Once the tracer imports the modules it wraps
+(ROADMAP item 3, the benchmark change), such an import can replace the
+lazy loader.
 """
 
 from __future__ import annotations
 
 import argparse
+import importlib.util
 import json
 import sys
 
-from .acceptance import budget_for, run_all
 from .classifier import (
     EndNode,
     classify_global,
@@ -37,6 +48,7 @@ from .qarith import (
     vanishes_at,
 )
 from .rootsystem import (
+    _check_digits,
     _is_int_text,
     format_weight,
     parse_type,
@@ -50,6 +62,25 @@ from .weylmods import (
     sl2_irreducible,
 )
 
+
+def _register_lazily(name: str):
+    """The module `name`, registered in sys.modules and on its package but
+    compiled and run only at its first attribute access."""
+    module = sys.modules.get(name)
+    if module is None:
+        spec = importlib.util.find_spec(name)
+        loader = importlib.util.LazyLoader(spec.loader)
+        spec.loader = loader
+        module = importlib.util.module_from_spec(spec)
+        sys.modules[name] = module
+        package, _, child = name.rpartition(".")
+        setattr(sys.modules[package], child, module)
+        loader.exec_module(module)
+    return module
+
+
+acceptance = _register_lazily(f"{__package__}.acceptance")
+
 # the symbolic Gaussian binomial is expanded on demand only for degree
 # m(n - m) up to this limit; the expansion's work grows like min(m, n - m)
 # times its degree
@@ -62,9 +93,14 @@ _TABLE_MAX_RANK = 100
 
 def _int(text: str) -> int:
     """The type of every integer option: ASCII digits with an optional
-    leading '-', refused in int()'s own words otherwise."""
+    leading '-', refused in int()'s own words otherwise, and at most
+    _MAX_DIGITS of them."""
     if not _is_int_text(text, signed=True):
         raise argparse.ArgumentTypeError(f"invalid int value: {text!r}")
+    try:
+        _check_digits(text, "invalid int value")
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
     return int(text)
 
 
@@ -340,10 +376,10 @@ def _cmd_verify_paper(args):
         only = [part.strip() for part in args.only.split(",") if part.strip()]
         if not only:
             raise ValueError("only: no check ids given")
-    results = run_all(only)
+    results = acceptance.run_all(only)
     rows, lines = [], []
     for r in results:
-        budget = budget_for(r.id)
+        budget = acceptance.budget_for(r.id)
         rows.append({"id": r.id, "passed": r.passed, "detail": r.detail,
                      "budget_seconds": budget})
         tag = "PASS" if r.passed else "FAIL"

@@ -32,8 +32,10 @@ search, the verdict's replay and the JSON replay of one descent then share
 one decomposition, as do later requests on the same built system.
 
 systems(max_rank) is the one list of systems up to a rank that the CLI
-table and the acceptance checks sweep.  parse_type, the reader of
-command-line types, refuses ranks above MAX_RANK.
+table and the acceptance checks sweep.  build and systems refuse a rank
+that is not an int, as parse_type does.  parse_type, the reader of
+command-line types, refuses ranks above MAX_RANK; it and parse_weight
+refuse a number of more than _MAX_DIGITS digits before converting it.
 
 Weights are plain integer tuples in the fundamental-weight basis.
 RootSystem.check_dominant is the one statement of the weight rule: it
@@ -488,15 +490,25 @@ def int_weight(lam) -> Weight:
     return lam
 
 
-@lru_cache(maxsize=None)
+def _check_rank(rank) -> int:
+    """rank, refused unless of type int: a bool, a float or a str is not."""
+    if type(rank) is not int:
+        raise ValueError(f"rank: {rank!r} is not an integer")
+    return rank
+
+
+# typed, so True and 1.0 are keys of their own and reach the check; an
+# untyped cache would hand them A1, or file a system of rank True under 1
+@lru_cache(maxsize=None, typed=True)
 def build(kind: str, rank: int) -> RootSystem:
     """The root system of the given Cartan type, cached per (kind, rank)."""
-    return RootSystem(kind, rank)
+    return RootSystem(kind, _check_rank(rank))
 
 
 def systems(max_rank: int):
     """Every system of rank <= max_rank, in table order: A, B, C and D by
     rank, then F4, G2, E6, E7 and E8."""
+    _check_rank(max_rank)
     return [build(kind, n) for kind in "ABCDFGE"
             for n in range(1, max_rank + 1) if _ADMISSIBLE[kind](n)]
 
@@ -509,11 +521,31 @@ def _is_int_text(text: str, signed: bool = False) -> bool:
     return text.isascii() and text.isdigit()
 
 
+# the most digits a number in input text may have.  int() and str() take
+# at most 4,300 digits, and what accepted text yields must still print: a
+# witness order is at most 6c for a coordinate c summed from a few terms,
+# and qbinom's degree m(n - m) has about twice the digits of n and m
+_MAX_DIGITS = 2000
+
+
+def _check_digits(text: str, field: str) -> None:
+    """Refuse text holding a run of more than _MAX_DIGITS ASCII digits,
+    in a message that starts with field, before any of it reaches int()."""
+    if len(text) > _MAX_DIGITS:
+        run = 0
+        for ch in text:
+            run = run + 1 if "0" <= ch <= "9" else 0
+            if run > _MAX_DIGITS:
+                raise ValueError(
+                    f"{field}: more than {_MAX_DIGITS} digits in a number")
+
+
 def parse_type(text: str, rank=None) -> RootSystem:
     """Accepts 'E8' or a bare letter combined with an explicit rank,
     which is None or of type int (a bool, a float or a str is refused)."""
-    if rank is not None and type(rank) is not int:
-        raise ValueError(f"rank: {rank!r} is not an integer")
+    if rank is not None:
+        _check_rank(rank)
+    _check_digits(text, "type")
     t = text.strip().upper()
     if not t or t[0] not in _ADMISSIBLE:
         raise ValueError(f"type: unknown root-system type {text!r}")
@@ -537,6 +569,7 @@ def parse_type(text: str, rank=None) -> RootSystem:
 def parse_weight(text: str, rank: int) -> Weight:
     """Weight text: comma vector '0,0,1', symbolic 'w1+2w3', or '0'."""
     t = text.strip().replace(" ", "")
+    _check_digits(t, "weight")  # after the spaces go: "9 9" reads as 99
     if not t:
         raise ValueError("weight: empty")
     if "w" not in t and "W" not in t:

@@ -4,12 +4,17 @@ import json
 import os
 import subprocess
 import sys
+import textwrap
 from pathlib import Path
 
 import pytest
 
 from weylirr import cli
 from weylirr.cli import main
+from weylirr.rootsystem import _MAX_DIGITS
+
+# the largest number input text may hold
+_TOP = 10 ** _MAX_DIGITS - 1
 
 # classify output on large systems, recorded from the eager root-system
 # construction that enumerated every positive root
@@ -208,6 +213,71 @@ class TestInputErrors:
         assert err.splitlines()[-1] == (
             f"weylirr {argv[0]}: error: argument --{option}: "
             f"invalid int value: {value!r}")
+
+    # int() and str() convert at most 4,300 digits: each of these once
+    # exited 2 with Python's own message naming sys.set_int_max_str_digits,
+    # and 4,300 nines times w1 parsed but its witness order did not print
+    @pytest.mark.parametrize("type_text, weight, field", [
+        ("A" + "9" * 5000, "0", "type"),
+        ("A" + "0" * _MAX_DIGITS + "3", "w1", "type"),
+        ("A3", "w" + "9" * 5000, "weight"),
+        ("A3", "9" * 5000 + ",0,0", "weight"),
+        ("A3", "9" * 4301 + "w1", "weight"),
+        ("A3", "9" * 4300 + "w1", "weight"),
+        ("A3", "9" * (_MAX_DIGITS + 1) + "w1", "weight"),
+        ("A3", "w1+" + "0" * _MAX_DIGITS + "2w3", "weight"),
+        ("A3", " ".join("9" * (_MAX_DIGITS + 1)) + "w1", "weight"),
+    ], ids=["type-5000", "type-zeros", "weight-node-5000",
+            "weight-vector-5000", "weight-coefficient-4301",
+            "weight-coefficient-4300", "weight-coefficient-over-bound",
+            "weight-zeros", "weight-spaced-digits"])
+    def test_numbers_over_the_digit_bound_name_the_field(
+            self, capsys, type_text, weight, field):
+        code, out, err = run(capsys, "classify", "--type", type_text,
+                             "--weight", weight)
+        assert (code, out, err) == (
+            2, "", f"error: {field}: more than {_MAX_DIGITS} digits in a "
+                   f"number\n")
+
+    @pytest.mark.parametrize("value", ["9" * 4301, "9" * (_MAX_DIGITS + 1),
+                                       "-" + "9" * (_MAX_DIGITS + 1)],
+                             ids=["4301", "over-bound", "negative-over-bound"])
+    def test_integer_options_over_the_digit_bound(self, capsys, value):
+        # the refusal once named the private type function, "_int"
+        code, out, err = run(capsys, "sl2", f"--lambda={value}",
+                             "--ell", "3")
+        assert (code, out) == (2, "")
+        assert err.splitlines()[-1] == (
+            f"weylirr sl2: error: argument --lambda: invalid int value: "
+            f"more than {_MAX_DIGITS} digits in a number")
+
+    @pytest.mark.parametrize("type_text, weight, printed", [
+        ("A" + "0" * (_MAX_DIGITS - 1) + "3", "9" * _MAX_DIGITS + "w1",
+         f"{_TOP}w1"),
+        ("G2", "0," + "9" * _MAX_DIGITS, f"{_TOP}w2"),
+        ("A3", f"w1+{_TOP}w3+{_TOP}w3", f"w1+{2 * _TOP}w3"),
+    ], ids=["rank-and-coefficient", "G2-long-node", "summed-terms"])
+    def test_numbers_at_the_digit_bound_print(self, capsys, type_text,
+                                              weight, printed):
+        # a witness order is at most 6c; G2's second node comes near it
+        code, out, err = run(capsys, "classify", "--type", type_text,
+                             "--weight", weight, "--json")
+        assert (code, err) == (0, "")
+        doc = json.loads(out)
+        assert (doc["input"]["type"], doc["input"]["weight"]) == (
+            type_text[0] + str(int(type_text[1:])), printed)
+        assert _TOP < doc["witness_ell"] <= 6 * 2 * _TOP
+
+    def test_qbinom_degree_at_the_digit_bound_prints(self, capsys):
+        n, m = _TOP, 5 * _TOP // 9
+        code, out, err = run(capsys, "qbinom", "--n", str(n), "--m", str(m))
+        assert (code, out) == (2, "")
+        assert err == (f"error: n: symbolic expansion of degree "
+                       f"{m * (n - m)} exceeds the limit 100000; pass --ell "
+                       f"for the vanishing test\n")
+        code, out, err = run(capsys, "sl2", "--lambda", str(n), "--ell", "3")
+        assert (code, err) == (0, "")
+        assert f"lambda: {n}" in out
 
     def test_unknown_command_exits_two(self, capsys):
         assert run(capsys, "frobnicate")[0] == 2
@@ -553,7 +623,9 @@ class TestEntryPoint:
     def test_import_loads_every_submodule_and_no_heavy_stdlib(self):
         # a fresh process, so modules loaded by the tests do not count;
         # the bench tracer wraps functions in all six submodules right
-        # after `import weylirr.cli`, so that import must load them all
+        # after `import weylirr.cli`, so that import must put them all in
+        # sys.modules: five run there, and the acceptance suite is
+        # registered there and runs on its first attribute access
         code = ("import json, sys, weylirr.cli; "
                 "print(json.dumps(sorted(sys.modules)))")
         proc = subprocess.run([sys.executable, "-c", code],
@@ -564,6 +636,44 @@ class TestEntryPoint:
         assert {f"weylirr.{name}" for name in (
             "qarith", "rootsystem", "weylmods", "classifier", "acceptance",
             "cli")} <= loaded
+
+    def test_acceptance_suite_runs_on_first_use(self):
+        # a fresh process: the suite is registered by `import weylirr.cli`
+        # but not run, a classify request leaves it so, and the first
+        # attribute read runs it in place, as the package's submodule
+        code = textwrap.dedent("""
+            import json, sys, types
+            import weylirr.cli
+
+            def ran():
+                module = sys.modules["weylirr.acceptance"]
+                return type(module) is types.ModuleType
+
+            states = [ran()]
+            weylirr.cli.main(["classify", "--type", "D24", "--weight",
+                              "w12", "--json"])
+            states.append(ran())
+            lazy = weylirr.cli.acceptance
+            ids = lazy.CHECK_IDS
+            import weylirr.acceptance
+            states += [ran(), lazy is weylirr.acceptance
+                       is sys.modules["weylirr.acceptance"], len(ids)]
+            print(json.dumps(states), file=sys.stderr)
+        """)
+        proc = subprocess.run([sys.executable, "-c", code],
+                              capture_output=True, text=True, env=child_env())
+        assert proc.returncode == 0, proc.stderr
+        assert json.loads(proc.stdout)["decision"]["verdict"] == "reducible"
+        assert json.loads(proc.stderr) == [False, False, True, True, 9]
+
+    def test_acceptance_suite_imported_first_is_kept(self):
+        # the CLI registers no second copy of a suite already imported
+        code = ("import sys, weylirr.acceptance as suite, weylirr.cli; "
+                "print(weylirr.cli.acceptance is suite "
+                "is sys.modules['weylirr.acceptance'])")
+        proc = subprocess.run([sys.executable, "-c", code],
+                              capture_output=True, text=True, env=child_env())
+        assert (proc.returncode, proc.stdout) == (0, "True\n"), proc.stderr
 
     def test_module_invocation(self):
         proc = subprocess.run(

@@ -1,11 +1,17 @@
 """Root systems: construction, pairings, alcove arithmetic, Levi retyping."""
 
 import itertools
+import json
+import os
 import random
 import re
+import subprocess
+import sys
+import textwrap
 import tracemalloc
 from fractions import Fraction
 from functools import lru_cache
+from pathlib import Path
 
 import pytest
 from hypothesis import given
@@ -729,6 +735,48 @@ class TestParsing:
         message = f"rank: {rank!r} is not an integer"
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             parse_type(text, rank)
+
+    # lru_cache keys True and 1.0 alike with 1, so build("A", True) once
+    # built a system named ATrue and served it to every later build("A", 1);
+    # a fresh process for each order, since this one has built A1 and B2
+    @pytest.mark.parametrize("bad_first", [True, False])
+    def test_build_and_systems_refuse_a_rank_that_is_not_an_int(
+            self, bad_first):
+        code = textwrap.dedent("""
+            import json, sys
+            from weylirr.rootsystem import build, systems
+
+            def call(name, args):
+                try:
+                    out = {"build": build, "systems": systems}[name](*args)
+                except ValueError as exc:
+                    return str(exc)
+                if name == "systems":
+                    return [rs.name for rs in out]
+                return [out.name, type(out.rank).__name__]
+
+            print(json.dumps([call(*c) for c in json.loads(sys.argv[1])]))
+        """)
+        cases = [
+            ("build", ["A", True], ["A", 1], ["A1", "int"]),
+            ("build", ["B", 2.0], ["B", 2], ["B2", "int"]),
+            ("systems", [True], [1], ["A1"]),
+            ("systems", [2.5], [2], ["A1", "A2", "B2", "G2"]),
+        ]
+        calls = []
+        for name, bad, good, _ in cases:
+            calls += [(name, bad), (name, good)][::1 if bad_first else -1]
+        src = Path(rootsystem.__file__).resolve().parents[1]
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+            [str(src), *filter(None, [os.environ.get("PYTHONPATH")])])}
+        proc = subprocess.run(
+            [sys.executable, "-c", code, json.dumps(calls)],
+            capture_output=True, text=True, env=env)
+        assert proc.returncode == 0, proc.stderr
+        answers = json.loads(proc.stdout)
+        for k, (_, bad, _, built) in enumerate(cases):
+            pair = answers[2 * k:2 * k + 2][::1 if bad_first else -1]
+            assert pair == [f"rank: {bad[-1]!r} is not an integer", built]
 
     def test_parse_weight(self):
         assert parse_weight("0,0,1", 3) == (0, 0, 1)

@@ -4,7 +4,8 @@ bench/tracer.py rebinds weylirr functions by name, so renaming or
 inlining one of them would silently drop its span from `--trace 1` runs.
 These tests run CLI requests under the tracer and check the spans and the
 restore, and check in a fresh process that `import weylirr.cli` alone
-loads everything the tracer wraps.
+loads everything the tracer wraps and that a traced verify-paper run
+records its per-check spans.
 """
 
 import ast
@@ -89,6 +90,25 @@ def test_spans_recorded_per_acceptance_check(capsys):
     for check_id in ("det-closed-form-equality",
                      "end-node-reflection-arithmetic"):
         assert spans[f"acceptance.{check_id}"][0] == 1, check_id
+
+
+def test_spans_recorded_per_acceptance_check_in_a_fresh_process(tmp_path):
+    # here the suite is loaded by other tests; a fresh traced run finds it
+    # registered but not yet run by `import weylirr.cli`
+    spans_path = tmp_path / "spans.json"
+    src = str(Path(weylirr.cli.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [src, *filter(None, [env.get("PYTHONPATH")])])
+    proc = subprocess.run(
+        [sys.executable, str(TRACER_PATH), str(spans_path), "--",
+         "verify-paper", "--only", "dimension-cross-checks", "--json"],
+        capture_output=True, text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout)["all_passed"] is True
+    spans = _load_tracer().flatten(
+        json.loads(spans_path.read_text())["phases"]["main"])
+    assert spans["acceptance.dimension-cross-checks"][0] == 1
 
 
 def _traced_names():
