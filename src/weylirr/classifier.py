@@ -27,6 +27,12 @@ do right after classify_global, so such a request walks its trace once.
 A descent whose nodes or restricted weight is a list fails replay, so a
 kept walk never rests on a field that can change after it.
 
+Facts fixed per system are computed once and kept: the rooted diagram
+that tree_path climbs, the alpha0 coroot, and the alpha0 order, which
+_alpha0_order searches once per system.  What a leaf checks is recomputed
+on every replay: the rank-one criterion, the determinant's vanishing at
+the leaf's own order, and the end-node reflection and alcove arithmetic.
+
 The `twist` parameter threading through this module is the ratio between
 ambient and local symmetrizers: a subdiagram whose nodes are long roots of
 the ambient system sees the quantum parameter raised to that power.
@@ -34,7 +40,7 @@ the ambient system sees the quantum parameter raised to that power.
 
 from __future__ import annotations
 
-from functools import reduce
+from functools import lru_cache, reduce
 
 from ._record import Record
 from .qarith import InternalCheckError
@@ -136,7 +142,9 @@ def _endnode_order(rs: RootSystem, twist: int):
 
 def _two_ends(rs: RootSystem) -> Weight:
     """The weight with coordinate 1 at both ends of a chain diagram."""
-    return tuple(int(i in (0, rs.rank - 1)) for i in range(rs.rank))
+    if rs.rank == 1:
+        return (1,)
+    return (1,) + (0,) * (rs.rank - 2) + (1,)
 
 
 class EndNode(Record):
@@ -257,12 +265,11 @@ def _is_e8_adjoint(rs: RootSystem, lam: Weight) -> bool:
     return rs.kind == "E" and rs.rank == 8 and lam == rs.fundamental(8)
 
 
+# one search per system: the order is a fact of rs alone, and the leaf it
+# goes into still replays the determinant at its own order
+@lru_cache(maxsize=None)
 def _alpha0_order(rs: RootSystem) -> int:
-    """Smallest order >= 3 at which the short-root determinant vanishes.
-
-    A repeat search reads the answers vanishes_at stores on the
-    determinant det_short_matrix keeps; the leaf still replays the order.
-    """
+    """Smallest order >= 3 at which the short-root determinant vanishes."""
     for ell in range(3, 2 * rs.rank + 6):
         if adjoint_short_reducible_at(rs, ell):
             return ell

@@ -15,15 +15,17 @@ cartan(i, j); a rank-n system holds O(n) data, never an n x n matrix.
 A connected piece of a subdiagram is relabeled by matching it against
 build(kind, m) for each type of its rank, so the piece's nodes come out in
 that type's Bourbaki order with no shape rule of their own.  walk is the
-one breadth-first walk of the diagram: tree_path, the split into pieces,
-the relabeling and the short-root determinant all read it.
+one breadth-first walk of the diagram: the split into pieces, the
+relabeling and the short-root determinant all read it, and tree_path reads
+the one walk from node 1 that each system keeps.
 
 Construction computes only what the classifier reads: the diagram, the
-bonds, the symmetrizers, the highest short root alpha0 with its weight,
-and the minuscule nodes.  alpha0 is found by a walk to dominance, not by
-enumerating roots.  Its coroot is the highest coroot, so w_i is minuscule
-exactly when <w_i, alpha0^vee> = c_i d_i is 1.  The positive-root closure
-is computed on first use, by Weyl dimensions, and cached on the instance;
+bonds, the symmetrizers, the highest short root alpha0 with its weight
+and its coroot, and the minuscule nodes.  alpha0 is found by a walk to
+dominance, not by enumerating roots.  Its coroot is the highest coroot, so
+w_i is minuscule exactly when <w_i, alpha0^vee> = c_i d_i is 1; every
+alpha0 height reads the stored coroot.  The positive-root closure is
+computed on first use, by Weyl dimensions, and cached on the instance;
 each root carries its simple-coroot pairings, updated incrementally.
 
 levi_subsystem is a pure function of the system and a node set, so each
@@ -35,7 +37,8 @@ systems(max_rank) is the one list of systems up to a rank that the CLI
 table and the acceptance checks sweep.  build and systems refuse a rank
 that is not an int, as parse_type does.  parse_type, the reader of
 command-line types, refuses ranks above MAX_RANK; it and parse_weight
-refuse a number of more than _MAX_DIGITS digits before converting it.
+refuse a number of more than _MAX_DIGITS digits before converting it, and
+parse_type refuses an int rank that str() cannot print.
 
 Weights are plain integer tuples in the fundamental-weight basis.
 RootSystem.check_dominant is the one statement of the weight rule: it
@@ -54,6 +57,7 @@ from __future__ import annotations
 
 from functools import cached_property, lru_cache
 from math import prod
+from operator import mul
 from types import MappingProxyType
 
 from ._record import Frozen, Record, _setattr
@@ -122,7 +126,7 @@ class LeviComponent(Record):
     __slots__ = _fields = ("nodes", "system", "twist")
 
     def restrict(self, lam: Weight) -> Weight:
-        return tuple(lam[i - 1] for i in self.nodes)
+        return tuple([lam[i - 1] for i in self.nodes])
 
 
 class RootSystem(Frozen):
@@ -133,20 +137,30 @@ class RootSystem(Frozen):
     diagram neighbours of node i, and `_bond[i, j]` holds the Cartan entry
     a_ij = <alpha_j, alpha_i^vee> for both directions of each edge; both
     are read-only mappings, and :meth:`cartan` reads any entry from them.
-    `positive_roots` is cached on first use, in the instance `__dict__`.
+    `_alpha0_coroot[i - 1]` is <w_i, alpha0^vee>, O(rank) ints.
 
-    The `levi_subsystem` memo lives there too.  Its key is the sorted tuple
-    of distinct nodes, taken after the nodes are validated, and only
-    successful answers are stored.  It is unbounded, like `build`: it holds
-    one entry per node set ever asked for.  The classifier asks only for
-    fundamental-weight routes (at most n sets of a rank-n system) and for
-    diagram paths between two nodes (at most n^2), and the replays ask for
-    the same sets again; hand-built traces can add other sets.
+    Each per-instance cache is filled on first use, in the instance
+    `__dict__`:
+
+    - `positive_roots`: every positive root, O(rank^2) roots of rank
+      coordinates each;
+    - `_rooted`: the parent and the depth of each node of the diagram
+      walked out from node 1, O(rank), read by every tree_path;
+    - `_levi_memo`: the levi_subsystem answers, one per node set asked
+      for, O(rank^2) sets from the classifier (below).
+
+    The memo's key is the sorted tuple of distinct nodes, taken after the
+    nodes are validated, and only successful answers are stored.  It is
+    unbounded, like `build`: it holds one entry per node set ever asked
+    for.  The classifier asks only for fundamental-weight routes (at most n
+    sets of a rank-n system) and for diagram paths between two nodes (at
+    most n^2), and the replays ask for the same sets again; hand-built
+    traces can add other sets.
     """
 
     __slots__ = (
         "kind", "rank", "symm", "_bond",
-        "alpha0", "alpha0_weight", "minuscule_nodes",
+        "alpha0", "alpha0_weight", "_alpha0_coroot", "minuscule_nodes",
         "_neighbors", "__dict__",
     )
 
@@ -173,10 +187,12 @@ class RootSystem(Frozen):
         alpha0 = self._find_alpha0()
         _setattr(self, "alpha0", alpha0)
         _setattr(self, "alpha0_weight", self.omega_coords(alpha0))
-        # <w_i, alpha0^vee> = c_i d_i, and alpha0^vee is the highest coroot
+        # alpha0 is short, of squared length 2, so its coroot alpha0^vee,
+        # the highest coroot, has coefficient <w_i, alpha0^vee> = c_i d_i
+        coroot = tuple(map(mul, alpha0.coords, symm))
+        _setattr(self, "_alpha0_coroot", coroot)
         _setattr(self, "minuscule_nodes", frozenset(
-            i for i, (c, d) in enumerate(zip(alpha0.coords, symm), 1)
-            if c * d == 1))
+            i for i, c in enumerate(coroot, 1) if c == 1))
 
     # -- construction -------------------------------------------------
 
@@ -284,7 +300,7 @@ class RootSystem(Frozen):
 
     def fundamental(self, i: int) -> Weight:
         self._check_node(i)
-        return tuple(int(j == i - 1) for j in range(self.rank))
+        return (0,) * (i - 1) + (1,) + (0,) * (self.rank - i)
 
     def is_dominant(self, lam: Weight) -> bool:
         return len(lam) == self.rank and min(lam) >= 0
@@ -324,14 +340,14 @@ class RootSystem(Frozen):
         """
         if type(level) is not int or level < 1:
             raise ValueError("level: must be a positive integer")
-        shifted = tuple(c + 1 for c in int_weight(lam))
-        return self.pairing(shifted, self.alpha0)
+        co = self._alpha0_coroot
+        return sum(map(mul, int_weight(lam), co)) + sum(co)
 
     def dot_reflect_alpha0(self, level: int, lam: Weight) -> Weight:
         """Affine dot-reflection of lam in the wall <x+rho, alpha0^vee> =
         level."""
         t = self._alpha0_height(level, lam) - level
-        return tuple(c - t * a for c, a in zip(lam, self.alpha0_weight))
+        return tuple([c - t * a for c, a in zip(lam, self.alpha0_weight)])
 
     def in_bottom_alcove_closure(self, level: int, lam: Weight) -> bool:
         """Whether dominant lam lies on the near side of the wall
@@ -379,15 +395,29 @@ class RootSystem(Frozen):
                     order.append(nb)
         return order, parent
 
+    @cached_property
+    def _rooted(self):
+        # (parent, depth) of each node in the diagram walked out from node 1
+        order, parent = self.walk(1)
+        depth = {1: 0}
+        for v in order[1:]:
+            depth[v] = depth[parent[v]] + 1
+        return parent, depth
+
     def tree_path(self, i: int, j: int):
         """Nodes on the unique diagram path from i to j, inclusive; i and j
-        are checked as walk checks its root."""
+        are checked as walk checks its root.  Both ends climb the rooted
+        diagram (_rooted), the deeper one first, until they meet."""
         self._check_node(i)
-        parent = self.walk(j)[1]
-        path = [i]
-        while path[-1] != j:
-            path.append(parent[path[-1]])
-        return tuple(path)
+        self._check_node(j)
+        parent, depth = self._rooted
+        up, down = [i], [j]
+        while up[-1] != down[-1]:
+            if depth[up[-1]] >= depth[down[-1]]:
+                up.append(parent[up[-1]])
+            else:
+                down.append(parent[down[-1]])
+        return tuple(up + down[-2::-1])
 
     def levi_subsystem(self, J):
         """Split the subdiagram on J into relabeled irreducible components.
@@ -545,6 +575,12 @@ def parse_type(text: str, rank=None) -> RootSystem:
     which is None or of type int (a bool, a float or a str is refused)."""
     if rank is not None:
         _check_rank(rank)
+        # the checks below print the rank, and str() refuses an int past
+        # its digit limit (4,300 by default) with a ValueError of its own
+        try:
+            str(rank)
+        except ValueError:
+            raise ValueError("rank: too many digits to print") from None
     _check_digits(text, "type")
     t = text.strip().upper()
     if not t or t[0] not in _ADMISSIBLE:

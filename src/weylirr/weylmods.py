@@ -228,6 +228,9 @@ _G2_SCALAR = qint(6) ** 2 - qint(3)
 
 def g2_omega2_reducible_at(ell: int, d: int = 1) -> bool:
     """Scalar test for the 14-dimensional module of the rank-2
-    triple-laced system: its zero-weight invariant appears exactly when
-    [6]^2 - [3] vanishes."""
+    triple-laced system: its zero-weight invariant appears when
+    [6]^2 - [3] vanishes.  A sufficient test, not a criterion: for
+    ell <= 60 the scalar vanishes only at ell = 3 and 6, and the module is
+    also reducible at ell = 24, where the scalar does not vanish (ROADMAP
+    item 7)."""
     return vanishes_at(_G2_SCALAR, SpecOrder(ell, d))

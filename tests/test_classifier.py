@@ -254,9 +254,9 @@ class TestFundamentalWeights:
             self, monkeypatch):
         # C22 w5 descends to C19 w2 = alpha0: finding its order 19 tests
         # the determinant of a new C19 at 3..19, once per reduced order;
-        # the value exit settles every order but 19, so only 19 folds.  A
-        # repeat search reads the stored answers, and every replay still
-        # asks vanishes_at at 19
+        # the value exit settles every order but 19, so only 19 folds.  The
+        # order is searched once per system, so a repeat request asks
+        # vanishes_at only at 19, in the replay, which reads the stored answer
         monkeypatch.setattr(rootsystem, "build",
                             lru_cache(maxsize=None)(RootSystem))
         tests, folds, orders = [], [], []
@@ -281,12 +281,12 @@ class TestFundamentalWeights:
         rs = RootSystem("C", 22)
         lam = rs.fundamental(5)
         per_call = []
-        for _ in range(3):
+        for searched in ([*range(3, 20)], [], []):
             tests.clear()
             folds.clear()
             orders.clear()
             assert classify_global(rs, lam).witness_ell == 19
-            assert orders == [*range(3, 20), 19]
+            assert orders == [*searched, 19]
             per_call.append((sorted(tests), folds[:]))
         halvings = weylmods.det_short_matrix(
             rootsystem.build("C", 19))._reduced[1]
@@ -336,6 +336,14 @@ class TestEndNodes:
             else:
                 want = table[case](rs.rank)
             assert classifier._endnode_order(rs, twist) == want, rs.name
+
+    @pytest.mark.parametrize("kind, rank", [
+        ("A", 1), ("A", 2), ("B", 2), ("G", 2),
+        ("A", 24), ("B", 24), ("C", 24), ("D", 24)])
+    def test_two_ends_matches_the_indicator_form(self, kind, rank):
+        rs = build(kind, rank)
+        assert classifier._two_ends(rs) == tuple(
+            int(i in (0, rank - 1)) for i in range(rank))
 
     def test_inadmissible_types(self):
         with pytest.raises(ValueError):

@@ -968,6 +968,8 @@ _CACHES = {
     "rootsystem.build",  # each reader asks for its systems by (kind, rank)
     "rootsystem.RootSystem.positive_roots",  # weyl_dimension reads them all
     "rootsystem.RootSystem._levi_memo",  # a descent's replay asks again
+    "rootsystem.RootSystem._rooted",  # every tree_path climbs one rooting
+    "classifier._alpha0_order",  # every alpha0 leaf of a system, one order
     "weylmods.det_short_matrix",  # alpha0 search and adjoint leaf replays
     "qarith._prime_factors",  # verify-paper factors the same few orders
     # the value exit asks verify-paper's 75 pairs (e, w) about 35,000

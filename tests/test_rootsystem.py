@@ -233,6 +233,19 @@ class TestConstruction:
             with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
                 rs.fundamental(node)
 
+    @pytest.mark.parametrize("kind, rank", [
+        ("A", 1), ("A", 2), ("B", 2), ("G", 2),
+        ("A", 24), ("B", 24), ("C", 24), ("D", 24)])
+    def test_fundamental_matches_the_indicator_form(self, kind, rank):
+        rs = build(kind, rank)
+        for i in range(1, rank + 1):
+            assert rs.fundamental(i) == tuple(
+                int(j == i - 1) for j in range(rank)), (rs.name, i)
+        for node in (0, rank + 1, -1, True, 1.0):
+            message = f"node: index {node!r} out of range for {rs.name}"
+            with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+                rs.fundamental(node)
+
     def test_rho_pairs_to_one_on_simples(self):
         for rs in systems(12):
             rho = (1,) * rs.rank
@@ -303,6 +316,24 @@ class TestWeights:
         rs = build("D", 4)
         assert rs.dot_reflect_alpha0(ell, rs.dot_reflect_alpha0(ell, lam)) \
             == lam
+
+    def test_alpha0_arithmetic_matches_the_pairing(self):
+        # the stored coroot against <lam+rho, alpha0^vee> read by pairing
+        rng = random.Random(36)
+        for rs in systems(12):
+            h = coxeter(rs)
+            levels = sorted({1, 2, 5, h - 1, h, h + 1, 2 * h + 1, 31})
+            for _ in range(20):
+                lam = tuple(rng.choice((0, 0, 1, 2, 7))
+                            for _ in range(rs.rank))
+                height = rs.pairing(tuple(c + 1 for c in lam), rs.alpha0)
+                for level in levels:
+                    t = height - level
+                    assert rs.dot_reflect_alpha0(level, lam) == tuple(
+                        c - t * a for c, a in zip(lam, rs.alpha0_weight)), (
+                        rs.name, lam, level)
+                    assert rs.in_bottom_alcove_closure(level, lam) \
+                        == (height <= level), (rs.name, lam, level)
 
     def test_alcove_closure(self):
         a2 = build("A", 2)
@@ -692,12 +723,44 @@ class TestLevi:
         (lambda rs: rs.tree_path(0, 1), 0),
         (lambda rs: rs.walk(9), 9),
         (lambda rs: rs.tree_path(True, 3), True),
-    ], ids=["path-from-5", "path-from-0", "walk-from-9", "path-from-True"])
+        (lambda rs: rs.tree_path(1, 4), 4),
+        (lambda rs: rs.tree_path(1, 0), 0),
+        (lambda rs: rs.tree_path(1, True), True),
+        (lambda rs: rs.tree_path(1, 1.0), 1.0),
+    ], ids=["path-from-5", "path-from-0", "walk-from-9", "path-from-True",
+            "path-to-4", "path-to-0", "path-to-True", "path-to-float"])
     def test_walk_and_tree_path_refuse_a_bad_node(self, call, node):
         # these once raised a bare KeyError, or took True for node 1
         message = f"node: index {node!r} out of range for A3"
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             call(build("A", 3))
+
+    def test_tree_path_is_read_from_the_walk_to_its_end(self):
+        for rs in systems(12) + [build("D", 40), build("B", 40),
+                                 build("E", 8)]:
+            for j in range(1, rs.rank + 1):
+                parent = rs.walk(j)[1]
+                for i in range(1, rs.rank + 1):
+                    path = [i]
+                    while path[-1] != j:
+                        path.append(parent[path[-1]])
+                    assert rs.tree_path(i, j) == tuple(path), (rs.name, i, j)
+
+    def test_tree_path_walks_a_system_once(self, monkeypatch):
+        walks = []
+        walk = RootSystem.walk
+
+        def counting(self, root, inside=None):
+            walks.append(root)
+            return walk(self, root, inside)
+
+        monkeypatch.setattr(RootSystem, "walk", counting)
+        rs = RootSystem("D", 12)
+        assert rs.tree_path(10, 11) == (10, 11)
+        assert walks == [1]
+        for i, j in itertools.product(range(1, 13), repeat=2):
+            rs.tree_path(i, j)
+        assert walks == [1]
 
     def test_tree_path_is_the_unique_path(self):
         for rs in systems(9):
@@ -726,6 +789,27 @@ class TestParsing:
         assert parse_type("A", MAX_RANK).rank == MAX_RANK
         for text, rank in [(f"D{MAX_RANK + 1}", None), ("A", 10**9)]:
             with pytest.raises(ValueError, match="^rank: "):
+                parse_type(text, rank)
+
+    @pytest.mark.parametrize("text", ["A", "A3"])
+    @pytest.mark.parametrize("rank", [10**5000, -10**5000],
+                             ids=["5001-digits", "minus-5001-digits"])
+    def test_parse_type_refuses_a_rank_too_long_to_print(self, text, rank):
+        # str(rank) once ran first and leaked int's 4,300-digit limit error
+        message = "rank: too many digits to print"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            parse_type(text, rank)
+
+    def test_parse_type_keeps_its_messages_below_the_digit_limit(self):
+        for text, rank, message in [
+                ("A", 3001, "rank: A3001 is above the rank limit 3000"),
+                ("A", 10**4000,
+                 f"rank: A{10**4000} is above the rank limit 3000"),
+                ("A3", 4, "type: rank given twice ('A3' and 4)"),
+                ("A3", 10**4000,
+                 f"type: rank given twice ('A3' and {10**4000})"),
+                ("C", 2, "rank: no root system C2")]:
+            with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
                 parse_type(text, rank)
 
     @pytest.mark.parametrize("text", ["A", "A3"])
