@@ -25,10 +25,18 @@ equal when they are of the same class and their field tuples are equal;
 the hash is the hash of the field tuple; repr reads
 ``QualName(field=value!r, ...)`` in field order.  Instances have no
 ``__dict__``.
+
+InternalCheckError lives here too, at the bottom of the import graph, so
+that rootsystem, classifier and cli raise and catch it without importing
+qarith; qarith re-exports the same class.
 """
 
 
 _setattr = object.__setattr__
+
+
+class InternalCheckError(RuntimeError):
+    """An internal consistency check failed: a bug, never bad user input."""
 
 
 def _bind(cls, args: tuple, kwargs: dict) -> tuple:

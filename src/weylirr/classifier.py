@@ -42,14 +42,14 @@ from __future__ import annotations
 
 from functools import lru_cache, reduce
 
-from ._record import Record
-from .qarith import InternalCheckError
+from . import _lazy
+from ._record import InternalCheckError, Record
 from .rootsystem import RootSystem, Weight, format_weight
-from .weylmods import (
-    adjoint_short_reducible_at,
-    g2_omega2_reducible_at,
-    sl2_irreducible,
-)
+
+# the leaf tests: an end-node leaf and a descent read none of them, so the
+# module is compiled and run when a rank-one or fundamental-weight leaf is
+# first searched or replayed
+weylmods = _lazy("weylmods")
 
 
 class TraceError(ValueError):
@@ -84,7 +84,7 @@ class Sl2Node(Record):
         _check_node(rs, self.node)
         c = lam[self.node - 1]
         d = rs.symm[self.node - 1] * twist
-        return not sl2_irreducible(c, self.ell, d), None
+        return not weylmods.sl2_irreducible(c, self.ell, d), None
 
 
 class LeviDescent(Record):
@@ -225,10 +225,11 @@ class FundWeight(Record):
             return False, None
         if self.tag == "adjoint_short_root":
             ok = (lam == rs.alpha0_weight
-                  and adjoint_short_reducible_at(rs, self.ell, twist))
+                  and weylmods.adjoint_short_reducible_at(rs, self.ell,
+                                                          twist))
             return ok, None
         ok = (rs.kind == "G" and self.node == 2
-              and g2_omega2_reducible_at(self.ell, twist))
+              and weylmods.g2_omega2_reducible_at(self.ell, twist))
         return ok, None
 
 
@@ -271,7 +272,7 @@ def _is_e8_adjoint(rs: RootSystem, lam: Weight) -> bool:
 def _alpha0_order(rs: RootSystem) -> int:
     """Smallest order >= 3 at which the short-root determinant vanishes."""
     for ell in range(3, 2 * rs.rank + 6):
-        if adjoint_short_reducible_at(rs, ell):
+        if weylmods.adjoint_short_reducible_at(rs, ell):
             return ell
     raise InternalCheckError(f"{rs.name}: no small vanishing order found")
 

@@ -14,39 +14,29 @@ them inside its error handling, exiting 1 only when the document says
 all_passed is false (verify-paper).  Integer text has at most
 _MAX_DIGITS digits, in options as in types and weights.
 
-The acceptance suite loads on first use.  Only verify-paper runs it, so
-_register_lazily puts weylirr.acceptance in sys.modules and on the package
-through importlib.util.LazyLoader, and the module is compiled and run at
-its first attribute access; no other request pays for it.  A
-function-level import in _cmd_verify_paper would be shorter, but
-bench/tracer.py looks up every module it wraps in sys.modules right after
-`import weylirr.cli`.  Once the tracer imports the modules it wraps
-(ROADMAP item 3, the benchmark change), such an import can replace the
-lazy loader.
+A request compiles and runs only the modules it executes.  This module
+imports rootsystem, which every type, weight and integer option reads, and
+registers acceptance, classifier, qarith and weylmods through the
+package's _lazy helper: each is in sys.modules and on the package at once,
+but compiled and run at its first attribute read, and the handlers call
+them through those module objects.  So only verify-paper runs the
+acceptance suite, only it, classify, witness and endnodes run the
+classifier, and a classify or witness request compiles qarith and
+weylmods only when its trace reaches a rank-one or fundamental-weight
+leaf.  They are registered here, not imported inside the handlers,
+because bench/tracer.py looks up every module it wraps in sys.modules
+right after `import weylirr.cli`; qbinom's handler also imports
+_gauss_indices from the registered qarith.  json is imported only when
+--json asks for it.
 """
 
 from __future__ import annotations
 
 import argparse
-import importlib.util
-import json
 import sys
 
-from .classifier import (
-    EndNode,
-    classify_global,
-    endnode_witness,
-    trace_citations,
-    trace_json,
-)
-from .qarith import (
-    InternalCheckError,
-    SpecOrder,
-    _gauss_indices,
-    qbinom,
-    qbinom_vanishes_fast,
-    vanishes_at,
-)
+from . import _lazy
+from ._record import InternalCheckError
 from .rootsystem import (
     _check_digits,
     _is_int_text,
@@ -55,31 +45,11 @@ from .rootsystem import (
     parse_weight,
     systems,
 )
-from .weylmods import (
-    adjoint_short_reducible_at,
-    det_short_matrix,
-    e8_certificate,
-    sl2_irreducible,
-)
 
-
-def _register_lazily(name: str):
-    """The module `name`, registered in sys.modules and on its package but
-    compiled and run only at its first attribute access."""
-    module = sys.modules.get(name)
-    if module is None:
-        spec = importlib.util.find_spec(name)
-        loader = importlib.util.LazyLoader(spec.loader)
-        spec.loader = loader
-        module = importlib.util.module_from_spec(spec)
-        sys.modules[name] = module
-        package, _, child = name.rpartition(".")
-        setattr(sys.modules[package], child, module)
-        loader.exec_module(module)
-    return module
-
-
-acceptance = _register_lazily(f"{__package__}.acceptance")
+acceptance = _lazy("acceptance")
+classifier = _lazy("classifier")
+qarith = _lazy("qarith")
+weylmods = _lazy("weylmods")
 
 # the symbolic Gaussian binomial is expanded on demand only for degree
 # m(n - m) up to this limit; the expansion's work grows like min(m, n - m)
@@ -196,7 +166,7 @@ def _decision_doc(args):
     rs = parse_type(args.type, args.rank)
     lam = parse_weight(args.weight, rs.rank)
     weight = format_weight(lam)
-    decision = classify_global(rs, lam)
+    decision = classifier.classify_global(rs, lam)
     doc = {
         "input": {
             "command": args.command,
@@ -207,9 +177,9 @@ def _decision_doc(args):
             "verdict": decision.verdict,
             "reason": decision.reason,
         },
-        "trace": trace_json(rs, lam, decision.trace),
+        "trace": classifier.trace_json(rs, lam, decision.trace),
         "witness_ell": decision.witness_ell,
-        "citations": trace_citations(decision.trace),
+        "citations": classifier.trace_citations(decision.trace),
     }
     return decision, doc, [f"type: {rs.name}", f"weight: {weight}"]
 
@@ -242,14 +212,14 @@ def _cmd_witness(args):
 
 def _cmd_det_short(args):
     rs = parse_type(args.type, args.rank)
-    det = det_short_matrix(rs)
+    det = weylmods.det_short_matrix(rs)
     doc = {
         "input": {"command": args.command, "type": rs.name, "ell": args.ell},
         "det": repr(det),
     }
     lines = [f"type: {rs.name}", f"det: {det!r}"]
     if args.ell is not None:
-        vanishes = adjoint_short_reducible_at(rs, args.ell)
+        vanishes = weylmods.adjoint_short_reducible_at(rs, args.ell)
         doc["vanishes"] = vanishes
         lines.append(f"ell: {args.ell}")
         lines.append(f"vanishes: {str(vanishes).lower()}")
@@ -257,7 +227,7 @@ def _cmd_det_short(args):
 
 
 def _cmd_sl2(args):
-    irreducible = sl2_irreducible(args.lam, args.ell, args.d)
+    irreducible = weylmods.sl2_irreducible(args.lam, args.ell, args.d)
     doc = {
         "input": {"command": args.command, "lambda": args.lam, "ell": args.ell,
                   "d": args.d},
@@ -269,6 +239,7 @@ def _cmd_sl2(args):
 
 
 def _cmd_qbinom(args):
+    from .qarith import _gauss_indices  # the one statement of the indices
     top, _ = _gauss_indices(args.n, args.m)
     doc = {"input": {"command": args.command, "n": args.n, "m": args.m,
                      "ell": args.ell, "d": args.d}}
@@ -276,7 +247,7 @@ def _cmd_qbinom(args):
     degree = args.m * (top - args.m)
     small = degree <= _QBINOM_DEGREE_LIMIT
     if small:
-        value = qbinom(args.n, args.m)
+        value = qarith.qbinom(args.n, args.m)
         doc["value"] = repr(value)
         lines.append(f"value: {value!r}")
     elif args.ell is None:
@@ -284,9 +255,9 @@ def _cmd_qbinom(args):
             f"n: symbolic expansion of degree {degree} exceeds the limit "
             f"{_QBINOM_DEGREE_LIMIT}; pass --ell for the vanishing test")
     if args.ell is not None:
-        spec = SpecOrder(args.ell, args.d)
-        vanishes = qbinom_vanishes_fast(args.n, args.m, spec)
-        if small and vanishes != vanishes_at(value, spec):
+        spec = qarith.SpecOrder(args.ell, args.d)
+        vanishes = qarith.qbinom_vanishes_fast(args.n, args.m, spec)
+        if small and vanishes != qarith.vanishes_at(value, spec):
             raise InternalCheckError(
                 "fast vanishing rule disagrees with the symbolic value")
         doc["vanishes"] = vanishes
@@ -302,8 +273,9 @@ def _cmd_table(args):
     rows = []
     for rs in systems(args.max_rank):
         orders = [l for l in range(1, 61)
-                  if adjoint_short_reducible_at(rs, l)]
-        rows.append({"type": rs.name, "det": repr(det_short_matrix(rs)),
+                  if weylmods.adjoint_short_reducible_at(rs, l)]
+        rows.append({"type": rs.name,
+                     "det": repr(weylmods.det_short_matrix(rs)),
                      "vanishing_orders": orders})
     doc = {"input": {"command": args.command, "max_rank": args.max_rank},
            "rows": rows}
@@ -318,9 +290,9 @@ def _cmd_table(args):
 
 def _cmd_endnodes(args):
     rs = parse_type(args.type, args.rank)
-    lam, ell, case = endnode_witness(rs)
-    trace = (EndNode(case, ell),)
-    nodes = trace_json(rs, lam, trace)
+    lam, ell, case = classifier.endnode_witness(rs)
+    trace = (classifier.EndNode(case, ell),)
+    nodes = classifier.trace_json(rs, lam, trace)
     verified = nodes[0]["verified"]
     weight = format_weight(lam)
     doc = {
@@ -330,7 +302,7 @@ def _cmd_endnodes(args):
         "ell": ell,
         "verified": verified,
         "trace": nodes,
-        "citations": trace_citations(trace),
+        "citations": classifier.trace_citations(trace),
     }
     lines = [f"type: {rs.name}", f"case: {case}",
              f"weight: {weight}", f"ell: {ell}",
@@ -339,7 +311,7 @@ def _cmd_endnodes(args):
 
 
 def _cmd_e8_certificate(args):
-    cert = e8_certificate()
+    cert = weylmods.e8_certificate()
     f16 = cert.factors[2]  # e8_certificate checks it is detD.shift(8)
     doc = {
         "input": {"command": args.command},
@@ -409,7 +381,11 @@ def main(argv=None) -> int:
                 option = "lambda" if dest == "lam" else dest.replace("_", "-")
                 raise ValueError(f"{option}: expected one value")
         doc, lines = args.run(args)
-        print(json.dumps(doc, indent=2) if args.json else "\n".join(lines))
+        if args.json:
+            import json
+            print(json.dumps(doc, indent=2))
+        else:
+            print("\n".join(lines))
         # only verify-paper's document carries all_passed
         return 1 if doc.get("all_passed") is False else 0
     except ValueError as exc:

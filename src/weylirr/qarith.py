@@ -54,7 +54,7 @@ from functools import lru_cache
 from itertools import islice, repeat
 from operator import add, neg, sub
 
-from ._record import Frozen, Record, _setattr
+from ._record import Frozen, InternalCheckError, Record, _setattr
 
 
 # the largest span LaurentPoly's public constructor accepts; storage is
@@ -66,10 +66,6 @@ _NOT_INTS = "exponents and coefficients must be ints"
 
 class ExactDivisionError(ArithmeticError):
     """A polynomial division that had to be exact left a remainder."""
-
-
-class InternalCheckError(RuntimeError):
-    """An internal consistency check failed: a bug, never bad user input."""
 
 
 class LaurentPoly(Frozen):

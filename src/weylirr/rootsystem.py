@@ -35,7 +35,8 @@ one decomposition, as do later requests on the same built system.
 
 systems(max_rank) is the one list of systems up to a rank that the CLI
 table and the acceptance checks sweep.  build and systems refuse a rank
-that is not an int, as parse_type does.  parse_type, the reader of
+that is not an int, as parse_type does, and one more than MAX_RANK in
+absolute value, before they build anything.  parse_type, the reader of
 command-line types, refuses ranks above MAX_RANK; it and parse_weight
 refuse a number of more than _MAX_DIGITS digits before converting it, and
 parse_type refuses an int rank that str() cannot print.
@@ -60,8 +61,7 @@ from math import prod
 from operator import mul
 from types import MappingProxyType
 
-from ._record import Frozen, Record, _setattr
-from .qarith import InternalCheckError
+from ._record import Frozen, InternalCheckError, Record, _setattr
 
 Weight = tuple
 
@@ -527,18 +527,28 @@ def _check_rank(rank) -> int:
     return rank
 
 
+def _bounded_rank(rank) -> int:
+    """rank as _check_rank passes it, refused too when it is more than
+    MAX_RANK in absolute value: build and systems then make no diagram
+    that parse_type refuses, and no rank too long to print reaches a
+    message."""
+    if abs(_check_rank(rank)) > MAX_RANK:
+        raise ValueError(f"rank: more than {MAX_RANK} in absolute value")
+    return rank
+
+
 # typed, so True and 1.0 are keys of their own and reach the check; an
 # untyped cache would hand them A1, or file a system of rank True under 1
 @lru_cache(maxsize=None, typed=True)
 def build(kind: str, rank: int) -> RootSystem:
     """The root system of the given Cartan type, cached per (kind, rank)."""
-    return RootSystem(kind, _check_rank(rank))
+    return RootSystem(kind, _bounded_rank(rank))
 
 
 def systems(max_rank: int):
     """Every system of rank <= max_rank, in table order: A, B, C and D by
     rank, then F4, G2, E6, E7 and E8."""
-    _check_rank(max_rank)
+    _bounded_rank(max_rank)
     return [build(kind, n) for kind in "ABCDFGE"
             for n in range(1, max_rank + 1) if _ADMISSIBLE[kind](n)]
 

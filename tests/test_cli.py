@@ -1,5 +1,6 @@
 """Command-line behavior: output shape, exit codes, JSON determinism."""
 
+import ast
 import json
 import os
 import subprocess
@@ -624,15 +625,17 @@ class TestEntryPoint:
         # a fresh process, so modules loaded by the tests do not count;
         # the bench tracer wraps functions in all six submodules right
         # after `import weylirr.cli`, so that import must put them all in
-        # sys.modules: five run there, and the acceptance suite is
-        # registered there and runs on its first attribute access
-        code = ("import json, sys, weylirr.cli; "
-                "print(json.dumps(sorted(sys.modules)))")
+        # sys.modules: cli and rootsystem run there, and acceptance,
+        # classifier, qarith and weylmods are registered there and run on
+        # their first attribute access.  json is imported after the list
+        # is taken, since only --json needs it
+        code = ("import sys, weylirr.cli; loaded = sorted(sys.modules); "
+                "import json; print(json.dumps(loaded))")
         proc = subprocess.run([sys.executable, "-c", code],
                               capture_output=True, text=True, env=child_env())
         assert proc.returncode == 0, proc.stderr
         loaded = set(json.loads(proc.stdout))
-        assert not loaded & {"dataclasses", "inspect", "fractions"}
+        assert not loaded & {"dataclasses", "inspect", "fractions", "json"}
         assert {f"weylirr.{name}" for name in (
             "qarith", "rootsystem", "weylmods", "classifier", "acceptance",
             "cli")} <= loaded
@@ -665,6 +668,103 @@ class TestEntryPoint:
         assert proc.returncode == 0, proc.stderr
         assert json.loads(proc.stdout)["decision"]["verdict"] == "reducible"
         assert json.loads(proc.stderr) == [False, False, True, True, 9]
+
+    # `python -m weylirr` with the given arguments; at exit it reports on
+    # stderr the weylirr modules that have run (a module registered but
+    # not run is a LazyLoader module, not a plain module) and whether json
+    # was imported, in repr form, so the probe itself imports no json
+    _RAN_PROBE = textwrap.dedent("""
+        import atexit, runpy, sys, types
+
+        def report():
+            ran = sorted(name[len("weylirr."):]
+                         for name, module in sys.modules.items()
+                         if name.startswith("weylirr.")
+                         and type(module) is types.ModuleType)
+            print(repr([ran, "json" in sys.modules]), file=sys.stderr)
+
+        atexit.register(report)
+        runpy.run_module("weylirr", run_name="__main__", alter_sys=True)
+    """)
+
+    _NO_ARITHMETIC = ["_record", "classifier", "cli", "rootsystem"]
+    _EVERY_BUT_SUITE = ["_record", "classifier", "cli", "qarith",
+                        "rootsystem", "weylmods"]
+
+    @pytest.mark.parametrize("argv, ran, uses_json", [
+        # a descent to an end-node leaf: no arithmetic module runs
+        (["classify", "--type", "D24", "--weight", "w1+w24", "--json"],
+         _NO_ARITHMETIC, True),
+        (["witness", "--type", "A24", "--weight", "w3+w5"],
+         _NO_ARITHMETIC, False),
+        (["endnodes", "--type", "B4"], _NO_ARITHMETIC, False),
+        # the alpha0 leaf tests the short-root determinant, and a rank-one
+        # leaf the rank-one criterion
+        (["classify", "--type", "D24", "--weight", "w2"],
+         _EVERY_BUT_SUITE, False),
+        (["classify", "--type", "B4", "--weight", "2w1", "--json"],
+         _EVERY_BUT_SUITE, True),
+        # no arithmetic request runs the classifier
+        (["sl2", "--lambda", "2", "--ell", "4"],
+         ["_record", "cli", "qarith", "rootsystem", "weylmods"], False),
+        (["sl2", "--lambda", "3", "--ell", "0"],
+         ["_record", "cli", "qarith", "rootsystem", "weylmods"], False),
+        (["qbinom", "--n", "10", "--m", "3", "--ell", "5", "--json"],
+         ["_record", "cli", "qarith", "rootsystem"], True),
+    ], ids=["descent-json", "witness-descent", "endnodes", "alpha0",
+            "rank-one-json", "sl2", "sl2-refused", "qbinom-json"])
+    def test_a_request_runs_only_the_modules_it_needs(self, capsys, argv,
+                                                       ran, uses_json):
+        proc = subprocess.run(
+            [sys.executable, "-c", self._RAN_PROBE, *argv],
+            capture_output=True, text=True, env=child_env())
+        *_, last = proc.stderr.splitlines()
+        assert ast.literal_eval(last) == [ran, uses_json], proc.stderr
+        # and the process answers as main does in this one
+        assert (proc.returncode, proc.stdout) == run(capsys, *argv)[:2]
+
+    def test_importing_the_package_runs_no_submodule(self):
+        # and a submodule is still an attribute of the package, imported
+        # when first read
+        code = textwrap.dedent("""
+            import sys, weylirr
+            print(sorted(n for n in sys.modules if "weylirr" in n))
+            print(weylirr.rootsystem is sys.modules["weylirr.rootsystem"])
+        """)
+        proc = subprocess.run([sys.executable, "-c", code],
+                              capture_output=True, text=True, env=child_env())
+        assert (proc.returncode, proc.stdout) == (0, "['weylirr']\nTrue\n"), \
+            proc.stderr
+
+    def test_every_export_is_the_object_on_its_submodule(self, monkeypatch):
+        import weylirr
+        from weylirr import _record, qarith, rootsystem
+
+        names = weylirr.__all__
+        assert names == sorted(set(names)) and len(names) == 41
+        for name in names:
+            value = getattr(weylirr, name)
+            home = value.__module__
+            assert home.startswith("weylirr."), name
+            assert getattr(sys.modules[home], name) is value, name
+        star = {}
+        exec("from weylirr import *", star)
+        assert sorted(star.keys() - {"__builtins__"}) == names
+        assert set(names) | {"__version__"} <= set(dir(weylirr))
+        # one class, at the bottom of the import graph, re-exported by qarith
+        assert (weylirr.InternalCheckError is qarith.InternalCheckError
+                is _record.InternalCheckError)
+        assert weylirr.InternalCheckError.__module__ == "weylirr._record"
+        # the package keeps no copy: a function rebound on its submodule,
+        # as the bench tracer does, shows through it, and so does the undo
+        original, sentinel = rootsystem.format_weight, object()
+        monkeypatch.setattr(rootsystem, "format_weight", sentinel)
+        assert weylirr.format_weight is sentinel
+        monkeypatch.undo()
+        assert weylirr.format_weight is original
+        assert "format_weight" not in vars(weylirr)
+        with pytest.raises(AttributeError, match="no attribute 'nothing'"):
+            weylirr.nothing
 
     def test_acceptance_suite_imported_first_is_kept(self):
         # the CLI registers no second copy of a suite already imported

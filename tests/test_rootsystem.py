@@ -862,6 +862,34 @@ class TestParsing:
             pair = answers[2 * k:2 * k + 2][::1 if bad_first else -1]
             assert pair == [f"rank: {bad[-1]!r} is not an integer", built]
 
+    @pytest.mark.parametrize("rank", [10**5000, -10**5000, MAX_RANK + 1,
+                                      -MAX_RANK - 1],
+                             ids=["5001-digits", "minus-5001-digits",
+                                  "one-above", "one-below"])
+    def test_build_and_systems_refuse_a_rank_beyond_the_limit(
+            self, monkeypatch, rank):
+        # build once printed a 5001-digit rank into its type: message and
+        # leaked int's digit-limit error, and took 10**5000 as admissible
+        # and began a diagram of that many nodes; now it builds nothing
+        def construct(kind, n):
+            raise AssertionError(f"built {kind} of a refused rank")
+
+        monkeypatch.setattr(rootsystem, "RootSystem", construct)
+        message = f"rank: more than {MAX_RANK} in absolute value"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            build("A", rank)
+        if rank > 0:
+            with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+                systems(rank)
+
+    def test_build_keeps_its_messages_within_the_limit(self):
+        assert build("A", MAX_RANK).rank == MAX_RANK
+        for rank in (0, -MAX_RANK):
+            message = f"type: no root system A{rank}"
+            with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+                build("A", rank)
+        assert systems(-MAX_RANK) == []
+
     def test_parse_weight(self):
         assert parse_weight("0,0,1", 3) == (0, 0, 1)
         assert parse_weight("0", 5) == (0, 0, 0, 0, 0)
