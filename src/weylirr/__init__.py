@@ -11,9 +11,10 @@ products for dimension formulas.
 the submodule _EXPORTS files it under, on every access (PEP 562), so a
 function rebound on its submodule is what the package gives out, and
 restoring it leaves no copy here.  _lazy registers a submodule that is
-compiled and run at its first attribute read; cli registers the four
-modules a request may not need through it, and classifier reaches
-weylmods through it.
+compiled and run at its first attribute read; cli registers the five
+modules a request may not need through it (acceptance, classifier,
+qarith, weylmods and reports, which holds the report subcommands), and
+reports and classifier reach the modules they call through it.
 """
 
 import importlib.util

@@ -7,27 +7,34 @@ one line to stderr, never a traceback.
 
 _build_parser is the one table of subcommands; each subparser carries its
 handler as `run`, and a handler reads its own name from args.command.
-Every integer option has the type _int, which takes ASCII digits with an
-optional leading '-', as parse_type and parse_weight do.  A handler
-returns the JSON document and the report lines, and main prints one of
-them inside its error handling, exiting 1 only when the document says
-all_passed is false (verify-paper).  Integer text has at most
-_MAX_DIGITS digits, in options as in types and weights.
+classify's and witness's handlers live here; the seven report handlers
+(det-short, sl2, qbinom, table-theorem5-1, endnodes, e8-certificate and
+verify-paper) live in reports, and the table names each of them by its
+name there, so neither importing this module nor building the parser
+runs reports: main reads the handler from it at dispatch.  Every integer
+option has the type _int, which takes ASCII digits with an optional
+leading '-', as parse_type and parse_weight do.  A handler returns the
+JSON document and the report lines, and main prints one of them inside
+its error handling, exiting 1 only when the document says all_passed is
+false (verify-paper).  Integer text has at most _MAX_DIGITS digits, in
+options as in types and weights.
 
 A request compiles and runs only the modules it executes.  This module
 imports rootsystem, which every type, weight and integer option reads, and
-registers acceptance, classifier, qarith and weylmods through the
+registers acceptance, classifier, qarith, weylmods and reports through the
 package's _lazy helper: each is in sys.modules and on the package at once,
 but compiled and run at its first attribute read, and the handlers call
-them through those module objects.  So only verify-paper runs the
-acceptance suite, only it, classify, witness and endnodes run the
-classifier, and a classify or witness request compiles qarith and
-weylmods only when its trace reaches a rank-one or fundamental-weight
-leaf.  They are registered here, not imported inside the handlers,
-because bench/tracer.py looks up every module it wraps in sys.modules
-right after `import weylirr.cli`; qbinom's handler also imports
-_gauss_indices from the registered qarith.  json is imported only when
---json asks for it.
+them through those module objects.  So a classify or witness request
+never compiles reports, only verify-paper runs the acceptance suite, only
+it, classify, witness and endnodes run the classifier, and a classify or
+witness request compiles qarith and weylmods only when its trace reaches
+a rank-one or fundamental-weight leaf.  This module calls no function of
+acceptance, qarith or weylmods; it registers them (and reports reuses
+the registrations) because bench/tracer.py looks up every module it
+wraps in sys.modules right after `import weylirr.cli`.  reports is
+registered, not imported in main, so that a request adds no module to
+sys.modules or to the package, whose bindings the tracer restores.
+json is imported only when --json asks for it.
 """
 
 from __future__ import annotations
@@ -43,22 +50,13 @@ from .rootsystem import (
     format_weight,
     parse_type,
     parse_weight,
-    systems,
 )
 
 acceptance = _lazy("acceptance")
 classifier = _lazy("classifier")
 qarith = _lazy("qarith")
 weylmods = _lazy("weylmods")
-
-# the symbolic Gaussian binomial is expanded on demand only for degree
-# m(n - m) up to this limit; the expansion's work grows like min(m, n - m)
-# times its degree
-_QBINOM_DEGREE_LIMIT = 100_000
-
-# table-theorem5-1 builds and expands the determinant of every system up to
-# --max-rank, so the work grows faster than the square of the bound
-_TABLE_MAX_RANK = 100
+reports = _lazy("reports")
 
 
 def _int(text: str) -> int:
@@ -82,6 +80,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def command(name, run, help, system=False, weight=False):
+        # run is a handler of this module or the name of one in reports;
         # --json follows a system command's --type, --rank (and --weight);
         # every other command adds it last, as each --help has listed it
         p = sub.add_parser(name, help=help)
@@ -104,19 +103,19 @@ def _build_parser() -> argparse.ArgumentParser:
             "print the reduction witness trace for a weight",
             system=True, weight=True)
 
-    p = command("det-short", _cmd_det_short,
+    p = command("det-short", "_cmd_det_short",
                 "short-root determinant, optionally tested at an order",
                 system=True)
     p.add_argument("--ell", type=_int, default=None)
 
-    p = command("sl2", _cmd_sl2, "rank-one irreducibility at a given order")
+    p = command("sl2", "_cmd_sl2", "rank-one irreducibility at a given order")
     p.add_argument("--lambda", dest="lam", type=_int, required=True)
     p.add_argument("--ell", type=_int, required=True)
     p.add_argument("--d", type=_int, default=1,
                    help="node symmetrizer twist (1, 2 or 3)")
     p.add_argument("--json", action="store_true")
 
-    p = command("qbinom", _cmd_qbinom,
+    p = command("qbinom", "_cmd_qbinom",
                 "Gaussian binomial, optionally tested for vanishing at an "
                 "order")
     p.add_argument("--n", type=_int, required=True)
@@ -125,20 +124,20 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--d", type=_int, default=1)
     p.add_argument("--json", action="store_true")
 
-    p = command("table-theorem5-1", _cmd_table,
+    p = command("table-theorem5-1", "_cmd_table",
                 "determinants and vanishing orders per type")
     p.add_argument("--max-rank", dest="max_rank", type=_int, default=12)
     p.add_argument("--json", action="store_true")
 
-    command("endnodes", _cmd_endnodes,
+    command("endnodes", "_cmd_endnodes",
             "the end-node reduction case for a type", system=True)
 
-    p = command("e8-certificate", _cmd_e8_certificate,
+    p = command("e8-certificate", "_cmd_e8_certificate",
                 "irreducibility certificate for the rank-8 exceptional "
                 "adjoint weight")
     p.add_argument("--json", action="store_true")
 
-    p = command("verify-paper", _cmd_verify_paper,
+    p = command("verify-paper", "_cmd_verify_paper",
                 "run the full acceptance suite")
     p.add_argument("--only", default=None,
                    help="comma-separated check ids")
@@ -210,164 +209,6 @@ def _cmd_witness(args):
     return doc, lines
 
 
-def _cmd_det_short(args):
-    rs = parse_type(args.type, args.rank)
-    det = weylmods.det_short_matrix(rs)
-    doc = {
-        "input": {"command": args.command, "type": rs.name, "ell": args.ell},
-        "det": repr(det),
-    }
-    lines = [f"type: {rs.name}", f"det: {det!r}"]
-    if args.ell is not None:
-        vanishes = weylmods.adjoint_short_reducible_at(rs, args.ell)
-        doc["vanishes"] = vanishes
-        lines.append(f"ell: {args.ell}")
-        lines.append(f"vanishes: {str(vanishes).lower()}")
-    return doc, lines
-
-
-def _cmd_sl2(args):
-    irreducible = weylmods.sl2_irreducible(args.lam, args.ell, args.d)
-    doc = {
-        "input": {"command": args.command, "lambda": args.lam, "ell": args.ell,
-                  "d": args.d},
-        "irreducible": irreducible,
-    }
-    lines = [f"lambda: {args.lam}", f"ell: {args.ell}", f"d: {args.d}",
-             f"irreducible: {str(irreducible).lower()}"]
-    return doc, lines
-
-
-def _cmd_qbinom(args):
-    from .qarith import _gauss_indices  # the one statement of the indices
-    top, _ = _gauss_indices(args.n, args.m)
-    doc = {"input": {"command": args.command, "n": args.n, "m": args.m,
-                     "ell": args.ell, "d": args.d}}
-    lines = [f"n: {args.n}", f"m: {args.m}"]
-    degree = args.m * (top - args.m)
-    small = degree <= _QBINOM_DEGREE_LIMIT
-    if small:
-        value = qarith.qbinom(args.n, args.m)
-        doc["value"] = repr(value)
-        lines.append(f"value: {value!r}")
-    elif args.ell is None:
-        raise ValueError(
-            f"n: symbolic expansion of degree {degree} exceeds the limit "
-            f"{_QBINOM_DEGREE_LIMIT}; pass --ell for the vanishing test")
-    if args.ell is not None:
-        spec = qarith.SpecOrder(args.ell, args.d)
-        vanishes = qarith.qbinom_vanishes_fast(args.n, args.m, spec)
-        if small and vanishes != qarith.vanishes_at(value, spec):
-            raise InternalCheckError(
-                "fast vanishing rule disagrees with the symbolic value")
-        doc["vanishes"] = vanishes
-        lines.append(f"ell: {args.ell}")
-        lines.append(f"vanishes: {str(vanishes).lower()}")
-    return doc, lines
-
-
-def _cmd_table(args):
-    if not 1 <= args.max_rank <= _TABLE_MAX_RANK:
-        raise ValueError(
-            f"max-rank: must be an integer from 1 to {_TABLE_MAX_RANK}")
-    rows = []
-    for rs in systems(args.max_rank):
-        orders = [l for l in range(1, 61)
-                  if weylmods.adjoint_short_reducible_at(rs, l)]
-        rows.append({"type": rs.name,
-                     "det": repr(weylmods.det_short_matrix(rs)),
-                     "vanishing_orders": orders})
-    doc = {"input": {"command": args.command, "max_rank": args.max_rank},
-           "rows": rows}
-    lines = []
-    for row in rows:
-        orders = ", ".join(str(l) for l in row["vanishing_orders"]) or "none"
-        lines.append(f"{row['type']}")
-        lines.append(f"  det: {row['det']}")
-        lines.append(f"  vanishing orders <= 60: {orders}")
-    return doc, lines
-
-
-def _cmd_endnodes(args):
-    rs = parse_type(args.type, args.rank)
-    lam, ell, case = classifier.endnode_witness(rs)
-    trace = (classifier.EndNode(case, ell),)
-    nodes = classifier.trace_json(rs, lam, trace)
-    verified = nodes[0]["verified"]
-    weight = format_weight(lam)
-    doc = {
-        "input": {"command": args.command, "type": rs.name},
-        "case": case,
-        "weight": weight,
-        "ell": ell,
-        "verified": verified,
-        "trace": nodes,
-        "citations": classifier.trace_citations(trace),
-    }
-    lines = [f"type: {rs.name}", f"case: {case}",
-             f"weight: {weight}", f"ell: {ell}",
-             f"verified: {str(verified).lower()}"]
-    return doc, lines
-
-
-def _cmd_e8_certificate(args):
-    cert = weylmods.e8_certificate()
-    f16 = cert.factors[2]  # e8_certificate checks it is detD.shift(8)
-    doc = {
-        "input": {"command": args.command},
-        "det": repr(cert.detD),
-        "f": repr(cert.f),
-        "f16": repr(f16),
-        "factors": [repr(p) for p in cert.factors],
-        "orders_checked": len(cert.checked_orders),
-        "failing_orders": list(cert.failing_orders),
-        "value_at_one": cert.value_at_one,
-        "value_at_minus_one": cert.value_at_minus_one,
-        "certified": cert.certified,
-    }
-    failing = ", ".join(str(l) for l in cert.failing_orders) or "none"
-    lines = [
-        f"det: {cert.detD!r}",
-        f"f: {cert.f!r}",
-        f"f16: {f16!r}",
-        "factors:",
-        *(f"  - {p!r}" for p in cert.factors),
-        f"orders checked: {len(cert.checked_orders)} "
-        f"(3 <= ell <= 1000 with totient <= 20)",
-        f"orders where a cyclotomic factor divides f16: {failing}",
-        f"det value at 1: {cert.value_at_one}",
-        f"det value at -1: {cert.value_at_minus_one}",
-        f"certified: {str(cert.certified).lower()}",
-    ]
-    return doc, lines
-
-
-def _cmd_verify_paper(args):
-    only = None
-    if args.only is not None:
-        only = [part.strip() for part in args.only.split(",") if part.strip()]
-        if not only:
-            raise ValueError("only: no check ids given")
-    results = acceptance.run_all(only)
-    rows, lines = [], []
-    for r in results:
-        budget = acceptance.budget_for(r.id)
-        rows.append({"id": r.id, "passed": r.passed, "detail": r.detail,
-                     "budget_seconds": budget})
-        tag = "PASS" if r.passed else "FAIL"
-        lines.append(f"[{tag}] {r.id}  ({r.seconds:.2f}s, "
-                     f"budget {budget:g}s)")
-        lines.append(f"       {r.detail}")
-    failed = sum(1 for r in results if not r.passed)
-    if failed:
-        lines.append(f"{failed} of {len(results)} checks failed")
-    else:
-        lines.append(f"all {len(results)} checks passed")
-    doc = {"input": {"command": args.command, "only": only},
-           "results": rows, "all_passed": not failed}
-    return doc, lines
-
-
 def main(argv=None) -> int:
     parser = _build_parser()
     try:
@@ -380,7 +221,10 @@ def main(argv=None) -> int:
             if isinstance(value, list):  # argparse reads "--opt=--" as []
                 option = "lambda" if dest == "lam" else dest.replace("_", "-")
                 raise ValueError(f"{option}: expected one value")
-        doc, lines = args.run(args)
+        run = args.run
+        if isinstance(run, str):  # a report's handler, run from here
+            run = getattr(reports, run)
+        doc, lines = run(args)
         if args.json:
             import json
             print(json.dumps(doc, indent=2))

@@ -10,7 +10,7 @@ from pathlib import Path
 
 import pytest
 
-from weylirr import cli
+from weylirr import cli, reports
 from weylirr.cli import main
 from weylirr.rootsystem import _MAX_DIGITS
 
@@ -38,6 +38,10 @@ RANK_ONE_GOLDEN = json.loads(
 # vanishes_at kept its q^2 reduction in the polynomial
 VERIFY_GOLDEN = json.loads(
     (Path(__file__).parent / "golden" / "verify_paper.json").read_text())
+# `weylirr --help` and each subcommand's --help at COLUMNS=80, recorded
+# while every handler was still written in cli
+HELP_GOLDEN = json.loads(
+    (Path(__file__).parent / "golden" / "help_cli.json").read_text())
 
 
 def run(capsys, *argv):
@@ -143,6 +147,19 @@ class TestGolden:
         code, out, _ = run(capsys, *VERIFY_GOLDEN["argv"])
         assert code == VERIFY_GOLDEN["exit"] == 1
         assert out == VERIFY_GOLDEN["stdout"]
+
+    @pytest.mark.parametrize("case", HELP_GOLDEN,
+                             ids=[" ".join(c["argv"]) for c in HELP_GOLDEN])
+    def test_help_matches_golden_output(self, capsys, monkeypatch, case):
+        # argparse wraps its help to the terminal width it reads from
+        # COLUMNS, so the width is fixed
+        monkeypatch.setenv("COLUMNS", "80")
+        assert run(capsys, *case["argv"]) == (case["exit"], case["stdout"],
+                                              "")
+
+    def test_help_golden_covers_every_command(self):
+        assert [c["argv"] for c in HELP_GOLDEN] == [
+            ["--help"], *([command, "--help"] for command in _subcommands())]
 
 
 class TestInputErrors:
@@ -359,26 +376,34 @@ def _subcommands():
 
 
 class TestSubcommands:
-    # each subcommand's handler and its smallest quick request
+    # each subcommand's handler, as "module.function", and its smallest
+    # quick request
     REQUESTS = {
-        "classify": ("_cmd_classify", ["--type", "A2", "--weight", "w1"]),
-        "witness": ("_cmd_witness", ["--type", "A2", "--weight", "w1"]),
-        "det-short": ("_cmd_det_short", ["--type", "G2"]),
-        "sl2": ("_cmd_sl2", ["--lambda", "2", "--ell", "4"]),
-        "qbinom": ("_cmd_qbinom", ["--n", "5", "--m", "2"]),
-        "table-theorem5-1": ("_cmd_table", ["--max-rank", "1"]),
-        "endnodes": ("_cmd_endnodes", ["--type", "A2"]),
-        "e8-certificate": ("_cmd_e8_certificate", []),
-        "verify-paper": ("_cmd_verify_paper",
+        "classify": ("cli._cmd_classify", ["--type", "A2", "--weight", "w1"]),
+        "witness": ("cli._cmd_witness", ["--type", "A2", "--weight", "w1"]),
+        "det-short": ("reports._cmd_det_short", ["--type", "G2"]),
+        "sl2": ("reports._cmd_sl2", ["--lambda", "2", "--ell", "4"]),
+        "qbinom": ("reports._cmd_qbinom", ["--n", "5", "--m", "2"]),
+        "table-theorem5-1": ("reports._cmd_table", ["--max-rank", "1"]),
+        "endnodes": ("reports._cmd_endnodes", ["--type", "A2"]),
+        "e8-certificate": ("reports._cmd_e8_certificate", []),
+        "verify-paper": ("reports._cmd_verify_paper",
                          ["--only", "det-closed-form-equality"]),
     }
 
     def test_every_subcommand_names_its_own_handler(self):
+        # cli's own handlers are carried as functions; a report handler
+        # is carried as its name, read from reports at dispatch
         parsers = _subcommands()
         assert sorted(parsers) == sorted(self.REQUESTS)
         for command, parser in parsers.items():
-            handler = getattr(cli, self.REQUESTS[command][0])
-            assert parser.get_default("run") is handler, command
+            home, name = self.REQUESTS[command][0].split(".")
+            handler = getattr({"cli": cli, "reports": reports}[home], name)
+            run = parser.get_default("run")
+            if home == "reports":
+                assert run == name, command
+                run = getattr(reports, run)
+            assert run is handler, command
 
     @pytest.mark.parametrize("command", sorted(REQUESTS))
     def test_each_subcommand_runs_its_own_handler(self, capsys, command):
@@ -690,6 +715,9 @@ class TestEntryPoint:
     _NO_ARITHMETIC = ["_record", "classifier", "cli", "rootsystem"]
     _EVERY_BUT_SUITE = ["_record", "classifier", "cli", "qarith",
                         "rootsystem", "weylmods"]
+    # a report runs reports and the arithmetic, but not the classifier
+    _REPORT_ARITHMETIC = ["_record", "cli", "qarith", "reports",
+                          "rootsystem", "weylmods"]
 
     @pytest.mark.parametrize("argv, ran, uses_json", [
         # a descent to an end-node leaf: no arithmetic module runs
@@ -697,7 +725,8 @@ class TestEntryPoint:
          _NO_ARITHMETIC, True),
         (["witness", "--type", "A24", "--weight", "w3+w5"],
          _NO_ARITHMETIC, False),
-        (["endnodes", "--type", "B4"], _NO_ARITHMETIC, False),
+        (["endnodes", "--type", "B4"],
+         ["_record", "classifier", "cli", "reports", "rootsystem"], False),
         # the alpha0 leaf tests the short-root determinant, and a rank-one
         # leaf the rank-one criterion
         (["classify", "--type", "D24", "--weight", "w2"],
@@ -705,14 +734,22 @@ class TestEntryPoint:
         (["classify", "--type", "B4", "--weight", "2w1", "--json"],
          _EVERY_BUT_SUITE, True),
         # no arithmetic request runs the classifier
-        (["sl2", "--lambda", "2", "--ell", "4"],
-         ["_record", "cli", "qarith", "rootsystem", "weylmods"], False),
-        (["sl2", "--lambda", "3", "--ell", "0"],
-         ["_record", "cli", "qarith", "rootsystem", "weylmods"], False),
+        (["sl2", "--lambda", "2", "--ell", "4"], _REPORT_ARITHMETIC, False),
+        (["sl2", "--lambda", "3", "--ell", "0"], _REPORT_ARITHMETIC, False),
         (["qbinom", "--n", "10", "--m", "3", "--ell", "5", "--json"],
-         ["_record", "cli", "qarith", "rootsystem"], True),
+         ["_record", "cli", "qarith", "reports", "rootsystem"], True),
+        (["det-short", "--type", "E8", "--ell", "60"],
+         _REPORT_ARITHMETIC, False),
+        (["table-theorem5-1", "--max-rank", "2"], _REPORT_ARITHMETIC, False),
+        (["e8-certificate"], _REPORT_ARITHMETIC, False),
+        # only verify-paper runs the acceptance suite, and with it every
+        # module
+        (["verify-paper", "--only", "end-node-reflection-arithmetic"],
+         ["_record", "acceptance", "classifier", "cli", "qarith", "reports",
+          "rootsystem", "weylmods"], False),
     ], ids=["descent-json", "witness-descent", "endnodes", "alpha0",
-            "rank-one-json", "sl2", "sl2-refused", "qbinom-json"])
+            "rank-one-json", "sl2", "sl2-refused", "qbinom-json",
+            "det-short", "table", "e8-certificate", "verify-paper-one"])
     def test_a_request_runs_only_the_modules_it_needs(self, capsys, argv,
                                                        ran, uses_json):
         proc = subprocess.run(
@@ -720,8 +757,26 @@ class TestEntryPoint:
             capture_output=True, text=True, env=child_env())
         *_, last = proc.stderr.splitlines()
         assert ast.literal_eval(last) == [ran, uses_json], proc.stderr
+        # a classify or witness request never compiles the reports
+        assert ("reports" in ran) is (argv[0] not in ("classify", "witness"))
         # and the process answers as main does in this one
         assert (proc.returncode, proc.stdout) == run(capsys, *argv)[:2]
+
+    def test_building_the_parser_leaves_reports_unrun(self):
+        # a fresh process: `import weylirr.cli` registers reports, and
+        # building the parser names the report handlers without reading
+        # them, so reports is still a LazyLoader module, not a plain one
+        code = textwrap.dedent("""
+            import sys, types, weylirr.cli
+            weylirr.cli._build_parser()
+            module = sys.modules["weylirr.reports"]
+            print(module is weylirr.cli.reports,
+                  type(module) is types.ModuleType)
+        """)
+        proc = subprocess.run([sys.executable, "-c", code],
+                              capture_output=True, text=True, env=child_env())
+        assert (proc.returncode, proc.stdout) == (0, "True False\n"), \
+            proc.stderr
 
     def test_importing_the_package_runs_no_submodule(self):
         # and a submodule is still an attribute of the package, imported

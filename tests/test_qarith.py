@@ -1009,8 +1009,8 @@ def test_the_gaussian_index_rule_is_written_once():
                  if where == scope and isinstance(node, ast.Call)
                  and isinstance(node.func, ast.Name)]
         assert "_gauss_indices" in calls and name not in calls
-    # the CLI's top comes from the helper and from nothing else
-    tops = [node for scope, node in nodes if scope.startswith("cli.")
+    # the qbinom report's top comes from the helper and from nothing else
+    tops = [node for scope, node in nodes if scope.startswith("reports.")
             and isinstance(node, ast.Assign)
             and any("top" in names(target) for target in node.targets)]
     assert len(tops) == 1
