@@ -7,14 +7,19 @@ machine-checkable reduction trace.  All arithmetic is exact: Laurent
 polynomials over the integers, cyclotomic divisibility, and integer
 products for dimension formulas.
 
-`import weylirr` runs this file alone.  Each name of __all__ is read from
-the submodule _EXPORTS files it under, on every access (PEP 562), so a
-function rebound on its submodule is what the package gives out, and
-restoring it leaves no copy here.  _lazy registers a submodule that is
-compiled and run at its first attribute read; cli registers the five
-modules a request may not need through it (acceptance, classifier,
-qarith, weylmods and reports, which holds the report subcommands), and
-reports and classifier reach the modules they call through it.
+The lazy-import rule, stated here once: `import weylirr` runs this file
+alone, and it registers every library submodule (_SUBMODULES) in
+sys.modules and as a package global through importlib's LazyLoader, so
+each is compiled and run at its first attribute read.  A module imports
+its siblings plainly (`from . import classifier`), which binds the
+registered module without running it, so a request compiles only the
+modules it executes; and every module the bench tracer wraps is in
+sys.modules once the package is imported.  cli and __main__ are imported
+the usual way, so `import weylirr.cli` compiles and runs cli.
+
+Each name of __all__ is read from the submodule _EXPORTS files it under,
+on every access (PEP 562), so a function rebound on its submodule is what
+the package gives out, and restoring it leaves no copy here.
 """
 
 import importlib.util
@@ -51,32 +56,26 @@ _HOME = {name: module for module, names in _EXPORTS.items()
 
 __all__ = sorted(_HOME)
 
+# every module of the package but cli and __main__
+_SUBMODULES = ("_record", "rootsystem", "qarith", "weylmods", "classifier",
+               "acceptance", "reports")
+
+for _child in _SUBMODULES:
+    _name = f"{__name__}.{_child}"
+    if _name not in sys.modules:  # one imported already is kept as it is
+        _spec = importlib.util.find_spec(_name)
+        _spec.loader = importlib.util.LazyLoader(_spec.loader)
+        sys.modules[_name] = importlib.util.module_from_spec(_spec)
+        _spec.loader.exec_module(sys.modules[_name])
+    globals()[_child] = sys.modules[_name]
+
 
 def __getattr__(name: str):
     # nothing is cached here: the submodule's binding is read every time
-    if name in _EXPORTS:  # a submodule not imported yet
-        return importlib.import_module(f"{__name__}.{name}")
     if name not in _HOME:
         raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    return getattr(importlib.import_module(f"{__name__}.{_HOME[name]}"), name)
+    return getattr(globals()[_HOME[name]], name)
 
 
 def __dir__():
     return sorted({*globals(), *__all__})
-
-
-def _lazy(child: str):
-    """The submodule `child`, registered in sys.modules and on this package
-    but compiled and run only at its first attribute read; a submodule
-    already imported, or already registered, is returned as it is."""
-    name = f"{__name__}.{child}"
-    module = sys.modules.get(name)
-    if module is None:
-        spec = importlib.util.find_spec(name)
-        loader = importlib.util.LazyLoader(spec.loader)
-        spec.loader = loader
-        module = importlib.util.module_from_spec(spec)
-        sys.modules[name] = module
-        globals()[child] = module
-        loader.exec_module(module)
-    return module

@@ -42,14 +42,12 @@ from __future__ import annotations
 
 from functools import lru_cache, reduce
 
-from . import _lazy
+# the leaf tests: an end-node leaf and a descent read none of them, so,
+# under the package's lazy-import rule, weylmods is compiled and run when
+# a rank-one or fundamental-weight leaf is first searched or replayed
+from . import weylmods
 from ._record import InternalCheckError, Record
 from .rootsystem import RootSystem, Weight, format_weight
-
-# the leaf tests: an end-node leaf and a descent read none of them, so the
-# module is compiled and run when a rank-one or fundamental-weight leaf is
-# first searched or replayed
-weylmods = _lazy("weylmods")
 
 
 class TraceError(ValueError):

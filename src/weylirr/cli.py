@@ -19,22 +19,9 @@ its error handling, exiting 1 only when the document says all_passed is
 false (verify-paper).  Integer text has at most _MAX_DIGITS digits, in
 options as in types and weights.
 
-A request compiles and runs only the modules it executes.  This module
-imports rootsystem, which every type, weight and integer option reads, and
-registers acceptance, classifier, qarith, weylmods and reports through the
-package's _lazy helper: each is in sys.modules and on the package at once,
-but compiled and run at its first attribute read, and the handlers call
-them through those module objects.  So a classify or witness request
-never compiles reports, only verify-paper runs the acceptance suite, only
-it, classify, witness and endnodes run the classifier, and a classify or
-witness request compiles qarith and weylmods only when its trace reaches
-a rank-one or fundamental-weight leaf.  This module calls no function of
-acceptance, qarith or weylmods; it registers them (and reports reuses
-the registrations) because bench/tracer.py looks up every module it
-wraps in sys.modules right after `import weylirr.cli`.  reports is
-registered, not imported in main, so that a request adds no module to
-sys.modules or to the package, whose bindings the tracer restores.
-json is imported only when --json asks for it.
+A request compiles and runs only the modules it executes, under the
+package's lazy-import rule (see weylirr's docstring); json is imported
+only when --json asks for it.
 """
 
 from __future__ import annotations
@@ -42,7 +29,7 @@ from __future__ import annotations
 import argparse
 import sys
 
-from . import _lazy
+from . import classifier, reports
 from ._record import InternalCheckError
 from .rootsystem import (
     _check_digits,
@@ -51,12 +38,6 @@ from .rootsystem import (
     parse_type,
     parse_weight,
 )
-
-acceptance = _lazy("acceptance")
-classifier = _lazy("classifier")
-qarith = _lazy("qarith")
-weylmods = _lazy("weylmods")
-reports = _lazy("reports")
 
 
 def _int(text: str) -> int:

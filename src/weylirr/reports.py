@@ -4,21 +4,16 @@ endnodes, e8-certificate and verify-paper.
 cli's parser names each of these handlers by its name here, and cli's main
 reads it from this module at dispatch, so a classify or witness request
 never compiles this file.  Each handler returns the JSON document and the
-report lines, as cli's own handlers do.  The modules a report may not
-need are reached through _lazy, as in cli, so a report compiles only the
-modules its command runs.
+report lines, as cli's own handlers do.  Its siblings are imported
+plainly under the package's lazy-import rule (see weylirr's docstring),
+so a report compiles only the modules its command runs.
 """
 
 from __future__ import annotations
 
-from . import _lazy
+from . import acceptance, classifier, qarith, weylmods
 from ._record import InternalCheckError
 from .rootsystem import format_weight, parse_type, systems
-
-acceptance = _lazy("acceptance")
-classifier = _lazy("classifier")
-qarith = _lazy("qarith")
-weylmods = _lazy("weylmods")
 
 # the symbolic Gaussian binomial is expanded on demand only for degree
 # m(n - m) up to this limit; the expansion's work grows like min(m, n - m)

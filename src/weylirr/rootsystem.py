@@ -331,28 +331,26 @@ class RootSystem(Frozen):
                 f"{self.name}: non-integral coroot pairing")
         return t // root.d
 
-    def _alpha0_height(self, level: int, lam: Weight) -> int:
-        """<lam+rho, alpha0^vee>, once level and lam's coordinates are
-        checked.
-
-        level is a wall level, not the order of zeta: at order ell the
-        first wall is at the vanishing modulus s, not at ell.
-        """
-        if type(level) is not int or level < 1:
-            raise ValueError("level: must be a positive integer")
+    def _alpha0_height(self, lam: Weight) -> int:
+        """<lam+rho, alpha0^vee> for lam an int tuple, already checked."""
         co = self._alpha0_coroot
-        return sum(map(mul, int_weight(lam), co)) + sum(co)
+        return sum(map(mul, lam, co)) + sum(co)
 
     def dot_reflect_alpha0(self, level: int, lam: Weight) -> Weight:
         """Affine dot-reflection of lam in the wall <x+rho, alpha0^vee> =
-        level."""
-        t = self._alpha0_height(level, lam) - level
+        level; the level is checked before the weight."""
+        _check_level(level)
+        lam = int_weight(lam)
+        t = self._alpha0_height(lam) - level
         return tuple([c - t * a for c, a in zip(lam, self.alpha0_weight)])
 
     def in_bottom_alcove_closure(self, level: int, lam: Weight) -> bool:
         """Whether dominant lam lies on the near side of the wall
-        <x+rho, alpha0^vee> = level, i.e. <lam+rho, alpha0^vee> <= level."""
-        return self._alpha0_height(level, self.check_dominant(lam)) <= level
+        <x+rho, alpha0^vee> = level, i.e. <lam+rho, alpha0^vee> <= level;
+        the weight is checked before the level."""
+        lam = self.check_dominant(lam)
+        _check_level(level)
+        return self._alpha0_height(lam) <= level
 
     def weyl_dimension(self, lam: Weight) -> int:
         """prod <lam+rho, a^vee> / prod <rho, a^vee> over positive a."""
@@ -520,6 +518,14 @@ def int_weight(lam) -> Weight:
     return lam
 
 
+def _check_level(level) -> None:
+    """Refuse a wall level that is not a positive int.  A level is not the
+    order of zeta: at order ell the first wall is at the vanishing modulus
+    s, not at ell."""
+    if type(level) is not int or level < 1:
+        raise ValueError("level: must be a positive integer")
+
+
 def _check_rank(rank) -> int:
     """rank, refused unless of type int: a bool, a float or a str is not."""
     if type(rank) is not int:
@@ -596,10 +602,10 @@ def parse_type(text: str, rank=None) -> RootSystem:
     if not t or t[0] not in _ADMISSIBLE:
         raise ValueError(f"type: unknown root-system type {text!r}")
     if len(t) > 1:
-        if rank is not None and str(rank) != t[1:]:
-            raise ValueError(f"type: rank given twice ({text!r} and {rank})")
         if not _is_int_text(t[1:]):
             raise ValueError(f"type: unknown root-system type {text!r}")
+        if rank is not None and int(t[1:]) != rank:  # "B03" names rank 3
+            raise ValueError(f"type: rank given twice ({text!r} and {rank})")
         rank = int(t[1:])
     if rank is None:
         raise ValueError(f"type: rank required with bare letter {text!r}")

@@ -14,6 +14,8 @@ from weylirr import cli, reports
 from weylirr.cli import main
 from weylirr.rootsystem import _MAX_DIGITS
 
+from package_ast import package_sources
+
 # the largest number input text may hold
 _TOP = 10 ** _MAX_DIGITS - 1
 
@@ -650,10 +652,10 @@ class TestEntryPoint:
         # a fresh process, so modules loaded by the tests do not count;
         # the bench tracer wraps functions in all six submodules right
         # after `import weylirr.cli`, so that import must put them all in
-        # sys.modules: cli and rootsystem run there, and acceptance,
-        # classifier, qarith and weylmods are registered there and run on
-        # their first attribute access.  json is imported after the list
-        # is taken, since only --json needs it
+        # sys.modules: cli and rootsystem run there, and the package
+        # registers acceptance, classifier, qarith and weylmods, which run
+        # on their first attribute access.  json is imported after the
+        # list is taken, since only --json needs it
         code = ("import sys, weylirr.cli; loaded = sorted(sys.modules); "
                 "import json; print(json.dumps(loaded))")
         proc = subprocess.run([sys.executable, "-c", code],
@@ -666,9 +668,9 @@ class TestEntryPoint:
             "cli")} <= loaded
 
     def test_acceptance_suite_runs_on_first_use(self):
-        # a fresh process: the suite is registered by `import weylirr.cli`
-        # but not run, a classify request leaves it so, and the first
-        # attribute read runs it in place, as the package's submodule
+        # a fresh process: the suite is registered by the package but not
+        # run, a classify request leaves it so, and the first attribute
+        # read runs it in place, as the package's submodule
         code = textwrap.dedent("""
             import json, sys, types
             import weylirr.cli
@@ -681,7 +683,7 @@ class TestEntryPoint:
             weylirr.cli.main(["classify", "--type", "D24", "--weight",
                               "w12", "--json"])
             states.append(ran())
-            lazy = weylirr.cli.acceptance
+            lazy = weylirr.acceptance
             ids = lazy.CHECK_IDS
             import weylirr.acceptance
             states += [ran(), lazy is weylirr.acceptance
@@ -779,17 +781,67 @@ class TestEntryPoint:
             proc.stderr
 
     def test_importing_the_package_runs_no_submodule(self):
-        # and a submodule is still an attribute of the package, imported
-        # when first read
+        # `import weylirr` registers every submodule but cli and __main__,
+        # each in sys.modules and on the package, and runs none of them;
+        # `import weylirr.cli` then runs cli, which runs the two modules it
+        # imports names from, and leaves the rest registered
         code = textwrap.dedent("""
-            import sys, weylirr
-            print(sorted(n for n in sys.modules if "weylirr" in n))
-            print(weylirr.rootsystem is sys.modules["weylirr.rootsystem"])
+            import json, sys, types, weylirr
+
+            def children():
+                return {n[len("weylirr."):]: m for n, m in sys.modules.items()
+                        if n.startswith("weylirr.")}
+
+            def ran():
+                return sorted(n for n, m in children().items()
+                              if type(m) is types.ModuleType)
+
+            states = [sorted(n for n in sys.modules if "weylirr" in n),
+                      all(getattr(weylirr, n) is m
+                          for n, m in children().items()),
+                      ran()]
+            import weylirr.cli
+            states += [ran(), "main" in vars(weylirr.cli)]
+            print(json.dumps(states))
         """)
         proc = subprocess.run([sys.executable, "-c", code],
                               capture_output=True, text=True, env=child_env())
-        assert (proc.returncode, proc.stdout) == (0, "['weylirr']\nTrue\n"), \
-            proc.stderr
+        assert proc.returncode == 0, proc.stderr
+        assert json.loads(proc.stdout) == [
+            ["weylirr", "weylirr._record", "weylirr.acceptance",
+             "weylirr.classifier", "weylirr.qarith", "weylirr.reports",
+             "weylirr.rootsystem", "weylirr.weylmods"],
+            True, [], ["_record", "cli", "rootsystem"], True]
+
+    def test_the_lazy_import_rule_is_written_once(self):
+        # only the package's own file registers submodules lazily, and
+        # its tuple names every module of the package but cli and __main__,
+        # each once; every other module imports its siblings plainly
+        sources = package_sources()
+
+        def names(node):
+            if isinstance(node, ast.Attribute):
+                return [node.attr]
+            if isinstance(node, ast.Name):
+                return [node.id]
+            if isinstance(node, ast.alias):
+                return node.name.split(".")
+            if isinstance(node, ast.Constant) and isinstance(node.value, str):
+                return [node.value]
+            return []
+
+        naming = sorted({module for module, text in sources.items()
+                         for node in ast.walk(ast.parse(text))
+                         if {"LazyLoader", "find_spec", "importlib"}
+                         & set(names(node))})
+        assert naming == ["__init__"]
+        registered, = [ast.literal_eval(node.value)
+                       for node in ast.parse(sources["__init__"]).body
+                       if isinstance(node, ast.Assign)
+                       and [t.id for t in node.targets] == ["_SUBMODULES"]]
+        assert len(registered) == len(set(registered))
+        assert set(registered) == sources.keys() - {"__init__", "__main__",
+                                                    "cli"}
 
     def test_every_export_is_the_object_on_its_submodule(self, monkeypatch):
         import weylirr
@@ -822,13 +874,24 @@ class TestEntryPoint:
             weylirr.nothing
 
     def test_acceptance_suite_imported_first_is_kept(self):
-        # the CLI registers no second copy of a suite already imported
-        code = ("import sys, weylirr.acceptance as suite, weylirr.cli; "
-                "print(weylirr.cli.acceptance is suite "
-                "is sys.modules['weylirr.acceptance'])")
+        # a suite imported and run before cli is the one every module
+        # reads, and running the package's registration again makes no
+        # second copy of it
+        code = textwrap.dedent("""
+            import importlib, sys, types
+            import weylirr.acceptance as suite
+            suite.CHECK_IDS
+            import weylirr.cli
+            importlib.reload(weylirr)
+            print(weylirr.acceptance is suite
+                  is sys.modules["weylirr.acceptance"]
+                  is weylirr.reports.acceptance,
+                  type(suite) is types.ModuleType)
+        """)
         proc = subprocess.run([sys.executable, "-c", code],
                               capture_output=True, text=True, env=child_env())
-        assert (proc.returncode, proc.stdout) == (0, "True\n"), proc.stderr
+        assert (proc.returncode, proc.stdout) == (0, "True True\n"), \
+            proc.stderr
 
     def test_module_invocation(self):
         proc = subprocess.run(

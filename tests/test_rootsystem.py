@@ -808,9 +808,12 @@ class TestParsing:
                 ("A3", 4, "type: rank given twice ('A3' and 4)"),
                 ("A3", 10**4000,
                  f"type: rank given twice ('A3' and {10**4000})"),
+                ("B03", 4, "type: rank given twice ('B03' and 4)"),
                 ("C", 2, "rank: no root system C2")]:
             with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
                 parse_type(text, rank)
+        # the two spellings of a rank are compared as numbers, not as text
+        assert parse_type("B03", 3) is parse_type("B3") is build("B", 3)
 
     @pytest.mark.parametrize("text", ["A", "A3"])
     @pytest.mark.parametrize("rank", [2.7, True, "3", 3.0])
